@@ -24,8 +24,7 @@ from .harness import (
     fuzz_truthfulness,
     run_fixture,
 )
-from .lorenz import additive_balanced, enumerate_optimal
-from .matroid import FreeOver
+from .lorenz import enumerate_optimal
 from .mechanisms import (
     floor_reports,
     run_meps,
@@ -33,7 +32,6 @@ from .mechanisms import (
     run_rpe,
     sample_meps,
     sample_rpe,
-    sanitize_reports,
 )
 from .model import Allocation, Instance
 from .valuation import AdditiveDichotomous, EpsLeveled, support
@@ -116,13 +114,6 @@ def _cmd_solve(args) -> int:
     if mech == "pe":
         alloc = run_pe(floor_reports(inst.valuations), inst.m, sigma)
         _emit(_result_document(inst, alloc, sigma, "pe"))
-        return EXIT_OK
-    if mech == "balanced":
-        matroids, _ = sanitize_reports(floor_reports(inst.valuations), inst.m)
-        if not all(isinstance(spec, FreeOver) for spec in matroids):
-            raise ValidationError("--mech balanced needs additive demand-set reports")
-        alloc = additive_balanced([spec.demand for spec in matroids], inst.m, sigma)
-        _emit(_result_document(inst, alloc, sigma, "balanced"))
         return EXIT_OK
     if mech == "rpe":
         if args.exact:
@@ -269,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run a mechanism on an instance")
-    solve.add_argument("--mech", required=True, choices=["pe", "rpe", "meps", "balanced"])
+    solve.add_argument("--mech", required=True, choices=["pe", "rpe", "meps"])
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--seed", type=int, default=0, help="PRNG seed for sampled modes")
     solve.add_argument("--exact", action="store_true", help="emit the exact distribution")
@@ -288,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist.set_defaults(fn=_cmd_distribution)
 
     fuzz = sub.add_parser("fuzz", help="search deviating reports for an agent")
-    fuzz.add_argument("--mech", required=True, choices=["pe", "balanced", "rpe", "meps"])
+    fuzz.add_argument("--mech", required=True, choices=["pe", "rpe", "meps"])
     fuzz.add_argument("--in", dest="infile", required=True)
     fuzz.add_argument("--deviator", required=True, help="agent name")
     fuzz.add_argument("--space", choices=["subsets", "library"], default="subsets")

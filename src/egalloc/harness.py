@@ -122,11 +122,10 @@ def fuzz_truthfulness(
 ) -> FuzzResult:
     """Enumerate deviations and compare true utilities against truth-telling.
 
-    Mechanisms: 'pe' and 'balanced' (deterministic, ex-post utilities),
-    'rpe' and 'meps' (expectation mode over the exact outcome
-    distribution).  On an ε-leveled instance 'pe' means floor-then-PE:
-    reports are demand sets but utilities are measured by the true leveled
-    valuations.
+    Mechanisms: 'pe' (deterministic, ex-post utilities), 'rpe' and 'meps'
+    (expectation mode over the exact outcome distribution).  On an
+    ε-leveled instance 'pe' means floor-then-PE: reports are demand sets
+    but utilities are measured by the true leveled valuations.
     """
     n, m = instance.n, instance.m
     if not (0 <= deviator < n):
@@ -134,7 +133,7 @@ def fuzz_truthfulness(
     sigma = instance.priority_or_default()
     truth = instance.valuations[deviator]
 
-    if mechanism in ("pe", "balanced"):
+    if mechanism == "pe":
         if mode != "expost":
             raise ValidationError(f"mechanism {mechanism!r} is deterministic; use expost mode")
         base_reports = floor_reports(instance.valuations)

@@ -34,6 +34,9 @@ from .valuation import (
 
 DOCUMENT_VERSION = "1"
 
+#: Deepest nesting of truncated/restricted matroids a document may use.
+MAX_MATROID_NESTING = 32
+
 
 def _rational(raw, where: str) -> Fraction:
     if isinstance(raw, bool) or isinstance(raw, float):
@@ -61,7 +64,9 @@ def _item_list(raw, item_index: Mapping[str, int], where: str) -> frozenset[int]
     return frozenset(out)
 
 
-def _parse_matroid(raw, item_index, where: str) -> MatroidSpec:
+def _parse_matroid(raw, item_index, where: str, depth: int = 0) -> MatroidSpec:
+    if depth > MAX_MATROID_NESTING:
+        raise ParseError(f"{where}: matroid nesting deeper than {MAX_MATROID_NESTING}")
     if not isinstance(raw, dict) or "type" not in raw:
         raise ParseError(f"{where}: matroid spec needs a 'type' field")
     kind = raw["type"]
@@ -111,10 +116,11 @@ def _parse_matroid(raw, item_index, where: str) -> MatroidSpec:
         limit = raw.get("limit")
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
             raise ParseError(f"{where}.limit: expected a non-negative integer")
-        return Truncated(_parse_matroid(raw.get("inner"), item_index, f"{where}.inner"), limit)
+        inner = _parse_matroid(raw.get("inner"), item_index, f"{where}.inner", depth + 1)
+        return Truncated(inner, limit)
     if kind == "restricted":
         return Restricted(
-            _parse_matroid(raw.get("inner"), item_index, f"{where}.inner"),
+            _parse_matroid(raw.get("inner"), item_index, f"{where}.inner", depth + 1),
             _item_list(raw.get("demand", []), item_index, f"{where}.demand"),
         )
     raise ParseError(f"{where}: unknown matroid type {kind!r}")
@@ -166,6 +172,8 @@ def parse_instance(text: str) -> Instance:
         raise
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("document nests too deeply to decode") from None
     return instance_from_document(doc)
 
 
@@ -318,6 +326,8 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
         doc = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("document nests too deeply to decode") from None
     if not isinstance(doc, dict) or "allocation" not in doc:
         raise ParseError("allocation document needs an 'allocation' object")
     body = doc["allocation"]

@@ -6,25 +6,27 @@ profiles,
     pi(A) = sum_i (n*|A_i| + rank(i))^2     (rank 1 = highest priority),
 
 whose welfare-constrained minimum characterizes the Lorenz-dominating
-allocation with ties broken toward higher-priority agents.  The module
-provides four routes to it:
+allocation with ties broken toward higher-priority agents.
 
-  * `compute_lorenz_dominating`: matroid-intersection path; starts from a
-    maximum common independent set and repeatedly adopts a feasible
-    one-item transfer (agent i gains, agent k loses) that lowers the
-    potential, checked via capped intersection re-solves;
-  * `additive_balanced`: fast path for additive demand-set reports via
-    strong/weak transfers along a reachability graph;
-  * `greedy_welfare`: prefix-greedy oracle for the welfare function
-    (each agent in priority order gets the most items preservable);
-  * `enumerate_optimal`: exhaustive oracle over all non-redundant
-    allocations for desk-scale instances.
+One engine computes it: `compute_lorenz_dominating` runs Yankee Swap
+(Viswanathan & Zick, AAMAS 2023).  The playing agent with the fewest items
+moves next, ties going to the higher-priority agent; it takes a shortest
+transfer path through the item exchange graph that ends at an unowned
+item, and an agent with no such path leaves the game.  Shortest paths keep
+every bundle independent (the transfer-path lemma of Benabbou,
+Chakraborty, Igarashi & Zick, ACM TEAC 2021), so every bundle is
+non-redundant and the final profile is the welfare-maximal one of minimum
+potential.
 
-All four are pure functions of immutable inputs.  Whenever feasible
-one-item transfers exist between a welfare-maximal allocation and a
-lower-potential one, the local search cannot stall, so the loop in
-`compute_lorenz_dominating` terminates at the global minimum-potential
-profile; the enumeration oracle re-verifies this on every desk-scale test.
+Item tie-break: the path search scans items in descending id and stops at
+the first unowned item it discovers.  The rule fixes which items each
+agent gets; the profile does not depend on it.
+
+`additive_balanced` is the same engine on additive demand-set reports.
+Two oracles check it: `greedy_welfare` (each agent in priority order gets
+the most items that keep the earlier agents' counts, via matroid
+intersection) and `enumerate_optimal` (every non-redundant allocation of
+a desk-scale instance).  All are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -87,9 +89,11 @@ def lorenz_compare(u: Sequence[Fraction], v: Sequence[Fraction]) -> LorenzRelati
 
 
 def _permute_to_rank_order(reports, sigma):
-    """Reports sorted by priority (rank order), plus the inverse mapping."""
-    ordered = [reports[agent] for agent in sigma]
-    return ordered
+    """Reports listed by priority rank: position k holds agent sigma[k]'s report.
+
+    `_unpermute` maps per-rank bundles back to agent order.
+    """
+    return [reports[agent] for agent in sigma]
 
 
 def _unpermute(bundles_by_rank, sigma, m, n):
@@ -104,62 +108,81 @@ def compute_lorenz_dominating(
 ) -> Allocation:
     """The welfare-maximizing non-redundant allocation of minimum potential.
 
-    Stage 1 solves the unconstrained intersection for maximum welfare.
-    Stage 2 scans ordered agent pairs (i gains one item, k loses one) whose
-    target profile lowers the potential, re-solving the capped intersection
-    to test feasibility; among feasible candidates the one with the
-    smallest resulting potential is adopted (ties by priority-rank pair).
-    The loop stops when no candidate is feasible; the potential is a
-    positive integer and strictly decreases, so at most O(m^2 n^2) rounds
-    occur.
+    Yankee Swap: all bundles start empty; the playing agent with the fewest
+    items (ties to higher priority) takes a shortest transfer path ending
+    at an unowned item, and an agent with no such path leaves the game.
+    Every turn adds one item to the mover and keeps every other size, so
+    the playing agents always hold equally many items at the start of a
+    round, and the order of turns is a round-robin in priority order.
     """
     n = len(reports)
     sigma = identity_priority(n) if sigma is None else check_priority(sigma, n)
-    ordered = _permute_to_rank_order(reports, sigma)
-    bundles = _lorenz_rank_ordered(ordered, m)
+    bundles = _yankee_swap(_permute_to_rank_order(reports, sigma), m)
     return _unpermute(bundles, sigma, m, n)
 
 
-def _lorenz_rank_ordered(matroids: Sequence[MatroidSpec], m: int) -> list[ItemSet]:
-    """Minimum-potential welfare-max bundles for agents already in rank order."""
-    n = len(matroids)
-    identity = identity_priority(n)
-    alloc = max_common_independent(matroids, m)
-    bundles = list(alloc.bundles)
-    profile = [len(b) for b in bundles]
-    current_pot = potential(profile, identity)
+def _yankee_swap(matroids: Sequence[MatroidSpec], m: int) -> list[ItemSet]:
+    """Yankee Swap bundles for agents already in rank order."""
+    universe = frozenset(range(m))
+    # descending item ids: the documented tie-break among shortest paths
+    supports = [sorted(spec.support() & universe, reverse=True) for spec in matroids]
+    bundles: list[ItemSet] = [frozenset()] * len(matroids)
+    owner: dict[int, int] = {}  # item -> rank of its holder; unowned items absent
+    playing = [i for i, supp in enumerate(supports) if supp]
+    while playing:
+        still = []
+        for i in playing:
+            path = _transfer_path(i, matroids, supports, bundles, owner)
+            if path is None:
+                continue
+            still.append(i)
+            # i takes path[0]; the holder of path[t] takes path[t+1] in its place
+            taker = i
+            for item in path:
+                holder = owner.get(item)
+                if holder is not None:
+                    bundles[holder] = bundles[holder] - {item}
+                bundles[taker] = bundles[taker] | {item}
+                owner[item] = taker
+                taker = holder
+        playing = still
+    return bundles
 
-    max_rounds = (n * (m + 2)) ** 2 + 1
-    for _ in range(max_rounds):
-        candidates = []
-        for i in range(n):
-            for k in range(n):
-                if i == k or profile[k] == 0:
-                    continue
-                delta = (
-                    (n * (profile[i] + 1) + i + 1) ** 2
-                    - (n * profile[i] + i + 1) ** 2
-                    + (n * (profile[k] - 1) + k + 1) ** 2
-                    - (n * profile[k] + k + 1) ** 2
-                )
-                if delta < 0:
-                    candidates.append((current_pot + delta, i, k))
-        candidates.sort()
-        adopted = False
-        for new_pot, i, k in candidates:
-            targets = list(profile)
-            targets[i] += 1
-            targets[k] -= 1
-            attempt = max_common_independent(matroids, m, caps=targets)
-            if attempt.total_items() == sum(targets):
-                bundles = list(attempt.bundles)
-                profile = targets
-                current_pot = new_pot
-                adopted = True
-                break
-        if not adopted:
-            return bundles
-    raise AssertionError("potential descent failed to terminate")  # pragma: no cover
+
+def _transfer_path(i, matroids, supports, bundles, owner) -> list[int] | None:
+    """A shortest transfer path for agent i ending at an unowned item.
+
+    Breadth-first search over items: the start items are those i can add
+    to its bundle, and item g (held by j) leads to every item h that j can
+    take in exchange for g.  Items are scanned in descending id, and the
+    first unowned item discovered ends the search, so among shortest
+    paths the one found first in that scan is taken.  Returns the items
+    [g_1, ..., g_k] with g_k unowned, or None.
+    """
+    spec, own = matroids[i], bundles[i]
+    parent: dict[int, int | None] = {}
+    queue = []
+    for g in supports[i]:
+        if g not in own and spec.is_independent(own | {g}):
+            if g not in owner:
+                return [g]
+            parent[g] = None
+            queue.append(g)
+    for g in queue:  # the queue grows while it is scanned
+        j = owner[g]
+        spec, own = matroids[j], bundles[j]
+        base = own - {g}
+        for h in supports[j]:
+            if h in parent or h in own or not spec.is_independent(base | {h}):
+                continue
+            parent[h] = g
+            if h not in owner:
+                path = [h]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            queue.append(h)
+    return None
 
 
 def greedy_welfare(
@@ -200,92 +223,11 @@ def greedy_welfare(
 def additive_balanced(
     demands: Sequence[ItemSet], m: int, sigma: PriorityOrder | None = None
 ) -> Allocation:
-    """Fast path for additive demand-set reports.
-
-    Starts from any reasonable welfare-maximizing allocation (every
-    demanded item to its highest-priority demander) and applies transfers
-    along the reachability graph (edge u→v when u holds an item v demands)
-    until neither kind applies:
-
-      * strong transfer: the loser holds at least two items more than the
-        gainer;
-      * weak transfer: exactly one more, but the loser has lower priority.
-
-    Both lower the potential, so the loop terminates; the final profile is
-    the minimum-potential welfare-maximizing one, matching
-    `compute_lorenz_dominating` on the same reports.
-    """
-    n = len(demands)
-    sigma = identity_priority(n) if sigma is None else check_priority(sigma, n)
-    demands = [frozenset(d) for d in demands]
-    for d in demands:
-        if not all(0 <= a < m for a in d):
-            raise ValidationError("demand outside item universe")
-    ordered = [demands[agent] for agent in sigma]
-
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    for item in range(m):
-        for rank0 in range(n):
-            if item in ordered[rank0]:
-                bundles[rank0].add(item)
-                break
-
-    guard = (n * (m + 2)) ** 2 + 1
-    for _ in range(guard):
-        transfer = _best_transfer(bundles, ordered, n)
-        if transfer is None:
-            out = [frozenset(b) for b in bundles]
-            return _unpermute(out, sigma, m, n)
-        path = transfer
-        # move each edge's item simultaneously; labels come from distinct
-        # bundles so sequential application is safe
-        for (u, v, item) in path:
-            bundles[u].discard(item)
-            bundles[v].add(item)
-    raise AssertionError("transfer descent failed to terminate")  # pragma: no cover
-
-
-def _best_transfer(bundles, demands, n):
-    """Smallest-potential strong/weak transfer as a list of (u, v, item) moves."""
-    sizes = [len(b) for b in bundles]
-    # reachability via BFS from each potential loser
-    reach_paths: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
-    for s in range(n):
-        paths: dict[int, list[tuple[int, int, int]]] = {s: []}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in range(n):
-                    if v in paths or v == u:
-                        continue
-                    common = bundles[u] & demands[v]
-                    if common:
-                        paths[v] = paths[u] + [(u, v, min(common))]
-                        nxt.append(v)
-            frontier = nxt
-        reach_paths[s] = paths
-
-    candidates = []
-    for s in range(n):
-        for t, path in reach_paths[s].items():
-            if t == s:
-                continue
-            strong = sizes[s] >= sizes[t] + 2
-            weak = sizes[s] == sizes[t] + 1 and s > t  # s has lower priority
-            if not (strong or weak):
-                continue
-            delta = (
-                (n * (sizes[t] + 1) + t + 1) ** 2
-                - (n * sizes[t] + t + 1) ** 2
-                + (n * (sizes[s] - 1) + s + 1) ** 2
-                - (n * sizes[s] + s + 1) ** 2
-            )
-            candidates.append((delta, t, s, path))
-    if not candidates:
-        return None
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    return candidates[0][3]
+    """`compute_lorenz_dominating` on additive demand-set reports."""
+    specs = [FreeOver(d) for d in demands]
+    if any(a >= m for spec in specs for a in spec.demand):
+        raise ValidationError("demand outside item universe")
+    return compute_lorenz_dominating(specs, m, sigma)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ mechanism for ε-leveled demand reports.
 PE (prioritized egalitarian): sanitize reports (anything that is not a
 valid matroid rank function is replaced by the identically-zero one), then
 return the non-redundant Lorenz-dominating allocation for the priority
-order, via the potential-minimizing solver.  Truthful for matroid-rank
-valuations; the harness re-verifies this exhaustively at desk scale.
+order: the welfare-maximal allocation of minimum potential, computed by
+the Yankee Swap engine `compute_lorenz_dominating` whatever the reports'
+type.  Truthful for matroid-rank valuations; the harness re-verifies this
+exhaustively at desk scale.
 
 RPE: PE under a uniformly random priority order.  Exact mode enumerates
 all n! orders as an outcome distribution; sampled mode draws one order
@@ -32,7 +34,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import CapabilityError, ValidationError
-from .lorenz import additive_balanced, compute_lorenz_dominating, zero_report
+from .lorenz import compute_lorenz_dominating, zero_report
 from .matroid import FreeOver, ItemSet, MatroidSpec, validate_matroid
 from .model import (
     Allocation,
@@ -96,8 +98,6 @@ def run_pe(
 ) -> Allocation:
     """Prioritized egalitarian mechanism on the given reports."""
     matroids, _ = sanitize_reports(reports, m)
-    if all(isinstance(spec, FreeOver) for spec in matroids):
-        return additive_balanced([spec.demand for spec in matroids], m, sigma)
     return compute_lorenz_dominating(matroids, m, sigma)
 
 
@@ -234,7 +234,7 @@ def _meps_realization(
 ) -> Allocation:
     """One realization: PE on demands∖X under sigma, M^X on X under reverse(sigma)."""
     xset = frozenset(held_out)
-    pe_alloc = additive_balanced([d - xset for d in demands], m, sigma)
+    pe_alloc = compute_lorenz_dominating([FreeOver(d - xset) for d in demands], m, sigma)
     mx_alloc = run_mx(held_out, tuple(reversed(sigma)), [d & xset for d in demands], m)
     merged = tuple(b | x for b, x in zip(pe_alloc.bundles, mx_alloc.bundles))
     return Allocation(merged, m, non_redundant=True)

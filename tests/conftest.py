@@ -55,6 +55,43 @@ def rand_explicit_matroid(rng: random.Random, m: int) -> Explicit:
     return Explicit(frozenset(family))
 
 
+#: Matroid tags, as instance documents spell them.
+MATROID_TAGS = ("free", "uniform", "partition", "explicit", "truncated", "restricted")
+
+
+def rand_matroid_of_tag(rng: random.Random, tag: str, m: int) -> MatroidSpec:
+    """A valid matroid with the given top-level tag over items 0..m-1.
+
+    Explicit families are kept to at most 6 items of the universe so that
+    their downward closure stays small at any m.
+    """
+    if tag == "free":
+        return FreeOver(rand_subset(rng, m))
+    if tag == "uniform":
+        return Uniform(rand_subset(rng, m), rng.randint(0, m))
+    if tag == "partition":
+        while True:
+            spec = rand_structured_matroid(rng, m)
+            if isinstance(spec, Partition):
+                return spec
+    if tag == "explicit":
+        items = rng.sample(range(m), min(m, 6))
+        base = rand_structured_matroid(rng, m)
+        return Explicit(
+            frozenset(
+                frozenset(s)
+                for k in range(len(items) + 1)
+                for s in itertools.combinations(items, k)
+                if base.is_independent(frozenset(s))
+            )
+        )
+    if tag == "truncated":
+        return Truncated(rand_structured_matroid(rng, m, 1), rng.randint(0, m))
+    if tag == "restricted":
+        return Restricted(rand_structured_matroid(rng, m, 1), rand_subset(rng, m))
+    raise ValueError(f"unknown matroid tag {tag!r}")
+
+
 def rand_matroid(rng: random.Random, m: int) -> MatroidSpec:
     if rng.random() < 0.25:
         return rand_explicit_matroid(rng, m)
@@ -104,3 +141,16 @@ def all_demand_profiles(n: int, m: int):
         frozenset(s) for k in range(m + 1) for s in itertools.combinations(range(m), k)
     ]
     return itertools.product(subsets, repeat=n)
+
+
+def nested_truncations(depth: int) -> str:
+    """An instance whose one agent's matroid is `depth` truncations deep.
+
+    Written as text: `json.dumps` itself recurses once per level.
+    """
+    spec = (
+        '{"type": "truncated", "limit": 1, "inner": ' * depth
+        + '{"type": "free", "demand": ["a"]}'
+        + "}" * depth
+    )
+    return '{"items": ["a"], "agents": [{"name": "x", "valuation": {"matroid": %s}}]}' % spec

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from conftest import nested_truncations
 from egalloc.cli import main
 
 EX_LORENZ = {
@@ -66,13 +68,6 @@ def test_solve_priority_flag(write_doc, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["utilities"] == {"p1": "0", "p2": "1", "p3": "1"}
-
-
-def test_solve_balanced_matches_pe(write_doc, capsys):
-    path = write_doc(EX_LORENZ)
-    _, out_pe, _ = run_cli(capsys, "solve", "--mech", "pe", "--in", path)
-    _, out_bal, _ = run_cli(capsys, "solve", "--mech", "balanced", "--in", path)
-    assert json.loads(out_pe)["utilities"] == json.loads(out_bal)["utilities"]
 
 
 def test_solve_meps_exact_atoms(write_doc, capsys):
@@ -203,3 +198,13 @@ def test_meps_rejects_matroid_valuations(write_doc, capsys):
     code, _, err = run_cli(capsys, "solve", "--mech", "meps", "--in", write_doc(doc))
     assert code == 2
     assert "demand-set" in err
+
+
+def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(nested_truncations(3000))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "solve", "--mech", "pe", "--in", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "nests too deeply" in err

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_matroid
+from conftest import nested_truncations, rand_matroid
 from egalloc.errors import ParseError
 from egalloc.io import (
+    MAX_MATROID_NESTING,
     allocation_document,
     emit_instance,
     instance_document,
@@ -210,3 +211,15 @@ def test_allocation_parse_errors():
         parse_allocation('{"nope": 1}', inst)
     with pytest.raises(ParseError):
         parse_allocation('{"allocation": {"alice": ["zz"]}}', inst)
+
+
+def test_deep_nesting_rejected():
+    inst = parse_instance(nested_truncations(MAX_MATROID_NESTING))
+    assert inst.valuations[0].matroid.rank(F({0})) == 1
+    with pytest.raises(ParseError, match="nesting"):
+        parse_instance(nested_truncations(MAX_MATROID_NESTING + 1))
+    # past the JSON decoder's own recursion limit
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_instance(nested_truncations(3000))
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_allocation("[" * 3000 + "]" * 3000, inst)

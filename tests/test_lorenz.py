@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import additive_instance, matroid_instance, rand_matroid
+from conftest import (
+    MATROID_TAGS,
+    additive_instance,
+    matroid_instance,
+    rand_matroid,
+    rand_matroid_of_tag,
+    rand_subset,
+)
 from egalloc.audit import check_envy, maximin_share, nsw_key
 from egalloc.errors import CapabilityError, ValidationError
 from egalloc.lorenz import (
@@ -17,6 +24,7 @@ from egalloc.lorenz import (
 )
 from egalloc.matroid import FreeOver, Partition, Uniform
 from egalloc.valuation import MatroidValuation
+from lorenz_reference import descent_lorenz
 
 F = frozenset
 
@@ -87,18 +95,34 @@ def test_additive_balanced_examples():
     assert alloc.bundles == (F({0}), F({1, 2}))
 
 
-def test_additive_balanced_matches_matroid_path():
-    rng = random.Random(123)
-    for _ in range(120):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 5)
-        demands = [F(a for a in range(m) if rng.random() < 0.6) for _ in range(n)]
+def test_engine_matches_descent_beyond_enumeration_caps():
+    # Differential check past the enumeration caps (n <= 4, m <= 6): the
+    # Yankee Swap engine against the potential descent kept in
+    # lorenz_reference, on seeded instances with every matroid tag and
+    # random priorities.  Additive demand sets are one more input, through
+    # the additive_balanced adapter.
+    rng = random.Random(4242)
+    tags_seen = set()
+    for trial in range(48):
+        n = rng.randint(1, 8)
+        m = rng.randint(1, 24)
+        if trial % 8 == 0:
+            n, m = 8, 24
         sigma = tuple(rng.sample(range(n), n))
+        tags = [rng.choice(MATROID_TAGS) for _ in range(n)]
+        tags_seen.update(tags)
+        mats = [rand_matroid_of_tag(rng, tag, m) for tag in tags]
+        alloc = compute_lorenz_dominating(mats, m, sigma)
+        assert all(spec.is_independent(b) for spec, b in zip(mats, alloc.bundles))
+        assert alloc.profile() == descent_lorenz(mats, m, sigma).profile()
+
+        density = rng.choice((0.3, 0.6))
+        demands = [rand_subset(rng, m, density) for _ in range(n)]
         fast = additive_balanced(demands, m, sigma)
-        slow = compute_lorenz_dominating([FreeOver(d) for d in demands], m, sigma)
-        assert fast.utilities([MatroidValuation(FreeOver(d)) for d in demands]) == (
-            slow.utilities([MatroidValuation(FreeOver(d)) for d in demands])
-        )
+        assert all(b <= d for b, d in zip(fast.bundles, demands))
+        reference = descent_lorenz([FreeOver(d) for d in demands], m, sigma)
+        assert fast.profile() == reference.profile()
+    assert tags_seen == set(MATROID_TAGS)
 
 
 def test_enumerate_examples():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from egalloc.errors import CapabilityError, ValidationError
-from egalloc.matroid import Explicit
+from egalloc.matroid import Explicit, Uniform
 from egalloc.mechanisms import (
     expected_utilities,
     held_out_outcomes,
@@ -29,6 +29,17 @@ def test_pe_examples():
     disjoint = [AdditiveDichotomous(F({0})), AdditiveDichotomous(F({1, 2}))]
     alloc = run_pe(disjoint, 3)
     assert alloc.bundles == (F({0}), F({1, 2}))
+
+
+def test_pe_bundles_do_not_depend_on_report_representation():
+    # Uniform({0,1}, 2) is the same rank function as demand {0,1}; PE must
+    # give the same items however the report is written.
+    demand = AdditiveDichotomous(F({0, 1}))
+    as_matroid = MatroidValuation(Uniform(F({0, 1}), 2))
+    additive = run_pe([demand, demand], 2)
+    mixed = run_pe([demand, as_matroid], 2)
+    assert additive.profile() == (1, 1)
+    assert mixed.bundles == additive.bundles
 
 
 def test_pe_replaces_illegal_reports():
