@@ -25,15 +25,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from egalloc.lorenz import additive_balanced
-from egalloc.mechanisms import held_out_outcomes, run_mx
+from egalloc.mechanisms import run_meps
 
 N, M = 2, 3
 ATOMS = M * M * 2
 
 
 def atom_table():
-    """bundle-mask atoms for every ordered demand-mask pair."""
+    """bundle-mask atoms for every ordered demand-mask pair.
+
+    Atoms depend only on the reported demand sets, so the exact
+    distribution at eps = 0 serves every epsilon scanned.
+    """
     def to_set(mask):
         return frozenset(i for i in range(M) if mask >> i & 1)
 
@@ -46,18 +49,11 @@ def atom_table():
     table = {}
     for d0 in range(8):
         for d1 in range(8):
-            demands = [to_set(d0), to_set(d1)]
-            atoms = []
-            for x, _ in held_out_outcomes(M):
-                xset = frozenset(x)
-                for sigma in itertools.permutations(range(N)):
-                    pe = additive_balanced([d - xset for d in demands], M, sigma)
-                    mx = run_mx(x, tuple(reversed(sigma)), [d & xset for d in demands], M)
-                    atoms.append(
-                        (to_mask(pe.bundles[0] | mx.bundles[0]),
-                         to_mask(pe.bundles[1] | mx.bundles[1]))
-                    )
-            table[(d0, d1)] = atoms
+            dist = run_meps([to_set(d0), to_set(d1)], M, 0, mode="exact")
+            table[(d0, d1)] = [
+                (to_mask(atom.allocation.bundles[0]), to_mask(atom.allocation.bundles[1]))
+                for atom in dist.atoms
+            ]
     return table
 
 

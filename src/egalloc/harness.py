@@ -512,6 +512,24 @@ def _mask_ef1(family, own_mask, own_value, other_mask) -> bool:
     return own_value >= best
 
 
+def _welfare_max_profiles(v0, v1, m: int) -> tuple[Fraction, set[tuple[Fraction, Fraction]]]:
+    """Maximum welfare of two agents over m items, and every utility pair
+    (u0, u1) that attains it, by enumerating all 3^m assignments."""
+    best = Fraction(-1)
+    profiles = set()
+    for assignment in product(range(3), repeat=m):
+        b0 = frozenset(i for i, o in enumerate(assignment) if o == 0)
+        b1 = frozenset(i for i, o in enumerate(assignment) if o == 1)
+        u0, u1 = evaluate(v0, b0, m), evaluate(v1, b1, m)
+        w = u0 + u1
+        if w > best:
+            best = w
+            profiles = {(u0, u1)}
+        elif w == best:
+            profiles.add((u0, u1))
+    return best, profiles
+
+
 def fixture_f6() -> FixtureResult:
     """Two XOS agents, four items: welfare maximization rules out
     truthfulness-in-expectation."""
@@ -520,23 +538,8 @@ def fixture_f6() -> FixtureResult:
     f_shared = XosFamily((t,))
     f_dev = XosFamily((t, frozenset({0})))
 
-    def welfare_max_utilities(v0, v1):
-        best = Fraction(-1)
-        profiles = set()
-        for assignment in product(range(3), repeat=m):
-            b0 = frozenset(i for i, o in enumerate(assignment) if o == 0)
-            b1 = frozenset(i for i, o in enumerate(assignment) if o == 1)
-            u0, u1 = evaluate(v0, b0, m), evaluate(v1, b1, m)
-            w = u0 + u1
-            if w > best:
-                best = w
-                profiles = {(u0, u1)}
-            elif w == best:
-                profiles.add((u0, u1))
-        return best, profiles
-
-    truth_w, truth_profiles = welfare_max_utilities(f_shared, f_shared)
-    dev_w, dev_profiles = welfare_max_utilities(f_dev, f_shared)
+    truth_w, truth_profiles = _welfare_max_profiles(f_shared, f_shared, m)
+    dev_w, dev_profiles = _welfare_max_profiles(f_dev, f_shared, m)
     # any distribution over welfare-max outcomes hands some agent >= 3/2
     guarantee = truth_w / 2
     dev_utilities = {u0 for u0, _ in dev_profiles}
@@ -567,24 +570,9 @@ def fixture_f7() -> FixtureResult:
     full = XosFamily((frozenset({0}), frozenset({1, 2, 3, 4})))
     hidden = XosFamily((frozenset({1, 2, 3, 4}),))
 
-    def welfare_max_profiles(v0, v1):
-        best = Fraction(-1)
-        profiles = set()
-        for assignment in product(range(3), repeat=m):
-            b0 = frozenset(i for i, o in enumerate(assignment) if o == 0)
-            b1 = frozenset(i for i, o in enumerate(assignment) if o == 1)
-            u0, u1 = evaluate(v0, b0, m), evaluate(v1, b1, m)
-            w = u0 + u1
-            if w > best:
-                best = w
-                profiles = {(u0, u1)}
-            elif w == best:
-                profiles.add((u0, u1))
-        return best, profiles
-
-    _, hiding_profiles = welfare_max_profiles(hidden, hidden)
+    _, hiding_profiles = _welfare_max_profiles(hidden, hidden, m)
     hiding_guarantee = min(max(p) for p in hiding_profiles)
-    _, truthful_profiles = welfare_max_profiles(full, hidden)
+    _, truthful_profiles = _welfare_max_profiles(full, hidden, m)
     truthful_utilities = {u0 for u0, _ in truthful_profiles}
 
     computed = {

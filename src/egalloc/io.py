@@ -20,7 +20,7 @@ from .matroid import (
     Restricted,
     Truncated,
     Uniform,
-    validate_matroid,
+    check_explicit_cap,
 )
 from .model import Allocation, Atom, Instance, OutcomeDistribution
 from .valuation import (
@@ -103,15 +103,8 @@ def _parse_matroid(raw, item_index, where: str, depth: int = 0) -> MatroidSpec:
         sets = tuple(
             _item_list(t, item_index, f"{where}.independent[{i}]") for i, t in enumerate(fam)
         )
-        spec = Explicit(frozenset(sets))
-        report = validate_matroid(spec)
-        if not report.valid:
-            v = report.violations[0]
-            raise ParseError(
-                f"{where}: independence family is not a matroid "
-                f"({v.constraint} fails, witness {v.witness})"
-            )
-        return spec
+        check_explicit_cap(sets)
+        return Explicit(frozenset(sets))
     if kind == "truncated":
         limit = raw.get("limit")
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
@@ -261,12 +254,9 @@ def _matroid_document(spec: MatroidSpec, names: Sequence[str]):
             "blocks": [{"items": items(b), "cap": c} for b, c in spec.blocks],
         }
     if isinstance(spec, Explicit):
-        maximal = [
-            t for t in spec.family if not any(t < other for other in spec.family)
-        ]
         return {
             "type": "explicit",
-            "independent": sorted((items(t) for t in maximal), key=lambda x: (len(x), x)),
+            "independent": sorted((items(t) for t in spec.family), key=lambda x: (len(x), x)),
         }
     if isinstance(spec, Truncated):
         return {"type": "truncated", "inner": _matroid_document(spec.inner, names), "limit": spec.limit}

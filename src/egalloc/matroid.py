@@ -1,12 +1,12 @@
-"""Matroid rank oracles, combinators, and an exhaustive axiom validator.
+"""Matroid rank oracles, combinators, and an axiom validator with witnesses.
 
 A matroid is described by a structured, immutable spec.  Structured tags
 (free, uniform, partition, truncation, restriction) are matroids by
-construction; Explicit families are normalized to their downward closure
-and may fail the exchange axiom, which `validate_matroid` detects with a
-witness pair.  Rank functions here are the substrate for matroid-rank
-valuations: rank is always submodular with 0/1 marginals when the spec is
-a genuine matroid.
+construction.  Explicit families are stored as their maximal listed sets
+(a set is independent when it lies inside one of them) and may fail the
+basis-exchange axiom, which `validate_matroid` detects with a witness pair.
+Rank functions here are the substrate for matroid-rank valuations: rank is
+always submodular with 0/1 marginals when the spec is a genuine matroid.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from .errors import CapabilityError, PreconditionError, ValidationError
 
 ItemSet = frozenset[int]
 
-#: Largest Explicit-family universe the exhaustive validator will scan.
+#: Largest universe of an Explicit family that instance documents may list
+#: and that the validator scans.  The maximal sets then number at most
+#: C(12, 6) = 924, which bounds the maximal-set filter at construction and
+#: the basis-exchange scan.
 EXPLICIT_VALIDATION_CAP = 12
 
 
@@ -146,41 +149,36 @@ class Partition(MatroidSpec):
 
 @dataclass(frozen=True)
 class Explicit(MatroidSpec):
-    """An explicitly listed independence family, closed downward at construction.
+    """An explicitly listed independence family, stored as its maximal sets.
 
-    Inputs usually list only the maximal independent sets; the closure is
-    taken here.  The result need not satisfy the exchange axiom; use
-    `validate_matroid` before trusting it as a matroid.
+    A set is independent when it is a subset of some listed set, so inputs
+    may list any sets whose downward closure is the intended family.
+    Construction keeps only the maximal listed sets, deduplicated; two specs
+    are therefore equal exactly when their independence families are.  The
+    result need not satisfy the exchange axiom; use `validate_matroid`
+    before trusting it as a matroid.
     """
 
     family: frozenset[ItemSet]
 
     def __post_init__(self):
-        given = [_freeze(t) for t in self.family]
+        given = sorted({_freeze(t) for t in self.family}, key=len, reverse=True)
         if not given:
             raise ValidationError("explicit independence family must be nonempty")
-        closed: set[ItemSet] = set()
+        maximal: list[ItemSet] = []
         for t in given:
-            if t in closed:
-                continue
-            # downward closure: all subsets of every listed set
-            items = sorted(t)
-            for k in range(len(items) + 1):
-                for sub in combinations(items, k):
-                    closed.add(frozenset(sub))
-        object.__setattr__(self, "family", frozenset(closed))
-
-    def universe(self) -> ItemSet:
-        return frozenset().union(*self.family)
+            if not any(t <= kept for kept in maximal):
+                maximal.append(t)
+        object.__setattr__(self, "family", frozenset(maximal))
 
     def rank(self, s):
-        return max(len(t) for t in self.family if t <= s)
+        return max(len(t & s) for t in self.family)
 
     def is_independent(self, s):
-        return s in self.family
+        return any(s <= t for t in self.family)
 
     def support(self):
-        return frozenset(a for a in self.universe() if frozenset((a,)) in self.family)
+        return frozenset().union(*self.family)
 
 
 @dataclass(frozen=True)
@@ -245,35 +243,34 @@ def exchange_candidate(spec: MatroidSpec, s: ItemSet, t: ItemSet) -> int:
     )
 
 
-def _validate_explicit(spec: Explicit, cap: int) -> list[Violation]:
-    universe = spec.universe()
+def check_explicit_cap(sets: Iterable[ItemSet], cap: int = EXPLICIT_VALIDATION_CAP) -> None:
+    """Raise CapabilityError when the listed sets span more than `cap` items."""
+    universe = frozenset().union(*sets)
     if len(universe) > cap:
         raise CapabilityError(
-            f"explicit family over {len(universe)} items exceeds the exhaustive "
-            f"validation cap of {cap}"
+            f"explicit family over {len(universe)} items exceeds the validation "
+            f"cap of {cap}"
         )
+
+
+def _validate_explicit(spec: Explicit, cap: int) -> list[Violation]:
+    check_explicit_cap(spec.family, cap)
+    bases = sorted(spec.family, key=lambda t: (len(t), sorted(t)))
+    smallest, largest = bases[0], bases[-1]
+    if len(smallest) < len(largest):
+        # smallest is maximal, so no item of largest augments it
+        return [Violation("exchange", (tuple(sorted(smallest)), tuple(sorted(largest))))]
+    # Bases axiom: for bases B1, B2 and x in B1∖B2 some y in B2∖B1 makes
+    # B1-x+y a basis.  With rest = B1-x, the items that extend rest to a
+    # basis include x itself, so the axiom fails exactly when some basis
+    # misses all of them; (rest, B2) is then an augmentation witness.
+    universe = spec.support()
     out: list[Violation] = []
-    fam = spec.family
-    if frozenset() not in fam:
-        out.append(Violation("contains-empty-set", ()))
-    for t in fam:
-        for x in t:
-            if t - {x} not in fam:
-                out.append(Violation("downward-closed", (tuple(sorted(t)), x)))
-    # Consecutive sizes suffice for downward-closed families: for |T| > |S|+1
-    # drop elements of T\S until the sizes are adjacent.
-    by_size: dict[int, list[ItemSet]] = {}
-    for t in fam:
-        by_size.setdefault(len(t), []).append(t)
-    for k in sorted(by_size):
-        if k + 1 not in by_size:
-            continue
-        for s in by_size[k]:
-            for t in by_size[k + 1]:
-                if not any(s | {x} in fam for x in t - s):
-                    out.append(
-                        Violation("exchange", (tuple(sorted(s)), tuple(sorted(t))))
-                    )
+    for rest in sorted({b - {x} for b in bases for x in b}, key=sorted):
+        extends = frozenset(y for y in universe - rest if rest | {y} in spec.family)
+        for b in bases:
+            if b.isdisjoint(extends):
+                out.append(Violation("exchange", (tuple(sorted(rest)), tuple(sorted(b)))))
     return out
 
 
@@ -281,8 +278,11 @@ def validate_matroid(spec: MatroidSpec, cap: int = EXPLICIT_VALIDATION_CAP) -> V
     """Check the matroid axioms.
 
     Structured tags are valid by construction and only their components are
-    (recursively) checked; Explicit families get the exhaustive
-    downward-closure and exchange scan, capped at `cap` universe items.
+    (recursively) checked.  Explicit families get the bases axiom on their
+    maximal sets: all of one size, and closed under basis exchange.  Each
+    violation's witness (S, T) has |S| < |T|, both independent, and no
+    x in T∖S with S+x independent.  Families over more than `cap` items
+    raise CapabilityError.
     """
     violations: list[Violation] = []
     if isinstance(spec, Explicit):

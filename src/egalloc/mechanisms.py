@@ -69,16 +69,12 @@ def sanitize_reports(
         if isinstance(rep, AdditiveDichotomous):
             matroids.append(FreeOver(rep.demand))
             replaced.append(False)
-        elif isinstance(rep, MatroidValuation):
-            rep = rep.matroid
-            ok = validate_matroid(rep).valid
-            matroids.append(rep if ok else zero_report())
+        elif isinstance(rep, (MatroidValuation, MatroidSpec)):
+            spec = rep.matroid if isinstance(rep, MatroidValuation) else rep
+            ok = validate_matroid(spec).valid
+            matroids.append(spec if ok else zero_report())
             replaced.append(not ok)
-        elif isinstance(rep, MatroidSpec):
-            ok = validate_matroid(rep).valid
-            matroids.append(rep if ok else zero_report())
-            replaced.append(not ok)
-        elif isinstance(rep, frozenset) or isinstance(rep, set):
+        elif isinstance(rep, (set, frozenset)):
             matroids.append(FreeOver(frozenset(rep)))
             replaced.append(False)
         else:

@@ -1,5 +1,6 @@
 import json
 import time
+from itertools import combinations
 
 import pytest
 
@@ -208,3 +209,29 @@ def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "nests too deeply" in err
+
+
+def _explicit_document(n_items, sets):
+    items = [f"i{k}" for k in range(n_items)]
+    matroid = {"type": "explicit", "independent": [[items[k] for k in t] for t in sets]}
+    return {"items": items, "agents": [{"name": "p1", "valuation": {"matroid": matroid}}]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # one 30-item set: its downward closure would have 2^30 members
+        _explicit_document(30, [range(30)]),
+        # 20,000 distinct 3-item sets; 51 is the fewest items that hold that many
+        _explicit_document(51, list(combinations(range(51), 3))[:20000]),
+    ],
+    ids=["one-30-item-set", "20000-three-item-sets"],
+)
+def test_oversized_explicit_family_is_capped_quickly(doc, write_doc, capsys):
+    path = write_doc(doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "solve", "--mech", "pe", "--in", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "validation cap" in err

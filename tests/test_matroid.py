@@ -1,8 +1,10 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from conftest import rand_matroid, rand_structured_matroid
+from conftest import rand_matroid, rand_structured_matroid, rand_subset
 from egalloc.errors import CapabilityError, PreconditionError, ValidationError
 from egalloc.matroid import (
     Explicit,
@@ -15,6 +17,7 @@ from egalloc.matroid import (
     exchange_candidate,
     validate_matroid,
 )
+from matroid_reference import downward_closure, reference_exchange_violations
 
 F = frozenset
 
@@ -43,8 +46,23 @@ def test_is_independent_examples():
 
 def test_explicit_closure_contains_all_subsets():
     spec = Explicit(F({F({0, 1, 2})}))
-    assert len(spec.family) == 8
-    assert F() in spec.family
+    assert spec.family == F({F({0, 1, 2})})
+    for k in range(4):
+        for sub in combinations(range(3), k):
+            assert spec.is_independent(F(sub))
+    assert not spec.is_independent(F({3}))
+
+
+def test_explicit_closure_equals_its_maximal_sets():
+    rng = random.Random(8)
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        sets = [rand_subset(rng, m, rng.random()) for _ in range(rng.randint(1, 5))]
+        maximal = F(t for t in sets if not any(t < u for u in sets))
+        closed = Explicit(downward_closure(sets))
+        assert closed.family == maximal
+        assert closed == Explicit(maximal) == Explicit(F(sets))
+        assert hash(closed) == hash(Explicit(maximal))
 
 
 def test_explicit_empty_family_rejected():
@@ -144,3 +162,54 @@ def test_support_is_singleton_rank():
         spec = rand_matroid(rng, m)
         expected = {a for a in range(m) if spec.rank(F({a})) == 1}
         assert spec.support() & F(range(m)) == F(expected)
+
+
+def _rand_family(rng: random.Random, m: int) -> list[frozenset[int]]:
+    """Listed sets over at most m items: arbitrary sets, sets of one size,
+    the bases of a random matroid, or those bases with one removed or one
+    set added."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [rand_subset(rng, m, 0.5) for _ in range(rng.randint(2, 5))]
+    if kind == 1:
+        # one size k with 2 <= k <= m-2, where sets of one size can fail exchange
+        k = rng.randint(min(2, m), max(2, m - 2))
+        return [F(rng.sample(range(m), k)) for _ in range(rng.randint(2, 5))]
+    base = rand_structured_matroid(rng, m)
+    k = base.rank(F(range(m)))
+    bases = [F(s) for s in combinations(range(m), k) if base.is_independent(F(s))]
+    others = [F(s) for s in combinations(range(m), k) if F(s) not in bases]
+    if kind == 2:
+        return bases
+    if others and rng.random() < 0.5:
+        bases.append(rng.choice(others))
+    elif len(bases) > 1:
+        bases.remove(rng.choice(bases))
+    return bases
+
+
+def test_explicit_validator_matches_closure_reference():
+    rng = random.Random(31)
+    verdicts = Counter()
+    for _ in range(2400):
+        m = rng.randint(2, 6)
+        sets = _rand_family(rng, m)
+        spec = Explicit(F(sets))
+        closure = downward_closure(sets)
+        violations = validate_matroid(spec).violations
+        valid = not violations
+        assert valid == (not reference_exchange_violations(sets)), sets
+        for v in violations:
+            assert v.constraint == "exchange"
+            s, t = (F(w) for w in v.witness)
+            assert len(s) < len(t)
+            assert s in closure and t in closure
+            assert not any(s | {x} in closure for x in t - s)
+        for mask in range(1 << m):
+            sub = F(i for i in range(m) if mask >> i & 1)
+            assert spec.is_independent(sub) == (sub in closure)
+            assert spec.rank(sub) == max(len(c) for c in closure if c <= sub)
+        sizes = {len(t) for t in spec.family}
+        verdicts[valid, len(sizes) == 1] += 1
+    # valid families, and invalid ones failing by size and by exchange alone
+    assert min(verdicts[True, True], verdicts[False, False], verdicts[False, True]) >= 150
