@@ -7,6 +7,7 @@ carries a checkable witness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,7 @@ from typing import Sequence
 from .errors import CapabilityError, PreconditionError, ValidationError
 from .lorenz import enumerate_optimal, lorenz_compare, LorenzRelation, potential
 from .model import Allocation, Instance, OutcomeDistribution, PriorityOrder
-from .valuation import AdditiveDichotomous, ValuationSpec, evaluate, support
+from .valuation import AdditiveDichotomous, EpsLeveled, ValuationSpec, evaluate, support
 
 MAXIMIN_MAX_ITEMS = 10
 MAXIMIN_MAX_AGENTS = 4
@@ -83,47 +84,105 @@ def _alpha_value(alpha) -> Fraction:
 def check_envy(
     allocation: Allocation,
     valuations: Sequence[ValuationSpec],
-    mode: str = "EFX",
+    mode: str | Sequence[str] = "EFX",
     alpha=1,
 ) -> FairnessReport:
-    """α-EF / α-EF1 / α-EFX verdict with an envy witness on failure.
+    """α-EF / α-EF1 / α-EFX verdicts with an envy witness on each failure.
 
     EF:  f_i(A_i) >= α f_i(A_j) for all pairs.
     EF1: some item of A_j can be removed to kill the (α-scaled) envy.
     EFX: every item of A_j can be.
+
+    `mode` is one mode name or a sequence of them; the report has one entry
+    per mode, in the order given.  One sweep over the (envier i, envied j)
+    pairs in row-major order answers every mode: per pair it computes
+    f_i(A_i), f_i(A_j) and the drop values f_i(A_j − a), a ascending, once.
+    A failing mode's witness is its first failing pair in that order and,
+    for EFX, the lowest item whose removal leaves the envy.  A mode is not
+    checked past its first failure, and the sweep ends once every mode has
+    failed.  Valuations are monotone, so a pair with f_i(A_i) >= α f_i(A_j)
+    fails no mode and needs no drop values.  Additive-dichotomous values are
+    plain ints and ε-leveled ones come from the item values; other tags go
+    through `evaluate`, once per set.
     """
-    if mode not in ("EF", "EF1", "EFX"):
-        raise ValidationError(f"unknown envy mode {mode!r}")
+    modes = (mode,) if isinstance(mode, str) else tuple(mode)
+    if not modes:
+        raise ValidationError("no envy mode given")
+    for name in modes:
+        if name not in ("EF", "EF1", "EFX"):
+            raise ValidationError(f"unknown envy mode {name!r}")
     alpha = _alpha_value(alpha)
-    n = allocation.n
-    m = allocation.m
-    for i in range(n):
-        own = evaluate(valuations[i], allocation.bundles[i], m)
-        for j in range(n):
+    if alpha == 1:
+        below = operator.lt
+    else:
+        num, den = alpha.numerator, alpha.denominator
+
+        def below(own, value):  # own < alpha * value
+            return own * den < value * num
+
+    witnesses: dict[str, EnvyWitness] = {}
+    open_modes = set(modes)
+    bundles = allocation.bundles
+    for i in range(allocation.n):
+        value, drop = _envy_values(valuations[i], allocation.m)
+        own = value(bundles[i])
+        for j, other in enumerate(bundles):
             if i == j:
                 continue
-            other = allocation.bundles[j]
-            if mode == "EF":
-                req = alpha * evaluate(valuations[i], other, m)
-                if own < req:
-                    w = EnvyWitness(i, j, None, own, req)
-                    return FairnessReport(((mode, Verdict(False, w)),))
-            elif mode == "EF1":
-                if not other:
-                    continue
-                best = min(
-                    evaluate(valuations[i], other - {a}, m) for a in sorted(other)
+            whole = value(other)
+            if not below(own, whole):
+                continue
+            failed = []
+            if "EF" in open_modes:
+                failed.append(("EF", None, whole))
+            ef1 = "EF1" in open_modes
+            efx = "EFX" in open_modes
+            lowest = whole
+            for a in sorted(other) if ef1 or efx else ():
+                rest = drop(other, whole, a)
+                if below(own, rest):
+                    if efx:
+                        failed.append(("EFX", a, rest))
+                        efx = False
+                    lowest = min(lowest, rest)
+                else:
+                    ef1 = False
+                if not (ef1 or efx):
+                    break
+            if ef1:
+                failed.append(("EF1", None, lowest))
+            for name, item, required in failed:
+                witnesses[name] = EnvyWitness(
+                    i, j, item, Fraction(own), alpha * Fraction(required)
                 )
-                if own < alpha * best:
-                    w = EnvyWitness(i, j, None, own, alpha * best)
-                    return FairnessReport(((mode, Verdict(False, w)),))
-            else:  # EFX
-                for a in sorted(other):
-                    req = alpha * evaluate(valuations[i], other - {a}, m)
-                    if own < req:
-                        w = EnvyWitness(i, j, a, own, req)
-                        return FairnessReport(((mode, Verdict(False, w)),))
-    return FairnessReport(((mode, Verdict(True)),))
+                open_modes.discard(name)
+            if not open_modes:
+                break
+        if not open_modes:
+            break
+    return FairnessReport(
+        tuple(
+            (name, Verdict(False, witnesses[name]) if name in witnesses else Verdict(True))
+            for name in modes
+        )
+    )
+
+
+def _envy_values(spec: ValuationSpec, m: int):
+    """(value, drop) for one envier: S ↦ f(S) and (S, f(S), a) ↦ f(S − {a})."""
+    if isinstance(spec, AdditiveDichotomous):
+        demand = spec.demand
+        return (lambda s: len(s & demand)), (lambda s, whole, a: whole - (a in demand))
+    if isinstance(spec, EpsLeveled):
+        vm = spec.value_map
+        return (
+            lambda s: sum(vm[a] for a in s if a in vm),
+            lambda s, whole, a: whole - vm.get(a, 0),
+        )
+    return (
+        lambda s: evaluate(spec, s, m),
+        lambda s, whole, a: evaluate(spec, s - {a}, m),
+    )
 
 
 def maximin_share(

@@ -76,10 +76,8 @@ def _jsonable(obj):
 
 def _result_document(inst: Instance, alloc: Allocation, sigma, mechanism: str) -> dict:
     metrics = efficiency_metrics(alloc, inst.valuations, sigma)
-    audit = {
-        mode: _jsonable(check_envy(alloc, inst.valuations, mode).entries[0][1])
-        for mode in ("EF", "EF1", "EFX")
-    }
+    envy = check_envy(alloc, inst.valuations, ("EF", "EF1", "EFX"))
+    audit = {mode: _jsonable(verdict) for mode, verdict in envy.entries}
     doc = {
         "mechanism": mechanism,
         "priority": [inst.agent_names[a] for a in sigma],
@@ -148,13 +146,9 @@ def _cmd_audit(args) -> int:
     inst = _load_instance(args.infile)
     alloc = docio.parse_allocation(Path(args.alloc).read_text(), inst)
     alpha = Fraction(args.alpha) if args.alpha else Fraction(1)
-    entries = {}
-    ok = True
-    for mode in ("EF", "EF1", "EFX"):
-        rep = check_envy(alloc, inst.valuations, mode, alpha)
-        entries[mode] = _jsonable(rep.entries[0][1])
-        if mode in ("EF1", "EFX") and not rep.all_hold:
-            ok = False
+    envy = check_envy(alloc, inst.valuations, ("EF", "EF1", "EFX"), alpha)
+    entries = {mode: _jsonable(verdict) for mode, verdict in envy.entries}
+    ok = envy.holds("EF1") and envy.holds("EFX")
     try:
         mm = check_maximin_fair(alloc, inst.valuations, alpha)
         entries["maximin"] = _jsonable(mm.entries[0][1])

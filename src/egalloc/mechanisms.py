@@ -106,8 +106,8 @@ def run_rpe(
 ) -> OutcomeDistribution | Allocation:
     """PE under uniformly random priorities.
 
-    Exact mode returns all n! atoms of weight 1/n!; sampled mode runs a
-    single draw from `random.Random(seed)`.
+    Exact mode sanitizes the reports once and returns all n! atoms of
+    weight 1/n!; sampled mode runs a single draw from `random.Random(seed)`.
     """
     n = len(reports)
     if mode == "exact":
@@ -115,10 +115,11 @@ def run_rpe(
             raise CapabilityError(
                 f"exact mode enumerates n! priority orders; n={n} exceeds cap {max_agents}"
             )
+        matroids, _ = sanitize_reports(reports, m)
         weight = Fraction(1, math.factorial(n))
         atoms = []
         for sigma in permutations(range(n)):
-            alloc = run_pe(reports, m, sigma)
+            alloc = compute_lorenz_dominating(matroids, m, sigma)
             atoms.append(Atom(weight=weight, allocation=alloc, priority=sigma))
         return OutcomeDistribution(tuple(atoms))
     if mode == "sampled":

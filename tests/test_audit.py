@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import additive_instance, rand_matroid
+from audit_reference import reference_check_envy
+from conftest import MATROID_TAGS, additive_instance, rand_matroid, rand_matroid_of_tag, rand_subset
 from egalloc.audit import (
     BoundWitness,
     EnvyWitness,
+    FairnessReport,
     TailWitness,
     check_envy,
     check_lorenz_dominating,
@@ -16,11 +18,11 @@ from egalloc.audit import (
     maximin_share,
     nsw_key,
 )
-from egalloc.errors import CapabilityError, PreconditionError
+from egalloc.errors import CapabilityError, PreconditionError, ValidationError
 from egalloc.matroid import FreeOver, Partition
 from egalloc.mechanisms import run_pe, run_rpe
 from egalloc.model import Allocation, Atom, OutcomeDistribution
-from egalloc.valuation import AdditiveDichotomous, MatroidValuation
+from egalloc.valuation import AdditiveDichotomous, EpsLeveled, MatroidValuation, XosFamily
 
 F = frozenset
 
@@ -47,6 +49,75 @@ def test_check_envy_alpha():
     assert check_envy(alloc, vals, "EF", alpha=Fraction(1, 2)).all_hold
     with pytest.raises(PreconditionError):
         check_envy(alloc, vals, "EF", alpha=0)
+
+
+ENVY_MODE_SETS = (
+    ("EF",), ("EF1",), ("EFX",), ("EF", "EF1", "EFX"), ("EFX", "EF"), ("EF1", "EFX", "EF1"),
+)
+
+
+def _rand_valuation(rng, tag, m):
+    if tag == "additive":
+        return AdditiveDichotomous(rand_subset(rng, m, rng.choice([0.3, 0.6, 0.9])))
+    if tag == "leveled":
+        eps = Fraction(1, rng.randint(2, 9))
+        levels = [Fraction(0), Fraction(1), 1 + eps / 2, 1 + eps]
+        return EpsLeveled({a: rng.choice(levels) for a in range(m) if rng.random() < 0.8})
+    if tag == "matroid":
+        return MatroidValuation(rand_matroid_of_tag(rng, rng.choice(MATROID_TAGS), m))
+    return XosFamily(tuple(rand_subset(rng, m) for _ in range(rng.randint(1, 3))))
+
+
+def test_one_sweep_matches_per_mode_reference():
+    # the whole report, witnesses included, against one reference sweep per mode
+    rng = random.Random(4242)
+    failures = {"EF": 0, "EF1": 0, "EFX": 0}
+    tags_seen = set()
+    empty_bundles = unallocated = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 7)
+        tags = [rng.choice(("additive", "leveled", "matroid", "xos")) for _ in range(n)]
+        tags_seen.update(tags)
+        vals = [_rand_valuation(rng, tag, m) for tag in tags]
+        owner = [rng.randrange(n + rng.randint(0, 1)) for _ in range(m)]
+        alloc = Allocation(
+            tuple(F(a for a, o in enumerate(owner) if o == v) for v in range(n)), m
+        )
+        empty_bundles += any(not b for b in alloc.bundles)
+        unallocated += bool(alloc.unallocated)
+        for alpha in (1, Fraction(1, 2), Fraction(9, 10)):
+            for modes in ENVY_MODE_SETS:
+                got = check_envy(alloc, vals, modes, alpha)
+                want = FairnessReport(
+                    tuple(
+                        reference_check_envy(alloc, vals, mode, alpha).entries[0]
+                        for mode in modes
+                    )
+                )
+                assert got == want, (alloc, vals, modes, alpha)
+                for mode, verdict in got.entries:
+                    if verdict.holds:
+                        continue
+                    w = verdict.witness
+                    assert type(w.own_value) is Fraction and type(w.required) is Fraction
+                    if len(modes) == 1:
+                        failures[mode] += 1
+            for mode in ("EF", "EF1", "EFX"):
+                assert check_envy(alloc, vals, mode, alpha) == reference_check_envy(
+                    alloc, vals, mode, alpha
+                )
+    assert tags_seen == {"additive", "leveled", "matroid", "xos"}
+    assert empty_bundles >= 100 and unallocated >= 100
+    assert min(failures.values()) >= 100, failures
+
+
+def test_check_envy_rejects_bad_modes():
+    alloc = Allocation((F({0}), F()), 1)
+    vals = [AdditiveDichotomous(F({0}))] * 2
+    for modes in ("EF2", ("EF", "EFY"), ()):
+        with pytest.raises(ValidationError):
+            check_envy(alloc, vals, modes)
 
 
 def test_efx_implies_ef1():

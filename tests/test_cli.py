@@ -235,3 +235,60 @@ def test_oversized_explicit_family_is_capped_quickly(doc, write_doc, capsys):
     assert code == 3
     assert out == ""
     assert "validation cap" in err
+
+
+# EF fails first at (p1, p2), EFX at (p2, p3) on item g, EF1 at (p3, p2).
+STAGGERED = {
+    "items": ["a", "b", "c", "d", "e", "f", "g"],
+    "agents": [
+        {"name": "p1", "valuation": {"demand": ["a", "b", "c"]}},
+        {"name": "p2", "valuation": {"demand": ["a", "b", "d", "e", "f"]}},
+        {"name": "p3", "valuation": {"demand": ["a", "b"]}},
+    ],
+}
+STAGGERED_ALLOCATION = {"allocation": {"p1": ["c"], "p2": ["a", "b"], "p3": ["d", "e", "f", "g"]}}
+
+
+def _envy(envier, envied, item, own, required):
+    witness = {
+        "envier": envier, "envied": envied, "item": item,
+        "own_value": own, "required": required,
+    }
+    return {"holds": False, "witness": witness}
+
+
+@pytest.mark.parametrize(
+    "alpha, expected",
+    [
+        (
+            None,
+            {
+                "EF": _envy(0, 1, None, "1", "2"),
+                "EF1": _envy(2, 1, None, "0", "1"),
+                "EFX": _envy(1, 2, 6, "2", "3"),
+                "maximin": {"holds": True, "witness": None},
+            },
+        ),
+        (
+            "1/2",
+            {
+                "EF": _envy(2, 1, None, "0", "1"),
+                "EF1": _envy(2, 1, None, "0", "1/2"),
+                "EFX": _envy(2, 1, 0, "0", "1/2"),
+                "maximin": {"holds": True, "witness": None},
+            },
+        ),
+    ],
+    ids=["alpha-1", "alpha-1/2"],
+)
+def test_audit_witnesses_are_pinned(alpha, expected, write_doc, capsys):
+    argv = [
+        "audit",
+        "--in", write_doc(STAGGERED),
+        "--alloc", write_doc(STAGGERED_ALLOCATION, "alloc.json"),
+    ]
+    if alpha is not None:
+        argv += ["--alpha", alpha]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["properties"] == expected

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from egalloc.errors import CapabilityError, ValidationError
-from egalloc.matroid import Explicit, Uniform
+from egalloc.matroid import Explicit, Partition, Truncated, Uniform
 from egalloc.mechanisms import (
     expected_utilities,
     held_out_outcomes,
@@ -73,6 +73,30 @@ def test_rpe_exact_two_agents_one_item():
     assert winners == {0}
     got = {tuple(len(b) for b in a.allocation.bundles) for a in dist.atoms}
     assert got == {(1, 0), (0, 1)}
+
+
+def test_rpe_exact_validates_each_report_once(monkeypatch):
+    import egalloc.mechanisms as mechanisms
+
+    reports = [
+        MatroidValuation(Uniform(F({0, 1, 2}), 2)),
+        MatroidValuation(Explicit(F({F({0, 3}), F({1, 3}), F({2, 3})}))),
+        MatroidValuation(Partition(((F({0, 1}), 1), (F({2, 3}), 1)))),
+        MatroidValuation(Truncated(Uniform(F({1, 2, 3}), 3), 2)),
+    ]
+    calls = []
+    original = mechanisms.validate_matroid
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(mechanisms, "validate_matroid", counting)
+    dist = run_rpe(reports, 4, mode="exact")
+    assert len(calls) == len(reports)
+    assert len(dist.atoms) == 24
+    for atom in dist.atoms:
+        assert atom.allocation == run_pe(reports, 4, atom.priority)
 
 
 def test_rpe_exact_cap():
