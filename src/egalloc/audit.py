@@ -16,7 +16,7 @@ from typing import Sequence
 from .errors import CapabilityError, PreconditionError, ValidationError
 from .lorenz import enumerate_optimal, lorenz_compare, LorenzRelation, potential
 from .model import Allocation, Instance, OutcomeDistribution, PriorityOrder
-from .valuation import AdditiveDichotomous, EpsLeveled, ValuationSpec, evaluate, support
+from .valuation import AdditiveDichotomous, ValuationSpec, evaluate, support, value_functions
 
 MAXIMIN_MAX_ITEMS = 10
 MAXIMIN_MAX_AGENTS = 4
@@ -101,9 +101,10 @@ def check_envy(
     for EFX, the lowest item whose removal leaves the envy.  A mode is not
     checked past its first failure, and the sweep ends once every mode has
     failed.  Valuations are monotone, so a pair with f_i(A_i) >= α f_i(A_j)
-    fails no mode and needs no drop values.  Additive-dichotomous values are
-    plain ints and ε-leveled ones come from the item values; other tags go
-    through `evaluate`, once per set.
+    fails no mode and needs no drop values.  Values come from
+    `valuation.value_functions`: plain ints for additive-dichotomous
+    reports, the item values for ε-leveled ones, and `evaluate` once per
+    set for other tags.
     """
     modes = (mode,) if isinstance(mode, str) else tuple(mode)
     if not modes:
@@ -124,7 +125,7 @@ def check_envy(
     open_modes = set(modes)
     bundles = allocation.bundles
     for i in range(allocation.n):
-        value, drop = _envy_values(valuations[i], allocation.m)
+        value, drop = value_functions(valuations[i], allocation.m)
         own = value(bundles[i])
         for j, other in enumerate(bundles):
             if i == j:
@@ -165,23 +166,6 @@ def check_envy(
             (name, Verdict(False, witnesses[name]) if name in witnesses else Verdict(True))
             for name in modes
         )
-    )
-
-
-def _envy_values(spec: ValuationSpec, m: int):
-    """(value, drop) for one envier: S ↦ f(S) and (S, f(S), a) ↦ f(S − {a})."""
-    if isinstance(spec, AdditiveDichotomous):
-        demand = spec.demand
-        return (lambda s: len(s & demand)), (lambda s, whole, a: whole - (a in demand))
-    if isinstance(spec, EpsLeveled):
-        vm = spec.value_map
-        return (
-            lambda s: sum(vm[a] for a in s if a in vm),
-            lambda s, whole, a: whole - vm.get(a, 0),
-        )
-    return (
-        lambda s: evaluate(spec, s, m),
-        lambda s, whole, a: evaluate(spec, s - {a}, m),
     )
 
 

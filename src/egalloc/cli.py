@@ -2,7 +2,8 @@
 
 Subcommands: solve, audit, distribution, fuzz, fixture, enumerate.
 Exit codes: 0 ok / property holds; 1 property fails (witness printed);
-2 usage or validation error; 3 capability cap exceeded.
+2 usage or validation error; 3 capability cap exceeded, which includes a
+RecursionError or MemoryError escaping a subcommand.
 Documents go to stdout, diagnostics to stderr.
 """
 
@@ -301,6 +302,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CapabilityError as exc:
         print(f"capability cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
+    except (RecursionError, MemoryError) as exc:
+        # input that outgrows the stack or the heap past every explicit cap
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"capability cap exceeded: {detail}".splitlines()[0], file=sys.stderr)
         return EXIT_CAPABILITY
     except (EgallocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,15 +15,16 @@ from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
 from .errors import CapabilityError, ValidationError
-from .lorenz import potential
-from .matroid import FreeOver, ItemSet, Partition, Restricted, Truncated
+from .lorenz import compute_lorenz_dominating, potential
+from .matroid import FreeOver, ItemSet, MatroidSpec, Partition, Restricted, Truncated
 from .model import Instance
 from .mechanisms import (
+    _rpe_distribution,
     expected_utilities,
     floor_reports,
     run_meps,
     run_pe,
-    run_rpe,
+    sanitize_reports,
 )
 from .valuation import (
     AdditiveDichotomous,
@@ -133,27 +134,33 @@ def fuzz_truthfulness(
     sigma = instance.priority_or_default()
     truth = instance.valuations[deviator]
 
-    if mechanism == "pe":
-        if mode != "expost":
+    if mechanism in ("pe", "rpe"):
+        if mechanism == "pe" and mode != "expost":
             raise ValidationError(f"mechanism {mechanism!r} is deterministic; use expost mode")
-        base_reports = floor_reports(instance.valuations)
-
-        def utility(report: ValuationSpec) -> Fraction:
-            reports = list(base_reports)
-            reports[deviator] = report
-            alloc = run_pe(reports, m, sigma)
-            return evaluate(truth, alloc.bundles[deviator], m)
-
-    elif mechanism == "rpe":
-        if mode != "expectation":
+        if mechanism == "rpe" and mode != "expectation":
             raise ValidationError("rpe fuzzing runs in expectation mode over exact priorities")
-        base_reports = floor_reports(instance.valuations)
+        # each report is sanitized once: the other agents' here, each
+        # candidate when its utility is computed
+        others = floor_reports(instance.valuations)
+        del others[deviator]
+        other_matroids, _ = sanitize_reports(others, m)
 
-        def utility(report: ValuationSpec) -> Fraction:
-            reports = list(base_reports)
-            reports[deviator] = report
-            dist = run_rpe(reports, m, mode="exact")
-            return expected_utilities(dist, instance.valuations)[deviator]
+        def with_report(report: ValuationSpec) -> list[MatroidSpec]:
+            matroids = list(other_matroids)
+            matroids.insert(deviator, sanitize_reports([report], m)[0][0])
+            return matroids
+
+        if mechanism == "pe":
+
+            def utility(report: ValuationSpec) -> Fraction:
+                alloc = compute_lorenz_dominating(with_report(report), m, sigma)
+                return evaluate(truth, alloc.bundles[deviator], m)
+
+        else:
+
+            def utility(report: ValuationSpec) -> Fraction:
+                dist = _rpe_distribution(with_report(report), m)
+                return expected_utilities(dist, instance.valuations)[deviator]
 
     elif mechanism == "meps":
         if mode != "expectation":

@@ -48,7 +48,7 @@ from .valuation import (
     EpsLeveled,
     MatroidValuation,
     ValuationSpec,
-    evaluate,
+    value_functions,
 )
 
 RPE_EXACT_MAX_AGENTS = 6
@@ -109,22 +109,28 @@ def run_rpe(
     Exact mode sanitizes the reports once and returns all n! atoms of
     weight 1/n!; sampled mode runs a single draw from `random.Random(seed)`.
     """
-    n = len(reports)
     if mode == "exact":
-        if n > max_agents:
-            raise CapabilityError(
-                f"exact mode enumerates n! priority orders; n={n} exceeds cap {max_agents}"
-            )
-        matroids, _ = sanitize_reports(reports, m)
-        weight = Fraction(1, math.factorial(n))
-        atoms = []
-        for sigma in permutations(range(n)):
-            alloc = compute_lorenz_dominating(matroids, m, sigma)
-            atoms.append(Atom(weight=weight, allocation=alloc, priority=sigma))
-        return OutcomeDistribution(tuple(atoms))
+        return _rpe_distribution(sanitize_reports(reports, m)[0], m, max_agents)
     if mode == "sampled":
         return sample_rpe(reports, m, seed)[0]
     raise ValidationError(f"unknown mode {mode!r}; expected 'exact' or 'sampled'")
+
+
+def _rpe_distribution(
+    matroids: Sequence[MatroidSpec], m: int, max_agents: int = RPE_EXACT_MAX_AGENTS
+) -> OutcomeDistribution:
+    """All n! PE atoms of weight 1/n! for reports `sanitize_reports` already mapped."""
+    n = len(matroids)
+    if n > max_agents:
+        raise CapabilityError(
+            f"exact mode enumerates n! priority orders; n={n} exceeds cap {max_agents}"
+        )
+    weight = Fraction(1, math.factorial(n))
+    atoms = []
+    for sigma in permutations(range(n)):
+        alloc = compute_lorenz_dominating(matroids, m, sigma)
+        atoms.append(Atom(weight=weight, allocation=alloc, priority=sigma))
+    return OutcomeDistribution(tuple(atoms))
 
 
 def sample_rpe(
@@ -161,8 +167,15 @@ def run_mx(
     for r in reports:
         if not r <= xset:
             raise ValidationError("held-out reports must be subsets of the held-out list")
+    return Allocation(_mx_bundles(held_out, sigma, reports), m, non_redundant=True)
 
-    bundles: list[set[int]] = [set() for _ in range(n)]
+
+def _mx_bundles(
+    held_out: tuple[int, ...], sigma: PriorityOrder, reports: Sequence[ItemSet]
+) -> list[set[int]]:
+    """M^X's grants for inputs already known to be valid: distinct items in
+    `held_out`, a permutation `sigma` and reports that are subsets of X."""
+    bundles: list[set[int]] = [set() for _ in reports]
     order = list(sigma)
     first = held_out[0]
     for agent in order:
@@ -177,7 +190,7 @@ def run_mx(
             if second in reports[agent]:
                 bundles[agent].add(second)
                 break
-    return Allocation(tuple(frozenset(b) for b in bundles), m, non_redundant=True)
+    return bundles
 
 
 def held_out_outcomes(m: int) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -227,14 +240,33 @@ def _check_meps_inputs(demands, n, m, eps):
 
 
 def _meps_realization(
-    demands: Sequence[ItemSet], m: int, held_out: tuple[int, ...], sigma: PriorityOrder
+    demands: Sequence[ItemSet],
+    m: int,
+    held_out: tuple[int, ...],
+    sigma: PriorityOrder,
+    pe_halves: dict[ItemSet, Allocation],
 ) -> Allocation:
-    """One realization: PE on demands∖X under sigma, M^X on X under reverse(sigma)."""
+    """One realization: PE on demands∖X under sigma, M^X on X under reverse(sigma).
+
+    The PE half depends on X only through its demanded part X ∩ ∪demands,
+    since d − X = d − (X ∩ ∪demands) for every report d: not on the order
+    of X, nor on held-out items nobody demands.  So it is looked up in
+    `pe_halves`, keyed by that part, and solved only on a miss; the memo is
+    valid for one sigma only.  M^X runs through `_mx_bundles` without
+    `run_mx`'s input checks, which every caller meets by construction: X
+    holds distinct items, sigma is a permutation and each d ∩ X lies in X.
+    The merged allocation is still validated, so an overlap between the
+    two halves raises.
+    """
     xset = frozenset(held_out)
-    pe_alloc = compute_lorenz_dominating([FreeOver(d - xset) for d in demands], m, sigma)
-    mx_alloc = run_mx(held_out, tuple(reversed(sigma)), [d & xset for d in demands], m)
-    merged = tuple(b | x for b, x in zip(pe_alloc.bundles, mx_alloc.bundles))
-    return Allocation(merged, m, non_redundant=True)
+    on_x = [d & xset for d in demands]
+    demanded = frozenset().union(*on_x)
+    pe = pe_halves.get(demanded)
+    if pe is None:
+        pe = compute_lorenz_dominating([FreeOver(d - demanded) for d in demands], m, sigma)
+        pe_halves[demanded] = pe
+    mx = _mx_bundles(held_out, tuple(reversed(sigma)), on_x)
+    return Allocation(tuple(b | x for b, x in zip(pe.bundles, mx)), m, non_redundant=True)
 
 
 def run_meps(
@@ -250,23 +282,30 @@ def run_meps(
     orders (atom weight 1/(m^2 n!)); sampled mode draws (X, sigma) from a
     seeded PRNG in a fixed, documented order: first item, keep-single test,
     optional second item, then the priority shuffle.
+
+    Exact mode loops over priority orders outside and held-out outcomes
+    inside, keeping one memo of PE halves per order (at most 1 + u + C(u, 2)
+    entries for u demanded items), so PE is solved once per (sigma,
+    X ∩ ∪demands) rather than once per atom.  Atom h·n! + k is outcome h
+    under order k, so the atoms keep their outcome-major order and every
+    atom is the one the per-atom loop would build.
     """
     n = len(demands)
     demands, eps = _check_meps_inputs(demands, n, m, eps)
 
     if mode == "exact":
-        atoms = []
+        outcomes = held_out_outcomes(m)
+        orders = list(permutations(range(n)))
         perm_weight = Fraction(1, math.factorial(n))
-        for held_out, x_weight in held_out_outcomes(m):
-            for sigma in permutations(range(n)):
-                alloc = _meps_realization(demands, m, held_out, sigma)
-                atoms.append(
-                    Atom(
-                        weight=x_weight * perm_weight,
-                        allocation=alloc,
-                        priority=sigma,
-                        held_out=held_out,
-                    )
+        atoms: list[Atom | None] = [None] * (len(outcomes) * len(orders))
+        for k, sigma in enumerate(orders):
+            pe_halves: dict[ItemSet, Allocation] = {}
+            for h, (held_out, x_weight) in enumerate(outcomes):
+                atoms[h * len(orders) + k] = Atom(
+                    weight=x_weight * perm_weight,
+                    allocation=_meps_realization(demands, m, held_out, sigma, pe_halves),
+                    priority=sigma,
+                    held_out=held_out,
                 )
         return OutcomeDistribution(tuple(atoms))
     if mode == "sampled":
@@ -296,20 +335,37 @@ def sample_meps(
     order = list(range(n))
     rng.shuffle(order)
     sigma = tuple(order)
-    return _meps_realization(demands, m, held_out, sigma), held_out, sigma
+    return _meps_realization(demands, m, held_out, sigma, {}), held_out, sigma
 
 
 def expected_utilities(
     dist: OutcomeDistribution, valuations: Sequence[ValuationSpec]
 ) -> tuple[Fraction, ...]:
-    """Exact per-agent expectation of the true valuations over the atoms."""
+    """Exact per-agent expectation of the true valuations over the atoms.
+
+    Each agent's values f_v(A_v) are summed per distinct atom weight in the
+    valuation's native type (`valuation.value_functions`: ints for
+    additive-dichotomous valuations, the item values for ε-leveled ones,
+    `evaluate` otherwise), and each sum is multiplied by its weight once.
+    Σ_w w·Σ_{weight(a)=w} f_v(A_v) is the same rational as the per-atom sum
+    Σ_a weight(a)·f_v(A_v), so the result does not change; exact
+    distributions have one or a few distinct weights.
+    """
     n = len(valuations)
-    totals = [Fraction(0)] * n
+    # m=None: every bundle was checked against its universe by Allocation
+    values = [value_functions(spec)[0] for spec in valuations]
+    sums_by_weight: dict[Fraction, list] = {}
     for atom in dist.atoms:
+        sums = sums_by_weight.get(atom.weight)
+        if sums is None:
+            sums = sums_by_weight[atom.weight] = [0] * n
+        bundles = atom.allocation.bundles
         for v in range(n):
-            totals[v] += atom.weight * evaluate(
-                valuations[v], atom.allocation.bundles[v], atom.allocation.m
-            )
+            sums[v] += values[v](bundles[v])
+    totals = [Fraction(0)] * n
+    for weight, sums in sums_by_weight.items():
+        for v in range(n):
+            totals[v] += weight * sums[v]
     return tuple(totals)
 
 

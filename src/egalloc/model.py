@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -96,10 +97,13 @@ class OutcomeDistribution:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
-        total = sum((a.weight for a in self.atoms), Fraction(0))
+        # Σ weight·count over the distinct weights: exact distributions
+        # repeat one or a few weights across all their atoms
+        counts = Counter(a.weight for a in self.atoms)
+        total = sum((w * c for w, c in counts.items()), Fraction(0))
         if total != 1:
             raise ValidationError(f"atom weights must sum to 1 exactly, got {total}")
-        if any(a.weight <= 0 for a in self.atoms):
+        if any(w <= 0 for w in counts):
             raise ValidationError("atom weights must be positive")
 
 

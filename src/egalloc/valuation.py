@@ -151,6 +151,29 @@ def evaluate(spec: ValuationSpec, s: ItemSet, m: int | None = None) -> Fraction:
     raise ValidationError(f"unknown valuation tag {type(spec).__name__}")
 
 
+def value_functions(spec: ValuationSpec, m: int | None = None):
+    """(value, drop) for one valuation: S ↦ f(S) and (S, f(S), a) ↦ f(S − {a}).
+
+    Values come in the tag's native type: plain ints for additive-dichotomous
+    valuations (|S ∩ D|, drop `whole − [a ∈ D]`), sums of the `Fraction`
+    item values for ε-leveled ones, and `evaluate` once per set for every
+    other tag.  Each equals `evaluate` as a rational.
+    """
+    if isinstance(spec, AdditiveDichotomous):
+        demand = spec.demand
+        return (lambda s: len(s & demand)), (lambda s, whole, a: whole - (a in demand))
+    if isinstance(spec, EpsLeveled):
+        vm = spec.value_map
+        return (
+            lambda s: sum(vm[a] for a in s if a in vm),
+            lambda s, whole, a: whole - vm.get(a, 0),
+        )
+    return (
+        lambda s: evaluate(spec, s, m),
+        lambda s, whole, a: evaluate(spec, s - {a}, m),
+    )
+
+
 def marginal(spec: ValuationSpec, s: ItemSet, a: int, m: int | None = None) -> Fraction:
     """f(a | S) = f(S ∪ {a}) − f(S); requires a ∉ S."""
     s = frozenset(s)

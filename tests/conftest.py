@@ -16,7 +16,13 @@ from egalloc.matroid import (
     Uniform,
 )
 from egalloc.model import Instance
-from egalloc.valuation import AdditiveDichotomous, MatroidValuation
+from egalloc.valuation import (
+    AdditiveDichotomous,
+    EpsLeveled,
+    MatroidValuation,
+    ValuationSpec,
+    XosFamily,
+)
 
 
 def rand_subset(rng: random.Random, m: int, p: float = 0.6) -> frozenset[int]:
@@ -90,6 +96,24 @@ def rand_matroid_of_tag(rng: random.Random, tag: str, m: int) -> MatroidSpec:
     if tag == "restricted":
         return Restricted(rand_structured_matroid(rng, m, 1), rand_subset(rng, m))
     raise ValueError(f"unknown matroid tag {tag!r}")
+
+
+#: Valuation kinds `rand_valuation` draws from.
+VALUATION_KINDS = ("additive", "leveled", "matroid", "xos")
+
+
+def rand_valuation(rng: random.Random, kind: str, m: int) -> ValuationSpec:
+    """A random valuation of the given kind over items 0..m-1; matroid
+    valuations take a random top-level tag from `MATROID_TAGS`."""
+    if kind == "additive":
+        return AdditiveDichotomous(rand_subset(rng, m, rng.choice([0.3, 0.6, 0.9])))
+    if kind == "leveled":
+        eps = Fraction(1, rng.randint(2, 9))
+        levels = [Fraction(0), Fraction(1), 1 + eps / 2, 1 + eps]
+        return EpsLeveled({a: rng.choice(levels) for a in range(m) if rng.random() < 0.8})
+    if kind == "matroid":
+        return MatroidValuation(rand_matroid_of_tag(rng, rng.choice(MATROID_TAGS), m))
+    return XosFamily(tuple(rand_subset(rng, m) for _ in range(rng.randint(1, 3))))
 
 
 def rand_matroid(rng: random.Random, m: int) -> MatroidSpec:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from audit_reference import reference_check_envy
-from conftest import MATROID_TAGS, additive_instance, rand_matroid, rand_matroid_of_tag, rand_subset
+from conftest import additive_instance, rand_matroid, rand_valuation
 from egalloc.audit import (
     BoundWitness,
     EnvyWitness,
@@ -22,7 +22,7 @@ from egalloc.errors import CapabilityError, PreconditionError, ValidationError
 from egalloc.matroid import FreeOver, Partition
 from egalloc.mechanisms import run_pe, run_rpe
 from egalloc.model import Allocation, Atom, OutcomeDistribution
-from egalloc.valuation import AdditiveDichotomous, EpsLeveled, MatroidValuation, XosFamily
+from egalloc.valuation import AdditiveDichotomous, MatroidValuation
 
 F = frozenset
 
@@ -56,18 +56,6 @@ ENVY_MODE_SETS = (
 )
 
 
-def _rand_valuation(rng, tag, m):
-    if tag == "additive":
-        return AdditiveDichotomous(rand_subset(rng, m, rng.choice([0.3, 0.6, 0.9])))
-    if tag == "leveled":
-        eps = Fraction(1, rng.randint(2, 9))
-        levels = [Fraction(0), Fraction(1), 1 + eps / 2, 1 + eps]
-        return EpsLeveled({a: rng.choice(levels) for a in range(m) if rng.random() < 0.8})
-    if tag == "matroid":
-        return MatroidValuation(rand_matroid_of_tag(rng, rng.choice(MATROID_TAGS), m))
-    return XosFamily(tuple(rand_subset(rng, m) for _ in range(rng.randint(1, 3))))
-
-
 def test_one_sweep_matches_per_mode_reference():
     # the whole report, witnesses included, against one reference sweep per mode
     rng = random.Random(4242)
@@ -79,7 +67,7 @@ def test_one_sweep_matches_per_mode_reference():
         m = rng.randint(1, 7)
         tags = [rng.choice(("additive", "leveled", "matroid", "xos")) for _ in range(n)]
         tags_seen.update(tags)
-        vals = [_rand_valuation(rng, tag, m) for tag in tags]
+        vals = [rand_valuation(rng, tag, m) for tag in tags]
         owner = [rng.randrange(n + rng.randint(0, 1)) for _ in range(m)]
         alloc = Allocation(
             tuple(F(a for a, o in enumerate(owner) if o == v) for v in range(n)), m

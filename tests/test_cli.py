@@ -292,3 +292,18 @@ def test_audit_witnesses_are_pinned(alpha, expected, write_doc, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out)["properties"] == expected
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
+def test_stack_or_memory_exhaustion_is_a_capability_exit(exc, monkeypatch, capsys):
+    import egalloc.cli as cli
+
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_fixture", exhausted)
+    code, out, err = run_cli(capsys, "fixture", "--id", "F1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capability cap exceeded: ") and type(exc).__name__ in err
+    assert err.count("\n") == 1 and "Traceback" not in err

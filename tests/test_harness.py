@@ -81,6 +81,43 @@ def test_explicit_deviation_space():
     assert res.truthful
 
 
+@pytest.mark.parametrize("mechanism, mode", [("pe", "expost"), ("rpe", "expectation")])
+def test_fuzz_validates_each_report_once(mechanism, mode, monkeypatch):
+    import egalloc.mechanisms as mechanisms
+    from egalloc.harness import _deviation_reports
+    from egalloc.matroid import Partition, Uniform
+    from egalloc.mechanisms import expected_utilities, run_pe, run_rpe
+    from egalloc.valuation import evaluate
+
+    inst = matroid_instance(
+        [
+            Uniform(F({0, 1, 2}), 1),
+            Partition(((F({0, 1}), 1), (F({2, 3}), 1))),
+            Uniform(F({1, 2, 3}), 2),
+        ],
+        4,
+    )
+    space = RestrictedMrfLibrary()
+    assert len(_deviation_reports(space, inst, 0)) == 11
+    calls = []
+    original = mechanisms.validate_matroid
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(mechanisms, "validate_matroid", counting)
+    res = fuzz_truthfulness(mechanism, inst, 0, space, mode)
+    # the two other agents once, the truthful report and 11 deviations once each
+    assert len(calls) == 2 + 1 + 11
+    assert res.truthful
+    if mechanism == "pe":
+        want = evaluate(inst.valuations[0], run_pe(inst.valuations, 4).bundles[0], 4)
+    else:
+        want = expected_utilities(run_rpe(inst.valuations, 4), inst.valuations)[0]
+    assert res.truthful_utility == want
+
+
 def test_fuzz_mode_validation():
     inst = additive_instance([F({0})])
     with pytest.raises(ValidationError):

@@ -1,7 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import MATROID_TAGS, VALUATION_KINDS, rand_subset, rand_valuation
 from egalloc.errors import CapabilityError, ValidationError
 from egalloc.matroid import Explicit, Partition, Truncated, Uniform
 from egalloc.mechanisms import (
@@ -15,8 +18,9 @@ from egalloc.mechanisms import (
     sample_rpe,
     sanitize_reports,
 )
-from egalloc.model import OutcomeDistribution
+from egalloc.model import Allocation, Atom, OutcomeDistribution
 from egalloc.valuation import AdditiveDichotomous, MatroidValuation, XosFamily
+from meps_reference import reference_expected_utilities, reference_run_meps
 
 F = frozenset
 
@@ -282,3 +286,84 @@ def test_samplers_match_sampled_modes_and_expose_traces():
         assert via_mode.bundles == alloc.bundles
         assert len(held_out) in (1, 2)
         assert sorted(sigma) == [0, 1]
+
+
+def _meps_cases(rng):
+    """Seeded demand profiles with n <= 4, m <= 6, edge cases first."""
+    yield [F({0})], 1
+    yield [F({0}), F({0}), F()], 1
+    yield [F({0, 1})], 2
+    yield [F({1}), F({1})], 2  # item 0 undemanded
+    yield [F({0, 2, 3})], 4  # n = 1
+    yield [F(), F()], 3  # nothing demanded
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 6)
+        # keep the top item undemanded half the time
+        top = m - 1 if m > 1 and rng.random() < 0.5 else m
+        yield [rand_subset(rng, top, rng.choice([0.3, 0.6])) for _ in range(n)], m
+
+
+def test_meps_exact_matches_per_atom_reference(monkeypatch):
+    import egalloc.mechanisms as mechanisms
+
+    solves = []
+    original = mechanisms.compute_lorenz_dominating
+
+    def counting(reports, m, sigma=None):
+        solves.append(sigma)
+        return original(reports, m, sigma)
+
+    rng = random.Random(5150)
+    undemanded = 0
+    for demands, m in _meps_cases(rng):
+        n = len(demands)
+        demanded = F().union(*demands)
+        undemanded += len(demanded) < m
+        solves.clear()
+        monkeypatch.setattr(mechanisms, "compute_lorenz_dominating", counting)
+        dist = run_meps(demands, m, 0, mode="exact")
+        monkeypatch.setattr(mechanisms, "compute_lorenz_dominating", original)
+        want = reference_run_meps(demands, m)
+        assert dist.atoms == want.atoms, (demands, m)
+        # one PE solve per (sigma, X ∩ ∪demands)
+        parts = {F(x) & demanded for x, _ in held_out_outcomes(m)}
+        assert len(solves) == math.factorial(n) * len(parts), (demands, m)
+        # a sampled realization is the exact atom with the same (X, sigma)
+        by_trace = {(a.held_out, a.priority): a.allocation for a in want.atoms}
+        for seed in range(3):
+            alloc, held_out, sigma = sample_meps(demands, m, 0, seed=seed)
+            assert alloc == by_trace[(held_out, sigma)]
+    assert undemanded >= 10
+
+
+def test_expected_utilities_match_per_atom_reference():
+    rng = random.Random(6160)
+    kinds_seen, tags_seen = set(), set()
+    unequal = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 6)
+        kinds = [rng.choice(VALUATION_KINDS) for _ in range(n)]
+        vals = [rand_valuation(rng, kind, m) for kind in kinds]
+        kinds_seen.update(kinds)
+        tags_seen.update(
+            type(v.matroid).__name__ for v in vals if isinstance(v, MatroidValuation)
+        )
+        # small integer weights repeat, so atoms share weights unevenly
+        raw = [rng.randint(1, 4) for _ in range(rng.randint(1, 8))]
+        atoms = []
+        for r in raw:
+            owner = [rng.randrange(n + 1) for _ in range(m)]
+            bundles = tuple(F(a for a, o in enumerate(owner) if o == v) for v in range(n))
+            atoms.append(
+                Atom(weight=Fraction(r, sum(raw)), allocation=Allocation(bundles, m), priority=())
+            )
+        unequal += len(set(raw)) > 1
+        dist = OutcomeDistribution(tuple(atoms))
+        got = expected_utilities(dist, vals)
+        assert got == reference_expected_utilities(dist, vals), (vals, dist)
+        assert all(type(x) is Fraction for x in got)
+    assert kinds_seen == set(VALUATION_KINDS)
+    assert len(tags_seen) == len(MATROID_TAGS)
+    assert unequal >= 150
