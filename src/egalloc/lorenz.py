@@ -18,9 +18,23 @@ Chakraborty, Igarashi & Zick, ACM TEAC 2021), so every bundle is
 non-redundant and the final profile is the welfare-maximal one of minimum
 potential.
 
+The path search is a breadth-first search over items that asks each
+agent's matroid spec three exchange questions instead of testing a built
+set for every (item, item) pair: `can_add(own, g)` for the start items,
+`swap_filter(own, g)` for the items h an agent can take in exchange for
+g, and `swap_key(own, g)`.  Two items of one holder with equal keys admit
+the same items h, so the search expands each (holder, key) pair once and
+skips the holder's later items with that key: the first expansion already
+discovered everything they would.  Structured tags answer in constant or
+bundle-size time with shared keys (one key per agent for free and uniform
+specs, one per block for partitions); explicit families fall back to
+`is_independent` and give every item its own key.
+
 Item tie-break: the path search scans items in descending id and stops at
-the first unowned item it discovers.  The rule fixes which items each
-agent gets; the profile does not depend on it.
+the first unowned item it discovers.  Skipping an expansion that would
+discover nothing leaves that scan's discovery order unchanged, so the
+rule fixes which items each agent gets exactly as a search that expands
+every item would; the profile does not depend on it.
 
 `additive_balanced` is the same engine on additive demand-set reports.
 Two oracles check it: `greedy_welfare` (each agent in priority order gets
@@ -153,27 +167,41 @@ def _transfer_path(i, matroids, supports, bundles, owner) -> list[int] | None:
     """A shortest transfer path for agent i ending at an unowned item.
 
     Breadth-first search over items: the start items are those i can add
-    to its bundle, and item g (held by j) leads to every item h that j can
-    take in exchange for g.  Items are scanned in descending id, and the
-    first unowned item discovered ends the search, so among shortest
-    paths the one found first in that scan is taken.  Returns the items
-    [g_1, ..., g_k] with g_k unowned, or None.
+    to its bundle (`can_add`), and item g, held by j, leads to every item
+    h that j can take in exchange for g (`swap_filter`).  Items are
+    scanned in descending id, and the first unowned item discovered ends
+    the search, so among shortest paths the one found first in that scan
+    is taken.
+
+    Each holder is expanded at most once per swap key: an item g of j is
+    skipped when an earlier item of j with the same `swap_key` was
+    expanded.  Equal keys admit the same items h, j's bundle does not
+    change during the search, and the earlier expansion put every such h
+    in `parent` (or returned), so the skipped expansion would discover
+    nothing: the discovery order, and hence the path, is the one the
+    per-item search finds.  Returns the items [g_1, ..., g_k] with g_k
+    unowned, or None.
     """
     spec, own = matroids[i], bundles[i]
     parent: dict[int, int | None] = {}
     queue = []
     for g in supports[i]:
-        if g not in own and spec.is_independent(own | {g}):
+        if g not in own and spec.can_add(own, g):
             if g not in owner:
                 return [g]
             parent[g] = None
             queue.append(g)
+    expanded = set()  # (holder, swap key) pairs already expanded
     for g in queue:  # the queue grows while it is scanned
         j = owner[g]
         spec, own = matroids[j], bundles[j]
-        base = own - {g}
+        key = (j, spec.swap_key(own, g))
+        if key in expanded:
+            continue
+        expanded.add(key)
+        allowed = spec.swap_filter(own, g)
         for h in supports[j]:
-            if h in parent or h in own or not spec.is_independent(base | {h}):
+            if h in parent or h in own or (allowed is not None and not allowed(h)):
                 continue
             parent[h] = g
             if h not in owner:

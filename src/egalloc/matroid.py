@@ -11,9 +11,10 @@ always submodular with 0/1 marginals when the spec is a genuine matroid.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 from .errors import CapabilityError, PreconditionError, ValidationError
 
@@ -55,7 +56,37 @@ class ValidationReport:
 
 
 class MatroidSpec:
-    """Base class; concrete specs implement rank/is_independent/support."""
+    """Base class; concrete specs implement rank/is_independent/support.
+
+    Three exchange questions serve the transfer-path search of
+    `lorenz.compute_lorenz_dominating`.  Each takes an independent bundle
+    `own`; none builds a set from `own` and the item asked about.
+
+    - `can_add(own, g)`, for g in support() outside own: is own + g
+      independent?
+    - `swap_filter(own, g)`, for g in own: which h in support() outside own
+      can the agent take in exchange for g, i.e. which make own - g + h
+      independent?  Returns None when every such h can, else a predicate
+      on h.
+    - `swap_key(own, g)`, for g in own: a hashable key; two items of own
+      with equal keys admit the same set of h.
+
+    Per tag:
+
+    - FreeOver: every g can be added and every h swapped in; one key.
+    - Uniform: g can be added when |own| < cap; a swap keeps the size, so
+      every h can be swapped in; one key.
+    - Partition: g can be added when its block holds fewer than its cap of
+      own's items; h can replace g when it lies in g's block or its own
+      block is not full; the key is g's block.  The item-to-block map is
+      built once, at construction.
+    - Truncated: g can be added below the limit if the inner spec allows
+      it; a swap keeps the size, so filter and key are the inner spec's.
+    - Restricted: the support already lies inside `demand`, so all three
+      answers are the inner spec's.
+    - Explicit (and this base class): `is_independent` on own + g and
+      own - g + h; the key is g itself, so no two items share one.
+    """
 
     __slots__ = ()
 
@@ -68,6 +99,16 @@ class MatroidSpec:
     def support(self) -> ItemSet:
         """Items of positive singleton rank (non-loops)."""
         raise NotImplementedError
+
+    def can_add(self, own: ItemSet, g: int) -> bool:
+        return self.is_independent(own | {g})
+
+    def swap_filter(self, own: ItemSet, g: int) -> Callable[[int], bool] | None:
+        rest = own - {g}
+        return lambda h: self.is_independent(rest | {h})
+
+    def swap_key(self, own: ItemSet, g: int) -> Hashable:
+        return g
 
 
 @dataclass(frozen=True)
@@ -87,6 +128,15 @@ class FreeOver(MatroidSpec):
 
     def support(self):
         return self.demand
+
+    def can_add(self, own, g):
+        return True
+
+    def swap_filter(self, own, g):
+        return None
+
+    def swap_key(self, own, g):
+        return None
 
 
 @dataclass(frozen=True)
@@ -110,6 +160,15 @@ class Uniform(MatroidSpec):
     def support(self):
         return self.demand if self.cap >= 1 else frozenset()
 
+    def can_add(self, own, g):
+        return len(own) < self.cap
+
+    def swap_filter(self, own, g):
+        return None
+
+    def swap_key(self, own, g):
+        return None
+
 
 @dataclass(frozen=True)
 class Partition(MatroidSpec):
@@ -129,13 +188,17 @@ class Partition(MatroidSpec):
                     f"partition matroid blocks overlap on items {sorted(seen & block)}"
                 )
             seen |= block
+        # not fields: equality, hashing, repr and documents see only `blocks`
+        object.__setattr__(self, "_covered", frozenset(seen))
+        object.__setattr__(
+            self, "_block_of", {a: b for b, (block, _) in enumerate(frozen) for a in block}
+        )
 
     def rank(self, s):
         return sum(min(cap, len(s & block)) for block, cap in self.blocks)
 
     def is_independent(self, s):
-        covered = frozenset().union(*(b for b, _ in self.blocks)) if self.blocks else frozenset()
-        if not s <= covered:
+        if not s <= self._covered:
             return False
         return all(len(s & block) <= cap for block, cap in self.blocks)
 
@@ -145,6 +208,23 @@ class Partition(MatroidSpec):
             if cap >= 1:
                 out |= block
         return frozenset(out)
+
+    def can_add(self, own, g):
+        block_of = self._block_of
+        b = block_of[g]
+        return sum(1 for a in own if block_of[a] == b) < self.blocks[b][1]
+
+    def swap_filter(self, own, g):
+        block_of, blocks = self._block_of, self.blocks
+        counts = Counter(block_of[a] for a in own)
+        counts.pop(block_of[g])
+        full = {b for b, count in counts.items() if count >= blocks[b][1]}
+        if not full:
+            return None
+        return lambda h: block_of[h] not in full
+
+    def swap_key(self, own, g):
+        return self._block_of[g]
 
 
 @dataclass(frozen=True)
@@ -201,6 +281,15 @@ class Truncated(MatroidSpec):
     def support(self):
         return self.inner.support() if self.limit >= 1 else frozenset()
 
+    def can_add(self, own, g):
+        return len(own) < self.limit and self.inner.can_add(own, g)
+
+    def swap_filter(self, own, g):
+        return self.inner.swap_filter(own, g)
+
+    def swap_key(self, own, g):
+        return self.inner.swap_key(own, g)
+
 
 @dataclass(frozen=True)
 class Restricted(MatroidSpec):
@@ -220,6 +309,15 @@ class Restricted(MatroidSpec):
 
     def support(self):
         return self.inner.support() & self.demand
+
+    def can_add(self, own, g):
+        return self.inner.can_add(own, g)
+
+    def swap_filter(self, own, g):
+        return self.inner.swap_filter(own, g)
+
+    def swap_key(self, own, g):
+        return self.inner.swap_key(own, g)
 
 
 ZERO_MATROID = FreeOver(frozenset())

@@ -53,6 +53,18 @@ from .valuation import (
 
 RPE_EXACT_MAX_AGENTS = 6
 
+#: Largest exact held-out distribution, in atoms (m^2 * n!).  Measured with
+#: `distribution --mech meps` on additive instances of density 0.3 (Python
+#: 3.11, one core of a shared x86-64 VM): about 0.17 ms, 0.55 kB of output
+#: and 3.5 kB of peak memory per atom, so the cap bounds a run near 1.7 s,
+#: 6 MB of output and 60 MB; 6 agents over 12 items (103,680 atoms) took
+#: 22 s and 63 MB of output.  It admits up to 20 items for 4 agents, 9 for
+#: 5 and 3 for 6.  Sizes that must stay under it: acceptance criterion 10
+#: up to 3/2 (24 atoms) and 2/4 (32); scripts/meps_margin_scan.py, 2/3
+#: (18); the benchmark's exact pools, 4/8 (1,536) and 3/5 (150 per fuzz
+#: candidate); the per-atom reference test, n <= 4 and m <= 6 (864).
+MEPS_EXACT_MAX_ATOMS = 10_000
+
 
 def sanitize_reports(
     reports: Sequence[ValuationSpec | MatroidSpec], m: int
@@ -279,9 +291,11 @@ def run_meps(
     """Randomized held-out mechanism for ε-leveled demand-set reports.
 
     Exact mode enumerates all m^2 held-out outcomes times n! priority
-    orders (atom weight 1/(m^2 n!)); sampled mode draws (X, sigma) from a
-    seeded PRNG in a fixed, documented order: first item, keep-single test,
-    optional second item, then the priority shuffle.
+    orders (atom weight 1/(m^2 n!)), and raises CapabilityError before
+    enumerating when there are more than MEPS_EXACT_MAX_ATOMS of them;
+    sampled mode draws (X, sigma) from a seeded PRNG in a fixed, documented
+    order: first item, keep-single test, optional second item, then the
+    priority shuffle.
 
     Exact mode loops over priority orders outside and held-out outcomes
     inside, keeping one memo of PE halves per order (at most 1 + u + C(u, 2)
@@ -294,15 +308,21 @@ def run_meps(
     demands, eps = _check_meps_inputs(demands, n, m, eps)
 
     if mode == "exact":
-        outcomes = held_out_outcomes(m)
+        size = m * m * math.factorial(n)
+        if size > MEPS_EXACT_MAX_ATOMS:
+            raise CapabilityError(
+                f"exact mode enumerates m^2 * n! = {size} atoms for n={n}, m={m}; "
+                f"the cap is {MEPS_EXACT_MAX_ATOMS}"
+            )
+        outcomes = held_out_outcomes(m)  # asserts that each weighs 1/m^2
         orders = list(permutations(range(n)))
-        perm_weight = Fraction(1, math.factorial(n))
-        atoms: list[Atom | None] = [None] * (len(outcomes) * len(orders))
+        weight = Fraction(1, size)
+        atoms: list[Atom | None] = [None] * size
         for k, sigma in enumerate(orders):
             pe_halves: dict[ItemSet, Allocation] = {}
-            for h, (held_out, x_weight) in enumerate(outcomes):
+            for h, (held_out, _) in enumerate(outcomes):
                 atoms[h * len(orders) + k] = Atom(
-                    weight=x_weight * perm_weight,
+                    weight=weight,
                     allocation=_meps_realization(demands, m, held_out, sigma, pe_halves),
                     priority=sigma,
                     held_out=held_out,

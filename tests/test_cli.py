@@ -237,6 +237,31 @@ def test_oversized_explicit_family_is_capped_quickly(doc, write_doc, capsys):
     assert "validation cap" in err
 
 
+# 6 agents over 12 items: m^2 * n! = 103,680 atoms, above the exact cap
+MEPS_6_12 = {
+    "items": [f"i{k}" for k in range(12)],
+    "agents": [
+        {"name": f"a{v}", "valuation": {"demand": [f"i{k}" for k in range(12) if (k + v) % 3]}}
+        for v in range(6)
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "--mech", "meps", "--exact"), ("distribution", "--mech", "meps")],
+    ids=["solve-exact", "distribution"],
+)
+def test_oversized_exact_meps_is_capped_quickly(argv, write_doc, capsys):
+    path = write_doc(MEPS_6_12)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--in", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "103680 atoms" in err and "cap is 10000" in err
+
+
 # EF fails first at (p1, p2), EFX at (p2, p3) on item g, EF1 at (p3, p2).
 STAGGERED = {
     "items": ["a", "b", "c", "d", "e", "f", "g"],

@@ -7,6 +7,7 @@ from conftest import (
     MATROID_TAGS,
     additive_instance,
     matroid_instance,
+    rand_explicit_matroid,
     rand_matroid,
     rand_matroid_of_tag,
     rand_subset,
@@ -22,9 +23,10 @@ from egalloc.lorenz import (
     lorenz_compare,
     potential,
 )
-from egalloc.matroid import FreeOver, Partition, Uniform
-from egalloc.valuation import MatroidValuation
-from lorenz_reference import descent_lorenz
+from egalloc.matroid import FreeOver, Partition, Restricted, Truncated, Uniform
+from egalloc.mechanisms import run_pe
+from egalloc.valuation import AdditiveDichotomous, MatroidValuation
+from lorenz_reference import descent_lorenz, yankee_swap_reference
 
 F = frozenset
 
@@ -123,6 +125,61 @@ def test_engine_matches_descent_beyond_enumeration_caps():
         reference = descent_lorenz([FreeOver(d) for d in demands], m, sigma)
         assert fast.profile() == reference.profile()
     assert tags_seen == set(MATROID_TAGS)
+
+
+def test_engine_bundles_match_per_item_search():
+    # The exchange-predicate search against the per-item search kept in
+    # lorenz_reference: same bundles, not just the same profile.  Instances
+    # with one tag throughout make holders share swap keys often; mixed
+    # ones, additive demand sets and truncated or restricted explicit
+    # families cover the rest.
+    rng = random.Random(8080)
+    tags_seen = set()
+    for trial in range(160):
+        n = rng.randint(1, 10)
+        m = rng.randint(1, 30)
+        if trial % 10 == 0:
+            n, m = 10, 30
+        sigma = tuple(rng.sample(range(n), n))
+        if trial % 4 == 0:
+            tags = [rng.choice(MATROID_TAGS)] * n
+        else:
+            tags = [rng.choice(MATROID_TAGS) for _ in range(n)]
+        tags_seen.update(tags)
+        mats = [rand_matroid_of_tag(rng, tag, m) for tag in tags]
+        if trial % 8 == 3:
+            inner = rand_explicit_matroid(rng, min(m, 6))
+            mats[0] = Truncated(inner, rng.randint(1, 4))
+            mats[-1] = Restricted(inner, rand_subset(rng, m))
+        got = compute_lorenz_dominating(mats, m, sigma)
+        assert got.bundles == yankee_swap_reference(mats, m, sigma).bundles, trial
+
+        demands = [rand_subset(rng, m, rng.choice((0.15, 0.3, 0.6))) for _ in range(n)]
+        got = additive_balanced(demands, m, sigma)
+        want = yankee_swap_reference([FreeOver(d) for d in demands], m, sigma)
+        assert got.bundles == want.bundles, trial
+    assert tags_seen == set(MATROID_TAGS)
+
+
+def test_engine_asks_free_and_uniform_specs_no_independence_oracle(monkeypatch):
+    rng = random.Random(77)
+    cases = []
+    for _ in range(6):
+        n, m = rng.randint(2, 8), rng.randint(4, 24)
+        sigma = tuple(rng.sample(range(n), n))
+        demands = [rand_subset(rng, m, 0.4) for _ in range(n)]
+        additive = [AdditiveDichotomous(d) for d in demands]
+        uniform = [MatroidValuation(Uniform(d, rng.randint(0, 4))) for d in demands]
+        for reports in (additive, uniform):
+            cases.append((reports, m, sigma, run_pe(reports, m, sigma)))
+
+    def refuse(self, s):
+        raise AssertionError("the engine asked is_independent")
+
+    monkeypatch.setattr(FreeOver, "is_independent", refuse)
+    monkeypatch.setattr(Uniform, "is_independent", refuse)
+    for reports, m, sigma, before in cases:
+        assert run_pe(reports, m, sigma) == before
 
 
 def test_enumerate_examples():

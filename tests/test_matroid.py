@@ -1,10 +1,20 @@
+import dataclasses
 import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from conftest import rand_matroid, rand_structured_matroid, rand_subset
+from conftest import (
+    MATROID_TAGS,
+    matroid_instance,
+    rand_explicit_matroid,
+    rand_matroid,
+    rand_matroid_of_tag,
+    rand_structured_matroid,
+    rand_subset,
+)
+from egalloc.io import instance_document
 from egalloc.errors import CapabilityError, PreconditionError, ValidationError
 from egalloc.matroid import (
     Explicit,
@@ -147,8 +157,6 @@ def test_truncation_and_restriction_identities():
 
 
 def test_random_valid_matroids_pass_validator():
-    from conftest import rand_explicit_matroid
-
     rng = random.Random(5)
     for _ in range(20):
         spec = rand_explicit_matroid(rng, rng.randint(1, 6))
@@ -213,3 +221,67 @@ def test_explicit_validator_matches_closure_reference():
         verdicts[valid, len(sizes) == 1] += 1
     # valid families, and invalid ones failing by size and by exchange alone
     assert min(verdicts[True, True], verdicts[False, False], verdicts[False, True]) >= 150
+
+
+def test_exchange_predicates_match_is_independent():
+    # can_add, swap_filter and swap_key against is_independent on every
+    # independent bundle of small matroids of each tag, plus truncations
+    # and restrictions of explicit families.
+    rng = random.Random(606)
+    shared_keys = Counter()
+    for trial in range(150):
+        m = rng.randint(1, 7)
+        tag = MATROID_TAGS[trial % len(MATROID_TAGS)]
+        spec = rand_matroid_of_tag(rng, tag, m)
+        if trial % 5 == 4:
+            inner = rand_explicit_matroid(rng, m)
+            if rng.random() < 0.5:
+                spec = Truncated(inner, rng.randint(0, m))
+            else:
+                spec = Restricted(inner, rand_subset(rng, m))
+        support = spec.support() & F(range(m))
+        for mask in range(1 << m):
+            own = F(i for i in range(m) if mask >> i & 1)
+            if not spec.is_independent(own):
+                continue
+            for g in support - own:
+                assert spec.can_add(own, g) == spec.is_independent(own | {g})
+            admitted: dict = {}
+            for g in own:
+                allowed = spec.swap_filter(own, g)
+                got = F(h for h in support - own if allowed is None or allowed(h))
+                want = F(h for h in support - own if spec.is_independent((own - {g}) | {h}))
+                assert got == want, (spec, own, g)
+                admitted.setdefault(spec.swap_key(own, g), set()).add(got)
+            assert all(len(sets) == 1 for sets in admitted.values()), (spec, own)
+            shared_keys[type(spec).__name__] += len(own) - len(admitted)
+    # the keys do merge items of one bundle for every structured tag
+    for name in ("FreeOver", "Uniform", "Partition", "Truncated", "Restricted"):
+        assert shared_keys[name] > 0
+    assert shared_keys["Explicit"] == 0
+
+
+def test_partition_tables_are_built_once_and_are_not_fields():
+    spec = Partition(((F({0, 1}), 1), (F({2}), 2), (F(), 0)))
+    twin = Partition(((F({1, 0}), 1), (F({2}), 2), (F(), 0)))
+    assert [f.name for f in dataclasses.fields(spec)] == ["blocks"]
+    assert spec == twin and hash(spec) == hash(twin)
+    assert repr(spec) == (
+        "Partition(blocks=((frozenset({0, 1}), 1), (frozenset({2}), 2), (frozenset(), 0)))"
+    )
+    assert instance_document(matroid_instance([spec], 3))["agents"][0]["valuation"] == {
+        "matroid": {
+            "type": "partition",
+            "blocks": [
+                {"items": ["i0", "i1"], "cap": 1},
+                {"items": ["i2"], "cap": 2},
+                {"items": [], "cap": 0},
+            ],
+        }
+    }
+    assert spec._covered == F({0, 1, 2})
+    assert spec._block_of == {0: 0, 1: 0, 2: 1}
+    # is_independent reads the covered set built at construction
+    object.__setattr__(spec, "_covered", F({0, 1}))
+    assert not spec.is_independent(F({2}))
+    assert twin.is_independent(F({2}))

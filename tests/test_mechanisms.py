@@ -8,6 +8,7 @@ from conftest import MATROID_TAGS, VALUATION_KINDS, rand_subset, rand_valuation
 from egalloc.errors import CapabilityError, ValidationError
 from egalloc.matroid import Explicit, Partition, Truncated, Uniform
 from egalloc.mechanisms import (
+    MEPS_EXACT_MAX_ATOMS,
     expected_utilities,
     held_out_outcomes,
     run_meps,
@@ -335,6 +336,26 @@ def test_meps_exact_matches_per_atom_reference(monkeypatch):
             alloc, held_out, sigma = sample_meps(demands, m, 0, seed=seed)
             assert alloc == by_trace[(held_out, sigma)]
     assert undemanded >= 10
+
+
+def test_exact_meps_cap_counts_atoms(monkeypatch):
+    import egalloc.mechanisms as mechanisms
+
+    def refuse(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(mechanisms, "held_out_outcomes", refuse)
+    # 5 agents: 9 items make 9,720 atoms, 10 items 12,000
+    assert 9 * 9 * 120 <= MEPS_EXACT_MAX_ATOMS < 10 * 10 * 120
+    with pytest.raises(CapabilityError):
+        run_meps([F(range(10))] * 5, 10, 0, mode="exact")
+    with pytest.raises(CapabilityError):
+        run_meps([F({0})] * 7, 2, 0, mode="exact")
+    monkeypatch.undo()
+    dist = run_meps([F({0})] * 7, 1, 0, mode="exact")  # 5,040 atoms
+    assert len(dist.atoms) == 5040
+    assert {type(a.weight) for a in dist.atoms} == {Fraction}
+    assert {a.weight for a in dist.atoms} == {Fraction(1, 5040)}
 
 
 def test_expected_utilities_match_per_atom_reference():
