@@ -5,6 +5,8 @@ variant, and a randomized held-out mechanism for ε-leveled demand reports)
 together with exhaustive oracles and fairness auditors.
 """
 
+from types import ModuleType as _ModuleType
+
 from .audit import (
     check_envy,
     check_lorenz_dominating,
@@ -49,7 +51,6 @@ from .matroid import (
     Restricted,
     Truncated,
     Uniform,
-    exchange_candidate,
     validate_matroid,
 )
 from .mechanisms import (
@@ -71,9 +72,9 @@ from .valuation import (
     XosFamily,
     evaluate,
     floor_round,
-    marginal,
     validate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodules are package attributes too; exporting them would rebind `io` on a star import
+__all__ = [n for n in dir() if n[0] != "_" and not isinstance(globals()[n], _ModuleType)]
 __version__ = "0.1.0"

@@ -169,18 +169,14 @@ def check_envy(
     )
 
 
-def maximin_share(
-    valuation: ValuationSpec,
-    n: int,
-    m: int,
-    max_items: int = MAXIMIN_MAX_ITEMS,
-    max_agents: int = MAXIMIN_MAX_AGENTS,
-) -> Fraction:
+def maximin_share(valuation: ValuationSpec, n: int, m: int) -> Fraction:
     """Best guaranteed minimum bundle value over own partitions into n parts.
 
     Additive-dichotomous valuations use the closed form floor(|D| / n);
     everything else is brute-forced over ordered partitions (the first item
-    of the universe is pinned to part 0, as parts are exchangeable).
+    of the universe is pinned to part 0, as parts are exchangeable), and
+    raises CapabilityError past MAXIMIN_MAX_ITEMS items or
+    MAXIMIN_MAX_AGENTS agents.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
@@ -188,13 +184,13 @@ def maximin_share(
         return Fraction(len(valuation.demand) // n)
     if n == 1:
         return evaluate(valuation, frozenset(range(m)), m)
-    return _maximin_brute(valuation, n, m, max_items, max_agents)
+    return _maximin_brute(valuation, n, m)
 
 
-def _maximin_brute(valuation, n, m, max_items, max_agents) -> Fraction:
-    if m > max_items or n > max_agents:
+def _maximin_brute(valuation, n, m) -> Fraction:
+    if m > MAXIMIN_MAX_ITEMS or n > MAXIMIN_MAX_AGENTS:
         raise CapabilityError(
-            f"maximin brute force capped at m<={max_items}, n<={max_agents}; "
+            f"maximin brute force capped at m<={MAXIMIN_MAX_ITEMS}, n<={MAXIMIN_MAX_AGENTS}; "
             f"got m={m}, n={n}"
         )
     relevant = sorted(support(valuation) & frozenset(range(m)))
@@ -363,14 +359,12 @@ def check_maximin_fair(
     allocation: Allocation,
     valuations: Sequence[ValuationSpec],
     alpha=1,
-    max_items: int = MAXIMIN_MAX_ITEMS,
-    max_agents: int = MAXIMIN_MAX_AGENTS,
 ) -> FairnessReport:
     """Every agent receives at least α times her maximin share."""
     alpha = _alpha_value(alpha)
     n = allocation.n
     for i in range(n):
-        share = maximin_share(valuations[i], n, allocation.m, max_items, max_agents)
+        share = maximin_share(valuations[i], n, allocation.m)
         got = evaluate(valuations[i], allocation.bundles[i], allocation.m)
         if got < alpha * share:
             w = BoundWitness(i, alpha * share, got)

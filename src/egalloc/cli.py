@@ -28,6 +28,7 @@ from .harness import (
 from .lorenz import enumerate_optimal
 from .mechanisms import (
     floor_reports,
+    meps_demands,
     run_meps,
     run_pe,
     run_rpe,
@@ -35,7 +36,6 @@ from .mechanisms import (
     sample_rpe,
 )
 from .model import Allocation, Instance
-from .valuation import AdditiveDichotomous, EpsLeveled, support
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -96,16 +96,6 @@ def _result_document(inst: Instance, alloc: Allocation, sigma, mechanism: str) -
     return doc
 
 
-def _meps_demands(inst: Instance):
-    for spec in inst.valuations:
-        if not isinstance(spec, (AdditiveDichotomous, EpsLeveled)):
-            raise ValidationError(
-                "the held-out mechanism takes demand-set reports; matroid/xos "
-                "valuations are not supported"
-            )
-    return [support(v) for v in inst.valuations]
-
-
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.infile)
     sigma = _parse_priority_flag(args.priority, inst)
@@ -127,7 +117,7 @@ def _cmd_solve(args) -> int:
             _emit(doc)
         return EXIT_OK
     if mech == "meps":
-        demands = _meps_demands(inst)
+        demands = meps_demands(inst.valuations)
         if args.exact:
             dist = run_meps(demands, inst.m, inst.epsilon, mode="exact")
             _emit({"mechanism": "meps", **docio.distribution_document(dist, inst)})
@@ -178,7 +168,7 @@ def _cmd_distribution(args) -> int:
     if args.mech == "rpe":
         dist = run_rpe(floor_reports(inst.valuations), inst.m, mode="exact")
     else:
-        dist = run_meps(_meps_demands(inst), inst.m, inst.epsilon, mode="exact")
+        dist = run_meps(meps_demands(inst.valuations), inst.m, inst.epsilon, mode="exact")
     _emit({"mechanism": args.mech, **docio.distribution_document(dist, inst)})
     return EXIT_OK
 
@@ -199,12 +189,8 @@ def _cmd_fuzz(args) -> int:
         "truthful_utility": str(result.truthful_utility),
     }
     if not result.truthful:
-        try:
-            report_doc = docio._valuation_document(result.best_report, inst.item_names)
-        except EgallocError:
-            report_doc = _jsonable(result.best_report)
         doc["witness"] = {
-            "report": report_doc,
+            "report": docio._valuation_document(result.best_report, inst.item_names),
             "utility": str(result.best_utility),
             "gain": str(result.gain),
         }

@@ -22,6 +22,7 @@ from .mechanisms import (
     _rpe_distribution,
     expected_utilities,
     floor_reports,
+    meps_demands,
     run_meps,
     run_pe,
     sanitize_reports,
@@ -143,11 +144,11 @@ def fuzz_truthfulness(
         # candidate when its utility is computed
         others = floor_reports(instance.valuations)
         del others[deviator]
-        other_matroids, _ = sanitize_reports(others, m)
+        other_matroids = sanitize_reports(others, m)
 
         def with_report(report: ValuationSpec) -> list[MatroidSpec]:
             matroids = list(other_matroids)
-            matroids.insert(deviator, sanitize_reports([report], m)[0][0])
+            matroids.insert(deviator, sanitize_reports([report], m)[0])
             return matroids
 
         if mechanism == "pe":
@@ -165,7 +166,7 @@ def fuzz_truthfulness(
     elif mechanism == "meps":
         if mode != "expectation":
             raise ValidationError("meps fuzzing runs in expectation mode over the exact atoms")
-        base_demands = [support(v) for v in instance.valuations]
+        base_demands = meps_demands(instance.valuations)
 
         def utility(report: ValuationSpec) -> Fraction:
             if not isinstance(report, AdditiveDichotomous):

@@ -79,7 +79,7 @@ def max_common_independent(
             else:
                 bundles[v].discard(a)
 
-    return Allocation(tuple(frozenset(b) for b in bundles), m, non_redundant=True)
+    return Allocation(tuple(frozenset(b) for b in bundles), m)
 
 
 def _lex_min_shortest_path(matroids, caps, supports, bundles, user):

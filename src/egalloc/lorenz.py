@@ -114,7 +114,7 @@ def _unpermute(bundles_by_rank, sigma, m, n):
     bundles = [frozenset()] * n
     for rank0, agent in enumerate(sigma):
         bundles[agent] = bundles_by_rank[rank0]
-    return Allocation(tuple(bundles), m, non_redundant=True)
+    return Allocation(tuple(bundles), m)
 
 
 def compute_lorenz_dominating(
@@ -270,30 +270,26 @@ class EnumerationResult:
     min_potential: tuple[int, ...]
     min_potential_value: int | None
 
-    def lorenz_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self.vectors[i] for i in self.lorenz_dominating)
-
     def min_potential_vectors(self) -> set[tuple[Fraction, ...]]:
         return {self.vectors[i] for i in self.min_potential}
 
 
 def enumerate_optimal(
-    instance: Instance,
-    sigma: PriorityOrder | None = None,
-    max_agents: int = ENUMERATION_MAX_AGENTS,
-    max_items: int = ENUMERATION_MAX_ITEMS,
+    instance: Instance, sigma: PriorityOrder | None = None
 ) -> EnumerationResult:
     """Enumerate every non-redundant allocation and its utility vector.
 
     Returns the Pareto set, the Lorenz-dominating set (possibly empty), and
     the minimum-potential set among welfare-maximizing allocations.  An
     allocation is Lorenz dominating iff its prefix-sum vector equals the
-    pointwise maximum over all allocations.
+    pointwise maximum over all allocations.  Capped at
+    ENUMERATION_MAX_AGENTS agents and ENUMERATION_MAX_ITEMS items.
     """
     n, m = instance.n, instance.m
-    if n > max_agents or m > max_items:
+    if n > ENUMERATION_MAX_AGENTS or m > ENUMERATION_MAX_ITEMS:
         raise CapabilityError(
-            f"enumeration cap exceeded: n={n} (max {max_agents}), m={m} (max {max_items})"
+            f"enumeration cap exceeded: n={n} (max {ENUMERATION_MAX_AGENTS}), "
+            f"m={m} (max {ENUMERATION_MAX_ITEMS})"
         )
     sigma = instance.priority_or_default() if sigma is None else check_priority(sigma, n)
 
@@ -330,7 +326,7 @@ def enumerate_optimal(
             continue
         bundles = tuple(_mask_to_set(masks[v]) for v in range(n))
         vec = tuple(value_tables[v][masks[v]] for v in range(n))
-        allocations.append(Allocation(bundles, m, non_redundant=True))
+        allocations.append(Allocation(bundles, m))
         vectors.append(vec)
         profiles.append(tuple(len(b) for b in bundles))
 
@@ -404,7 +400,3 @@ def _pareto_filter(vectors) -> tuple[int, ...]:
     frontier_set = set(frontier)
     return tuple(i for i, vec in enumerate(vectors) if vec in frontier_set)
 
-
-def zero_report() -> MatroidSpec:
-    """The identically-zero matroid rank function (replacement for bad reports)."""
-    return FreeOver(frozenset())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Iterable
 
-from .errors import CapabilityError, PreconditionError, ValidationError
+from .errors import CapabilityError, ValidationError
 
 ItemSet = frozenset[int]
 
@@ -320,39 +320,23 @@ class Restricted(MatroidSpec):
         return self.inner.swap_key(own, g)
 
 
+#: The identically-zero rank function, which PE puts in place of illegal
+#: reports (`mechanisms.sanitize_reports`).
 ZERO_MATROID = FreeOver(frozenset())
 
 
-def exchange_candidate(spec: MatroidSpec, s: ItemSet, t: ItemSet) -> int:
-    """Return the smallest x ∈ t∖s with s ∪ {x} independent.
-
-    Requires s, t independent with |s| < |t|.  For a genuine matroid such
-    an x always exists; if none does, the spec is not a matroid.
-    """
-    if not (spec.is_independent(s) and spec.is_independent(t)):
-        raise PreconditionError("exchange_candidate requires independent sets")
-    if len(s) >= len(t):
-        raise PreconditionError("exchange_candidate requires |s| < |t|")
-    for x in sorted(t - s):
-        if spec.is_independent(s | {x}):
-            return x
-    raise ValidationError(
-        f"exchange property fails for s={sorted(s)}, t={sorted(t)}; not a matroid"
-    )
-
-
-def check_explicit_cap(sets: Iterable[ItemSet], cap: int = EXPLICIT_VALIDATION_CAP) -> None:
-    """Raise CapabilityError when the listed sets span more than `cap` items."""
+def check_explicit_cap(sets: Iterable[ItemSet]) -> None:
+    """Raise CapabilityError when the sets span over EXPLICIT_VALIDATION_CAP items."""
     universe = frozenset().union(*sets)
-    if len(universe) > cap:
+    if len(universe) > EXPLICIT_VALIDATION_CAP:
         raise CapabilityError(
             f"explicit family over {len(universe)} items exceeds the validation "
-            f"cap of {cap}"
+            f"cap of {EXPLICIT_VALIDATION_CAP}"
         )
 
 
-def _validate_explicit(spec: Explicit, cap: int) -> list[Violation]:
-    check_explicit_cap(spec.family, cap)
+def _validate_explicit(spec: Explicit) -> list[Violation]:
+    check_explicit_cap(spec.family)
     bases = sorted(spec.family, key=lambda t: (len(t), sorted(t)))
     smallest, largest = bases[0], bases[-1]
     if len(smallest) < len(largest):
@@ -372,21 +356,21 @@ def _validate_explicit(spec: Explicit, cap: int) -> list[Violation]:
     return out
 
 
-def validate_matroid(spec: MatroidSpec, cap: int = EXPLICIT_VALIDATION_CAP) -> ValidationReport:
+def validate_matroid(spec: MatroidSpec) -> ValidationReport:
     """Check the matroid axioms.
 
     Structured tags are valid by construction and only their components are
     (recursively) checked.  Explicit families get the bases axiom on their
     maximal sets: all of one size, and closed under basis exchange.  Each
     violation's witness (S, T) has |S| < |T|, both independent, and no
-    x in T∖S with S+x independent.  Families over more than `cap` items
-    raise CapabilityError.
+    x in T∖S with S+x independent.  Families over more than
+    EXPLICIT_VALIDATION_CAP items raise CapabilityError.
     """
     violations: list[Violation] = []
     if isinstance(spec, Explicit):
-        violations += _validate_explicit(spec, cap)
+        violations += _validate_explicit(spec)
     elif isinstance(spec, (Truncated, Restricted)):
-        violations += list(validate_matroid(spec.inner, cap).violations)
+        violations += list(validate_matroid(spec.inner).violations)
     elif not isinstance(spec, (FreeOver, Uniform, Partition)):
         violations.append(Violation("unknown-matroid-tag", (type(spec).__name__,)))
     return ValidationReport(tuple(violations))

@@ -34,8 +34,8 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import CapabilityError, ValidationError
-from .lorenz import compute_lorenz_dominating, zero_report
-from .matroid import FreeOver, ItemSet, MatroidSpec, validate_matroid
+from .lorenz import compute_lorenz_dominating
+from .matroid import ZERO_MATROID, FreeOver, ItemSet, MatroidSpec, validate_matroid
 from .model import (
     Allocation,
     Atom,
@@ -48,6 +48,7 @@ from .valuation import (
     EpsLeveled,
     MatroidValuation,
     ValuationSpec,
+    support,
     value_functions,
 )
 
@@ -68,35 +69,29 @@ MEPS_EXACT_MAX_ATOMS = 10_000
 
 def sanitize_reports(
     reports: Sequence[ValuationSpec | MatroidSpec], m: int
-) -> tuple[list[MatroidSpec], list[bool]]:
-    """Map each report to a matroid rank function, or to the zero MRF.
+) -> list[MatroidSpec]:
+    """Map each report to a matroid rank function, one per report.
 
-    Returns (matroids, replaced) where replaced[v] marks reports that were
-    illegal for PE (not a matroid / not a dichotomous-submodular class) and
-    were substituted by the identically-zero valuation.
+    Reports that are illegal for PE (not a matroid, or not a
+    dichotomous-submodular class) become `matroid.ZERO_MATROID`, the
+    identically-zero valuation.
     """
     matroids: list[MatroidSpec] = []
-    replaced: list[bool] = []
     for rep in reports:
         if isinstance(rep, AdditiveDichotomous):
             matroids.append(FreeOver(rep.demand))
-            replaced.append(False)
         elif isinstance(rep, (MatroidValuation, MatroidSpec)):
             spec = rep.matroid if isinstance(rep, MatroidValuation) else rep
-            ok = validate_matroid(spec).valid
-            matroids.append(spec if ok else zero_report())
-            replaced.append(not ok)
+            matroids.append(spec if validate_matroid(spec).valid else ZERO_MATROID)
         elif isinstance(rep, (set, frozenset)):
             matroids.append(FreeOver(frozenset(rep)))
-            replaced.append(False)
         else:
-            matroids.append(zero_report())
-            replaced.append(True)
+            matroids.append(ZERO_MATROID)
     for spec in matroids:
         bad = [a for a in spec.support() if a >= m]
         if bad:
             raise ValidationError(f"report mentions items outside the universe: {sorted(bad)}")
-    return matroids, replaced
+    return matroids
 
 
 def run_pe(
@@ -105,8 +100,7 @@ def run_pe(
     sigma: PriorityOrder | None = None,
 ) -> Allocation:
     """Prioritized egalitarian mechanism on the given reports."""
-    matroids, _ = sanitize_reports(reports, m)
-    return compute_lorenz_dominating(matroids, m, sigma)
+    return compute_lorenz_dominating(sanitize_reports(reports, m), m, sigma)
 
 
 def run_rpe(
@@ -114,28 +108,26 @@ def run_rpe(
     m: int,
     mode: str = "exact",
     seed: int | None = None,
-    max_agents: int = RPE_EXACT_MAX_AGENTS,
 ) -> OutcomeDistribution | Allocation:
     """PE under uniformly random priorities.
 
     Exact mode sanitizes the reports once and returns all n! atoms of
-    weight 1/n!; sampled mode runs a single draw from `random.Random(seed)`.
+    weight 1/n!, raising CapabilityError past RPE_EXACT_MAX_AGENTS agents;
+    sampled mode runs a single draw from `random.Random(seed)`.
     """
     if mode == "exact":
-        return _rpe_distribution(sanitize_reports(reports, m)[0], m, max_agents)
+        return _rpe_distribution(sanitize_reports(reports, m), m)
     if mode == "sampled":
         return sample_rpe(reports, m, seed)[0]
     raise ValidationError(f"unknown mode {mode!r}; expected 'exact' or 'sampled'")
 
 
-def _rpe_distribution(
-    matroids: Sequence[MatroidSpec], m: int, max_agents: int = RPE_EXACT_MAX_AGENTS
-) -> OutcomeDistribution:
+def _rpe_distribution(matroids: Sequence[MatroidSpec], m: int) -> OutcomeDistribution:
     """All n! PE atoms of weight 1/n! for reports `sanitize_reports` already mapped."""
     n = len(matroids)
-    if n > max_agents:
+    if n > RPE_EXACT_MAX_AGENTS:
         raise CapabilityError(
-            f"exact mode enumerates n! priority orders; n={n} exceeds cap {max_agents}"
+            f"exact mode enumerates n! priority orders; n={n} exceeds cap {RPE_EXACT_MAX_AGENTS}"
         )
     weight = Fraction(1, math.factorial(n))
     atoms = []
@@ -179,7 +171,7 @@ def run_mx(
     for r in reports:
         if not r <= xset:
             raise ValidationError("held-out reports must be subsets of the held-out list")
-    return Allocation(_mx_bundles(held_out, sigma, reports), m, non_redundant=True)
+    return Allocation(_mx_bundles(held_out, sigma, reports), m)
 
 
 def _mx_bundles(
@@ -233,6 +225,17 @@ def held_out_outcomes(m: int) -> list[tuple[tuple[int, ...], Fraction]]:
     return outcomes
 
 
+def meps_demands(valuations: Sequence[ValuationSpec]) -> list[ItemSet]:
+    """Truthful demand-set reports for the held-out mechanism; other classes raise."""
+    for spec in valuations:
+        if not isinstance(spec, (AdditiveDichotomous, EpsLeveled)):
+            raise ValidationError(
+                "the held-out mechanism takes demand-set reports; matroid/xos "
+                "valuations are not supported"
+            )
+    return [support(v) for v in valuations]
+
+
 def _check_meps_inputs(demands, n, m, eps):
     eps = Fraction(eps)
     if m < 1:
@@ -278,7 +281,7 @@ def _meps_realization(
         pe = compute_lorenz_dominating([FreeOver(d - demanded) for d in demands], m, sigma)
         pe_halves[demanded] = pe
     mx = _mx_bundles(held_out, tuple(reversed(sigma)), on_x)
-    return Allocation(tuple(b | x for b, x in zip(pe.bundles, mx)), m, non_redundant=True)
+    return Allocation(tuple(b | x for b, x in zip(pe.bundles, mx)), m)
 
 
 def run_meps(

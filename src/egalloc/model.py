@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .matroid import ItemSet
-from .valuation import ValuationSpec, as_value, evaluate, support
+from .valuation import ValuationSpec, as_value, evaluate
 
 PriorityOrder = tuple[int, ...]
 
@@ -25,25 +25,12 @@ def check_priority(sigma: Sequence[int], n: int) -> PriorityOrder:
     return sigma
 
 
-def rank_of(sigma: PriorityOrder) -> tuple[int, ...]:
-    """rank_of(sigma)[agent] = 1-based priority rank (1 = highest)."""
-    ranks = [0] * len(sigma)
-    for pos, agent in enumerate(sigma):
-        ranks[agent] = pos + 1
-    return tuple(ranks)
-
-
 @dataclass(frozen=True)
 class Allocation:
-    """Per-agent bundles over universe 0..m-1; items may stay unallocated.
-
-    `non_redundant` records the producer's guarantee that no agent holds a
-    zero-marginal item; audits can re-verify it against the valuations.
-    """
+    """Per-agent bundles over universe 0..m-1; items may stay unallocated."""
 
     bundles: tuple[ItemSet, ...]
     m: int
-    non_redundant: bool | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "bundles", tuple(frozenset(b) for b in self.bundles))
@@ -72,14 +59,6 @@ class Allocation:
 
     def utilities(self, valuations: Sequence[ValuationSpec]) -> tuple[Fraction, ...]:
         return tuple(evaluate(v, b, self.m) for v, b in zip(valuations, self.bundles))
-
-    def check_non_redundant(self, valuations: Sequence[ValuationSpec]) -> bool:
-        for v, b in zip(valuations, self.bundles):
-            val = evaluate(v, b, self.m)
-            for a in b:
-                if evaluate(v, b - {a}, self.m) >= val:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -145,9 +124,3 @@ class Instance:
 
     def priority_or_default(self) -> PriorityOrder:
         return self.priority if self.priority is not None else identity_priority(self.n)
-
-    def demand_sets(self) -> tuple[ItemSet, ...]:
-        return tuple(support(v) for v in self.valuations)
-
-    def value(self, agent: int, items: ItemSet) -> Fraction:
-        return evaluate(self.valuations[agent], items, self.m)

@@ -14,7 +14,7 @@ from functools import cached_property
 from numbers import Rational
 from typing import Iterable, Mapping
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .matroid import (
     ItemSet,
     MatroidSpec,
@@ -23,8 +23,6 @@ from .matroid import (
     _freeze,
     validate_matroid,
 )
-
-Value = Fraction
 
 
 def as_value(x) -> Fraction:
@@ -172,14 +170,6 @@ def value_functions(spec: ValuationSpec, m: int | None = None):
         lambda s: evaluate(spec, s, m),
         lambda s, whole, a: evaluate(spec, s - {a}, m),
     )
-
-
-def marginal(spec: ValuationSpec, s: ItemSet, a: int, m: int | None = None) -> Fraction:
-    """f(a | S) = f(S ∪ {a}) − f(S); requires a ∉ S."""
-    s = frozenset(s)
-    if a in s:
-        raise PreconditionError(f"marginal requires a ∉ S, got a={a} in S")
-    return evaluate(spec, s | {a}, m) - evaluate(spec, s, m)
 
 
 def validate(spec: ValuationSpec, eps, m: int) -> ValidationReport:

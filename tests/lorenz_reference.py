@@ -41,7 +41,7 @@ def descent_lorenz(
     bundles = [frozenset()] * n
     for rank0, agent in enumerate(sigma):
         bundles[agent] = by_rank[rank0]
-    return Allocation(tuple(bundles), m, non_redundant=True)
+    return Allocation(tuple(bundles), m)
 
 
 def _descent_rank_ordered(matroids, m):
@@ -92,7 +92,7 @@ def yankee_swap_reference(
     bundles = [frozenset()] * n
     for rank0, agent in enumerate(sigma):
         bundles[agent] = by_rank[rank0]
-    return Allocation(tuple(bundles), m, non_redundant=True)
+    return Allocation(tuple(bundles), m)
 
 
 def _yankee_swap(matroids: Sequence[MatroidSpec], m: int) -> list[ItemSet]:

@@ -38,7 +38,7 @@ def reference_run_meps(demands: Sequence[ItemSet], m: int) -> OutcomeDistributio
             atoms.append(
                 Atom(
                     weight=x_weight * perm_weight,
-                    allocation=Allocation(merged, m, non_redundant=True),
+                    allocation=Allocation(merged, m),
                     priority=sigma,
                     held_out=held_out,
                 )

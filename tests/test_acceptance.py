@@ -163,7 +163,7 @@ def test_criterion_3_pe_fairness_bundle(grid):
             vals = [AdditiveDichotomous(d) for d in demands]
             from egalloc.model import Allocation
 
-            alloc = Allocation(rec.pe_bundles, m, non_redundant=True)
+            alloc = Allocation(rec.pe_bundles, m)
             assert check_envy(alloc, vals, "EFX").all_hold, demands
             for v in range(n):
                 assert rec.pe_vector[v] >= len(demands[v]) // n, demands

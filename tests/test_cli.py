@@ -201,6 +201,48 @@ def test_meps_rejects_matroid_valuations(write_doc, capsys):
     assert "demand-set" in err
 
 
+UNIFORM_AGENT = {
+    "items": ["a", "b", "c"],
+    "agents": [
+        {"name": "x", "valuation": {"demand": ["a", "b"]}},
+        {
+            "name": "y",
+            "valuation": {"matroid": {"type": "uniform", "demand": ["b", "c"], "cap": 1}},
+        },
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--mech", "meps"),
+        ("distribution", "--mech", "meps"),
+        ("fuzz", "--mech", "meps", "--deviator", "x", "--expectation"),
+    ],
+    ids=["solve", "distribution", "fuzz"],
+)
+def test_every_meps_command_rejects_a_matroid_agent(write_doc, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--in", write_doc(UNIFORM_AGENT))
+    assert code == 2
+    assert out == ""
+    assert "demand-set" in err
+
+
+def test_audit_reports_a_skipped_maximin_check(write_doc, capsys, tmp_path):
+    # matroid valuations over 11 items: past the brute-force maximin cap (m <= 10)
+    items = [f"i{k}" for k in range(11)]
+    free = {"matroid": {"type": "free", "demand": items}}
+    inst = {"items": items, "agents": [{"name": n, "valuation": free} for n in ("p", "q")]}
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"allocation": {"p": items[:6], "q": items[6:]}}))
+    code, out, _ = run_cli(capsys, "audit", "--in", write_doc(inst), "--alloc", str(alloc))
+    assert code == 0  # EF1 and EFX hold; the skipped check does not fail the audit
+    maximin = json.loads(out)["properties"]["maximin"]
+    assert maximin["holds"] is None
+    assert "maximin brute force capped" in maximin["skipped"]
+
+
 def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text(nested_truncations(3000))

@@ -13,8 +13,9 @@ from egalloc.harness import (
     fuzz_truthfulness,
     run_fixture,
 )
+from egalloc.matroid import Uniform
 from egalloc.model import Instance
-from egalloc.valuation import AdditiveDichotomous, EpsLeveled
+from egalloc.valuation import AdditiveDichotomous, EpsLeveled, MatroidValuation
 
 F = frozenset
 
@@ -164,3 +165,14 @@ def test_fixture_gallery(fid):
 def test_unknown_fixture():
     with pytest.raises(ValidationError):
         run_fixture("F99")
+
+
+def test_meps_fuzzing_rejects_an_agent_without_a_demand_set():
+    # the deviator has a demand set; the other agent's uniform matroid has none
+    inst = Instance(
+        item_names=("a", "b", "c"),
+        agent_names=("x", "y"),
+        valuations=(AdditiveDichotomous(F({0, 1})), MatroidValuation(Uniform(F({1, 2}), 1))),
+    )
+    with pytest.raises(ValidationError, match="demand-set"):
+        fuzz_truthfulness("meps", inst, 0, AllDemandSubsets(), "expectation")

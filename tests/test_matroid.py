@@ -15,7 +15,7 @@ from conftest import (
     rand_subset,
 )
 from egalloc.io import instance_document
-from egalloc.errors import CapabilityError, PreconditionError, ValidationError
+from egalloc.errors import CapabilityError, ValidationError
 from egalloc.matroid import (
     Explicit,
     FreeOver,
@@ -24,7 +24,6 @@ from egalloc.matroid import (
     Truncated,
     Uniform,
     brute_force_rank,
-    exchange_candidate,
     validate_matroid,
 )
 from matroid_reference import downward_closure, reference_exchange_violations
@@ -78,26 +77,6 @@ def test_explicit_closure_equals_its_maximal_sets():
 def test_explicit_empty_family_rejected():
     with pytest.raises(ValidationError):
         Explicit(frozenset())
-
-
-def test_exchange_candidate_examples():
-    free = FreeOver(F({0, 1, 2}))
-    assert exchange_candidate(free, F({0}), F({1, 2})) in {1, 2}
-    uni = Uniform(F({0, 1, 2}), 2)
-    assert exchange_candidate(uni, F({0}), F({1, 2})) in {1, 2}
-    # one agent's valuation in the half-maximin gap instance: two blocks capped at 2
-    gap = Partition(((F({0, 1}), 2), (F({2, 3, 4, 5}), 2)))
-    got = exchange_candidate(gap, F({2}), F({0, 3}))
-    assert got in {0, 3}
-    assert gap.is_independent(F({2, got}))
-
-
-def test_exchange_candidate_preconditions():
-    free = FreeOver(F({0, 1}))
-    with pytest.raises(PreconditionError):
-        exchange_candidate(free, F({0, 1}), F({0}))
-    with pytest.raises(PreconditionError):
-        exchange_candidate(free, F({2}), F({0, 1}))  # {2} not independent
 
 
 def test_validator_examples():

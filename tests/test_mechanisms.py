@@ -6,7 +6,7 @@ import pytest
 
 from conftest import MATROID_TAGS, VALUATION_KINDS, rand_subset, rand_valuation
 from egalloc.errors import CapabilityError, ValidationError
-from egalloc.matroid import Explicit, Partition, Truncated, Uniform
+from egalloc.matroid import ZERO_MATROID, Explicit, Partition, Truncated, Uniform
 from egalloc.mechanisms import (
     MEPS_EXACT_MAX_ATOMS,
     expected_utilities,
@@ -50,8 +50,9 @@ def test_pe_bundles_do_not_depend_on_report_representation():
 def test_pe_replaces_illegal_reports():
     bad = MatroidValuation(Explicit(F({F({0}), F({1, 2})})))
     reports = [bad, AdditiveDichotomous(F({0, 1, 2}))]
-    matroids, replaced = sanitize_reports(reports, 3)
-    assert replaced == [True, False]
+    matroids = sanitize_reports(reports, 3)
+    assert matroids[0] is ZERO_MATROID
+    assert matroids[1] is not ZERO_MATROID
     alloc = run_pe(reports, 3)
     assert alloc.bundles[0] == F()
     assert alloc.bundles[1] == F({0, 1, 2})
@@ -59,8 +60,9 @@ def test_pe_replaces_illegal_reports():
 
 def test_pe_replaces_non_mrf_valuation_classes():
     reports = [XosFamily((F({0}), F({1}))), AdditiveDichotomous(F({0, 1}))]
-    _, replaced = sanitize_reports(reports, 2)
-    assert replaced == [True, False]
+    matroids = sanitize_reports(reports, 2)
+    assert matroids[0] is ZERO_MATROID
+    assert matroids[1] is not ZERO_MATROID
     alloc = run_pe(reports, 2)
     assert alloc.bundles[0] == F()
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_matroid
-from egalloc.errors import PreconditionError, ValidationError
-from egalloc.matroid import Explicit, Uniform
+from egalloc.errors import ValidationError
+from egalloc.matroid import Explicit
 from egalloc.valuation import (
     AdditiveDichotomous,
     EpsLeveled,
@@ -15,7 +15,6 @@ from egalloc.valuation import (
     XosFamily,
     evaluate,
     floor_round,
-    marginal,
     validate,
 )
 
@@ -37,16 +36,6 @@ def test_evaluate_examples():
 def test_evaluate_range_check():
     with pytest.raises(ValidationError):
         evaluate(AdditiveDichotomous(F({0})), F({5}), m=3)
-
-
-def test_marginal_examples():
-    uni = MatroidValuation(Uniform(F({0, 1}), 1))
-    assert marginal(uni, F({0}), 1) == 0
-    assert marginal(AdditiveDichotomous(F({0})), F(), 0) == 1
-    lev = EpsLeveled({0: Fraction(10001, 10000), 1: Fraction(10002, 10000)})
-    assert marginal(lev, F({0}), 1) == Fraction(10002, 10000)
-    with pytest.raises(PreconditionError):
-        marginal(lev, F({0}), 0)
 
 
 def test_floor_round_examples():
@@ -165,7 +154,7 @@ def test_matroid_marginals_dichotomous_and_submodular():
                 for a in range(m):
                     if a in t:
                         continue
-                    ms = marginal(spec, s, a)
-                    mt = marginal(spec, t, a)
+                    ms = evaluate(spec, s | {a}) - evaluate(spec, s)
+                    mt = evaluate(spec, t | {a}) - evaluate(spec, t)
                     assert ms in (0, 1) and mt in (0, 1)
                     assert ms >= mt
