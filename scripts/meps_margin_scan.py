@@ -49,7 +49,7 @@ def atom_table():
     table = {}
     for d0 in range(8):
         for d1 in range(8):
-            dist = run_meps([to_set(d0), to_set(d1)], M, 0, mode="exact")
+            dist = run_meps([to_set(d0), to_set(d1)], M, 0)
             table[(d0, d1)] = [
                 (to_mask(atom.allocation.bundles[0]), to_mask(atom.allocation.bundles[1]))
                 for atom in dist.atoms

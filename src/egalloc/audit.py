@@ -16,7 +16,9 @@ from typing import Sequence
 from .errors import CapabilityError, PreconditionError, ValidationError
 from .lorenz import enumerate_optimal, lorenz_compare, LorenzRelation, potential
 from .model import Allocation, Instance, OutcomeDistribution, PriorityOrder
-from .valuation import AdditiveDichotomous, ValuationSpec, evaluate, support, value_functions
+from .valuation import (
+    AdditiveDichotomous, ValuationSpec, as_value, evaluate, support, value_functions
+)
 
 MAXIMIN_MAX_ITEMS = 10
 MAXIMIN_MAX_AGENTS = 4
@@ -75,7 +77,7 @@ class FairnessReport:
 
 
 def _alpha_value(alpha) -> Fraction:
-    alpha = Fraction(alpha)
+    alpha = as_value(alpha)
     if not (0 < alpha <= 1):
         raise PreconditionError(f"alpha must lie in (0, 1], got {alpha}")
     return alpha

@@ -36,6 +36,7 @@ from .mechanisms import (
     sample_rpe,
 )
 from .model import Allocation, Instance
+from .valuation import as_value
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -43,8 +44,15 @@ EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_instance(path: str) -> Instance:
-    return docio.parse_instance(Path(path).read_text())
+    return docio.parse_instance(_read_text(path))
 
 
 def _parse_priority_flag(flag: str | None, inst: Instance):
@@ -106,7 +114,7 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
     if mech == "rpe":
         if args.exact:
-            dist = run_rpe(floor_reports(inst.valuations), inst.m, mode="exact")
+            dist = run_rpe(floor_reports(inst.valuations), inst.m)
             _emit({"mechanism": "rpe", **docio.distribution_document(dist, inst)})
         else:
             alloc, sigma = sample_rpe(
@@ -119,7 +127,7 @@ def _cmd_solve(args) -> int:
     if mech == "meps":
         demands = meps_demands(inst.valuations)
         if args.exact:
-            dist = run_meps(demands, inst.m, inst.epsilon, mode="exact")
+            dist = run_meps(demands, inst.m, inst.epsilon)
             _emit({"mechanism": "meps", **docio.distribution_document(dist, inst)})
         else:
             alloc, held_out, sigma = sample_meps(
@@ -135,8 +143,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_audit(args) -> int:
     inst = _load_instance(args.infile)
-    alloc = docio.parse_allocation(Path(args.alloc).read_text(), inst)
-    alpha = Fraction(args.alpha) if args.alpha else Fraction(1)
+    alloc = docio.parse_allocation(_read_text(args.alloc), inst)
+    alpha = as_value(args.alpha or 1)
     envy = check_envy(alloc, inst.valuations, ("EF", "EF1", "EFX"), alpha)
     entries = {mode: _jsonable(verdict) for mode, verdict in envy.entries}
     ok = envy.holds("EF1") and envy.holds("EFX")
@@ -166,9 +174,9 @@ def _cmd_audit(args) -> int:
 def _cmd_distribution(args) -> int:
     inst = _load_instance(args.infile)
     if args.mech == "rpe":
-        dist = run_rpe(floor_reports(inst.valuations), inst.m, mode="exact")
+        dist = run_rpe(floor_reports(inst.valuations), inst.m)
     else:
-        dist = run_meps(meps_demands(inst.valuations), inst.m, inst.epsilon, mode="exact")
+        dist = run_meps(meps_demands(inst.valuations), inst.m, inst.epsilon)
     _emit({"mechanism": args.mech, **docio.distribution_document(dist, inst)})
     return EXIT_OK
 
@@ -178,9 +186,11 @@ def _cmd_fuzz(args) -> int:
     if args.deviator not in inst.agent_names:
         raise ValidationError(f"unknown agent {args.deviator!r}")
     deviator = inst.agent_names.index(args.deviator)
+    if args.expectation == (args.mech == "pe"):  # pe is deterministic; rpe and meps are not
+        need = "refuses" if args.expectation else "requires"
+        raise ValidationError(f"fuzz --mech {args.mech} {need} --expectation")
     space = RestrictedMrfLibrary() if args.space == "library" else AllDemandSubsets()
-    mode = "expectation" if args.expectation else "expost"
-    result = fuzz_truthfulness(args.mech, inst, deviator, space, mode)
+    result = fuzz_truthfulness(args.mech, inst, deviator, space)
     doc = {
         "mechanism": result.mechanism,
         "deviator": args.deviator,

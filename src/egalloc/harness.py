@@ -104,11 +104,14 @@ def _deviation_reports(
 class FuzzResult:
     mechanism: str
     deviator: int
-    mode: str
     truthful: bool
     truthful_utility: Fraction
     best_report: ValuationSpec | None
     best_utility: Fraction
+
+    @property
+    def mode(self) -> str:  # pe is deterministic; rpe and meps are randomized
+        return "expost" if self.mechanism == "pe" else "expectation"
 
     @property
     def gain(self) -> Fraction:
@@ -116,16 +119,12 @@ class FuzzResult:
 
 
 def fuzz_truthfulness(
-    mechanism: str,
-    instance: Instance,
-    deviator: int,
-    space: DeviationSpace,
-    mode: str = "expost",
+    mechanism: str, instance: Instance, deviator: int, space: DeviationSpace
 ) -> FuzzResult:
     """Enumerate deviations and compare true utilities against truth-telling.
 
     Mechanisms: 'pe' (deterministic, ex-post utilities), 'rpe' and 'meps'
-    (expectation mode over the exact outcome distribution).  On an
+    (expected utilities over the exact outcome distribution).  On an
     ε-leveled instance 'pe' means floor-then-PE: reports are demand sets
     but utilities are measured by the true leveled valuations.
     """
@@ -136,10 +135,6 @@ def fuzz_truthfulness(
     truth = instance.valuations[deviator]
 
     if mechanism in ("pe", "rpe"):
-        if mechanism == "pe" and mode != "expost":
-            raise ValidationError(f"mechanism {mechanism!r} is deterministic; use expost mode")
-        if mechanism == "rpe" and mode != "expectation":
-            raise ValidationError("rpe fuzzing runs in expectation mode over exact priorities")
         # each report is sanitized once: the other agents' here, each
         # candidate when its utility is computed
         others = floor_reports(instance.valuations)
@@ -164,8 +159,6 @@ def fuzz_truthfulness(
                 return expected_utilities(dist, instance.valuations)[deviator]
 
     elif mechanism == "meps":
-        if mode != "expectation":
-            raise ValidationError("meps fuzzing runs in expectation mode over the exact atoms")
         base_demands = meps_demands(instance.valuations)
 
         def utility(report: ValuationSpec) -> Fraction:
@@ -173,7 +166,7 @@ def fuzz_truthfulness(
                 raise ValidationError("held-out mechanism reports are demand sets")
             demands = list(base_demands)
             demands[deviator] = report.demand
-            dist = run_meps(demands, m, instance.epsilon, mode="exact")
+            dist = run_meps(demands, m, instance.epsilon)
             return expected_utilities(dist, instance.valuations)[deviator]
 
     else:
@@ -194,7 +187,6 @@ def fuzz_truthfulness(
     return FuzzResult(
         mechanism=mechanism,
         deviator=deviator,
-        mode=mode,
         truthful=best_report is None,
         truthful_utility=truthful_utility,
         best_report=best_report,

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .matroid import (
     Explicit,
     FreeOver,
@@ -29,6 +29,7 @@ from .valuation import (
     MatroidValuation,
     ValuationSpec,
     XosFamily,
+    as_value,
     validate,
 )
 
@@ -39,16 +40,11 @@ MAX_MATROID_NESTING = 32
 
 
 def _rational(raw, where: str) -> Fraction:
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise ParseError(f"{where}: floats are not accepted; write the value as a string")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational {raw!r} ({exc})") from None
-    raise ParseError(f"{where}: expected a rational string, got {type(raw).__name__}")
+    """`valuation.as_value`, with the document location in its error."""
+    try:
+        return as_value(raw)
+    except ValidationError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _item_list(raw, item_index: Mapping[str, int], where: str) -> frozenset[int]:
@@ -56,7 +52,7 @@ def _item_list(raw, item_index: Mapping[str, int], where: str) -> frozenset[int]
         raise ParseError(f"{where}: expected a list of item ids")
     out = set()
     for name in raw:
-        if name not in item_index:
+        if not isinstance(name, str) or name not in item_index:
             raise ParseError(f"{where}: unknown item id {name!r}")
         if item_index[name] in out:
             raise ParseError(f"{where}: duplicate item id {name!r}")
@@ -163,7 +159,7 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text, parse_float=_reject_float)
     except ParseError:
         raise
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("document nests too deeply to decode") from None
@@ -213,7 +209,7 @@ def instance_from_document(doc) -> Instance:
     priority = None
     if "priority" in doc and doc["priority"] is not None:
         pr = doc["priority"]
-        if not isinstance(pr, list):
+        if not isinstance(pr, list) or not all(isinstance(x, str) for x in pr):
             raise ParseError("'priority' must be a list of agent names")
         if sorted(pr) != sorted(names):
             raise ParseError("'priority' must be a permutation of the agent names")
@@ -314,7 +310,7 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
     """Accepts a bare allocation document or any result document carrying one."""
     try:
         doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("document nests too deeply to decode") from None

@@ -9,9 +9,9 @@ the Yankee Swap engine `compute_lorenz_dominating` whatever the reports'
 type.  Truthful for matroid-rank valuations; the harness re-verifies this
 exhaustively at desk scale.
 
-RPE: PE under a uniformly random priority order.  Exact mode enumerates
-all n! orders as an outcome distribution; sampled mode draws one order
-from a seeded PRNG.
+RPE: PE under a uniformly random priority order.  `run_rpe` returns the
+exact distribution over all n! orders; `sample_rpe` draws one order from a
+seeded PRNG.
 
 M^X: one or two held-out items are granted sequentially to their
 highest-priority demanders, the first winner dropping to lowest priority
@@ -23,6 +23,7 @@ exactly 1/m^2; re-derived and asserted below); run PE on the remaining
 items under a random order sigma and M^X on X under reverse(sigma).
 Requires eps < 1/(n*m^3), which makes the guaranteed held-out gain of a
 truthful report outweigh any eps-scale composition gains from lying.
+`run_meps` returns the exact distribution; `sample_meps` draws one outcome.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .valuation import (
     EpsLeveled,
     MatroidValuation,
     ValuationSpec,
+    as_value,
     support,
     value_functions,
 )
@@ -103,23 +105,13 @@ def run_pe(
     return compute_lorenz_dominating(sanitize_reports(reports, m), m, sigma)
 
 
-def run_rpe(
-    reports: Sequence[ValuationSpec | MatroidSpec],
-    m: int,
-    mode: str = "exact",
-    seed: int | None = None,
-) -> OutcomeDistribution | Allocation:
-    """PE under uniformly random priorities.
+def run_rpe(reports: Sequence[ValuationSpec | MatroidSpec], m: int) -> OutcomeDistribution:
+    """PE under uniformly random priorities, as an exact distribution.
 
-    Exact mode sanitizes the reports once and returns all n! atoms of
-    weight 1/n!, raising CapabilityError past RPE_EXACT_MAX_AGENTS agents;
-    sampled mode runs a single draw from `random.Random(seed)`.
+    Sanitizes the reports once and returns all n! atoms of weight 1/n!,
+    raising CapabilityError past RPE_EXACT_MAX_AGENTS agents.
     """
-    if mode == "exact":
-        return _rpe_distribution(sanitize_reports(reports, m), m)
-    if mode == "sampled":
-        return sample_rpe(reports, m, seed)[0]
-    raise ValidationError(f"unknown mode {mode!r}; expected 'exact' or 'sampled'")
+    return _rpe_distribution(sanitize_reports(reports, m), m)
 
 
 def _rpe_distribution(matroids: Sequence[MatroidSpec], m: int) -> OutcomeDistribution:
@@ -205,7 +197,7 @@ def held_out_outcomes(m: int) -> list[tuple[tuple[int, ...], Fraction]]:
         P[(x,)]  = 1/m * 1/m           = 1/m^2,
         P[(x,y)] = 1/m * (m-1)/m * 1/(m-1) = 1/m^2,
     so all m^2 ordered outcomes are equally likely.  Asserted here because
-    exact mode relies on it.
+    `run_meps` relies on it.
     """
     if m < 1:
         raise ValidationError("at least one item required")
@@ -236,10 +228,11 @@ def meps_demands(valuations: Sequence[ValuationSpec]) -> list[ItemSet]:
     return [support(v) for v in valuations]
 
 
-def _check_meps_inputs(demands, n, m, eps):
-    eps = Fraction(eps)
-    if m < 1:
-        raise ValidationError("at least one item required")
+def _check_meps_inputs(demands, n, m, eps) -> list[ItemSet]:
+    """The demands as frozensets, once eps, m and every item are checked."""
+    eps = as_value(eps)
+    if n < 1 or m < 1:
+        raise ValidationError("at least one agent and one item required")
     if eps >= Fraction(1, n * m**3):
         raise ValidationError(
             f"eps must be below 1/(n*m^3) = 1/{n * m**3}; got {eps}"
@@ -251,7 +244,7 @@ def _check_meps_inputs(demands, n, m, eps):
         if bad:
             raise ValidationError(f"demand report outside the item universe: {sorted(bad)}")
         clean.append(d)
-    return clean, eps
+    return clean
 
 
 def _meps_realization(
@@ -284,56 +277,43 @@ def _meps_realization(
     return Allocation(tuple(b | x for b, x in zip(pe.bundles, mx)), m)
 
 
-def run_meps(
-    demands: Sequence[ItemSet],
-    m: int,
-    eps,
-    mode: str = "exact",
-    seed: int | None = None,
-) -> OutcomeDistribution | Allocation:
-    """Randomized held-out mechanism for ε-leveled demand-set reports.
+def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
+    """Randomized held-out mechanism for ε-leveled demand-set reports, as an
+    exact distribution.
 
-    Exact mode enumerates all m^2 held-out outcomes times n! priority
-    orders (atom weight 1/(m^2 n!)), and raises CapabilityError before
-    enumerating when there are more than MEPS_EXACT_MAX_ATOMS of them;
-    sampled mode draws (X, sigma) from a seeded PRNG in a fixed, documented
-    order: first item, keep-single test, optional second item, then the
-    priority shuffle.
+    Enumerates all m^2 held-out outcomes times n! priority orders (atom
+    weight 1/(m^2 n!)), and raises CapabilityError before enumerating when
+    there are more than MEPS_EXACT_MAX_ATOMS of them.
 
-    Exact mode loops over priority orders outside and held-out outcomes
-    inside, keeping one memo of PE halves per order (at most 1 + u + C(u, 2)
+    Loops over priority orders outside and held-out outcomes inside,
+    keeping one memo of PE halves per order (at most 1 + u + C(u, 2)
     entries for u demanded items), so PE is solved once per (sigma,
     X ∩ ∪demands) rather than once per atom.  Atom h·n! + k is outcome h
     under order k, so the atoms keep their outcome-major order and every
     atom is the one the per-atom loop would build.
     """
     n = len(demands)
-    demands, eps = _check_meps_inputs(demands, n, m, eps)
-
-    if mode == "exact":
-        size = m * m * math.factorial(n)
-        if size > MEPS_EXACT_MAX_ATOMS:
-            raise CapabilityError(
-                f"exact mode enumerates m^2 * n! = {size} atoms for n={n}, m={m}; "
-                f"the cap is {MEPS_EXACT_MAX_ATOMS}"
+    demands = _check_meps_inputs(demands, n, m, eps)
+    size = m * m * math.factorial(n)
+    if size > MEPS_EXACT_MAX_ATOMS:
+        raise CapabilityError(
+            f"exact mode enumerates m^2 * n! = {size} atoms for n={n}, m={m}; "
+            f"the cap is {MEPS_EXACT_MAX_ATOMS}"
+        )
+    outcomes = held_out_outcomes(m)  # asserts that each weighs 1/m^2
+    orders = list(permutations(range(n)))
+    weight = Fraction(1, size)
+    atoms: list[Atom | None] = [None] * size
+    for k, sigma in enumerate(orders):
+        pe_halves: dict[ItemSet, Allocation] = {}
+        for h, (held_out, _) in enumerate(outcomes):
+            atoms[h * len(orders) + k] = Atom(
+                weight=weight,
+                allocation=_meps_realization(demands, m, held_out, sigma, pe_halves),
+                priority=sigma,
+                held_out=held_out,
             )
-        outcomes = held_out_outcomes(m)  # asserts that each weighs 1/m^2
-        orders = list(permutations(range(n)))
-        weight = Fraction(1, size)
-        atoms: list[Atom | None] = [None] * size
-        for k, sigma in enumerate(orders):
-            pe_halves: dict[ItemSet, Allocation] = {}
-            for h, (held_out, _) in enumerate(outcomes):
-                atoms[h * len(orders) + k] = Atom(
-                    weight=weight,
-                    allocation=_meps_realization(demands, m, held_out, sigma, pe_halves),
-                    priority=sigma,
-                    held_out=held_out,
-                )
-        return OutcomeDistribution(tuple(atoms))
-    if mode == "sampled":
-        return sample_meps(demands, m, eps, seed)[0]
-    raise ValidationError(f"unknown mode {mode!r}; expected 'exact' or 'sampled'")
+    return OutcomeDistribution(tuple(atoms))
 
 
 def sample_meps(
@@ -345,7 +325,7 @@ def sample_meps(
     item, then the priority shuffle; identical seeds give identical traces.
     """
     n = len(demands)
-    demands, eps = _check_meps_inputs(demands, n, m, eps)
+    demands = _check_meps_inputs(demands, n, m, eps)
     rng = random.Random(seed)
     x = rng.randrange(m)
     if rng.randrange(m) > 0:  # probability (m-1)/m; never fires at m = 1

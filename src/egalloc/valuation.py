@@ -25,22 +25,28 @@ from .matroid import (
 )
 
 
-def as_value(x) -> Fraction:
-    """Coerce an exact numeric (int/Fraction/'p/q' string) to Fraction.
+#: Largest decimal exponent, in magnitude, of a rational literal ("1e4300").
+#: `Fraction("1e999999999")` would build 10^999999999 before answering; 4,300
+#: is CPython's own digit limit on the integer strings of the mantissa.
+MAX_DECIMAL_EXPONENT = 4300
 
-    Floats are refused: mechanism comparisons hinge on differences of order
-    eps/(n*m^2), far below float noise.
+
+def as_value(x) -> Fraction:
+    """Coerce an exact numeric (int/Fraction/'p/q' or decimal string) to Fraction;
+    the one coercion at every boundary that takes a rational.
+
+    Floats and bools are refused: mechanism comparisons hinge on differences
+    of order eps/(n*m^2), far below float noise.
     """
-    if isinstance(x, bool) or isinstance(x, float):
+    if isinstance(x, float):
         raise ValidationError(f"exact rational required, got {x!r}; floats are rejected")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, Rational):
+    if isinstance(x, Rational) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
+            _, e, exponent = x.lower().rpartition("e")
+            if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT} in magnitude")
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational literal {x!r}: {exc}") from None

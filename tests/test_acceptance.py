@@ -201,7 +201,7 @@ def test_criterion_5_rpe_stochastic_ef(grid):
     for n, m in GRID:
         for demands in grid[(n, m)]:
             vals = [AdditiveDichotomous(d) for d in demands]
-            dist = run_rpe(vals, m, mode="exact")
+            dist = run_rpe(vals, m)
             rep = check_stochastic_ef(dist, vals)
             assert rep.holds("stochastic_ef"), demands
             assert rep.holds("ex_ante_ef") and rep.holds("ex_ante_proportional")
@@ -211,7 +211,7 @@ def test_criterion_5_rpe_stochastic_ef(grid):
     from egalloc.harness import priority_swap_instance
 
     inst = priority_swap_instance()
-    dist = run_rpe(inst.valuations, inst.m, mode="exact")
+    dist = run_rpe(inst.valuations, inst.m)
     assert check_stochastic_ef(dist, inst.valuations).holds("stochastic_ef")
 
     # the hand-built rounding is ex-ante EF yet not stochastically EF
@@ -366,7 +366,7 @@ def test_criterion_6_meps_truthful_in_expectation(meps_tables):
         ]
         demands = [tabs["demand_masks"][w0], tabs["demand_masks"][w1]]
         dist = run_meps(
-            [F(i for i in range(M3) if d >> i & 1) for d in demands], M3, EPS, mode="exact"
+            [F(i for i in range(M3) if d >> i & 1) for d in demands], M3, EPS
         )
         exact = expected_utilities(dist, vals)
         pair = (demands[0], demands[1])
@@ -451,7 +451,7 @@ def test_criterion_10_probability_sanity():
     t0 = time.perf_counter()
     for n, m in [(2, 3), (2, 4), (3, 2)]:
         demands = [F(range(m))] * n
-        dist = run_meps(demands, m, Fraction(1, n * m**3 + 1), mode="exact")
+        dist = run_meps(demands, m, Fraction(1, n * m**3 + 1))
         weight = Fraction(1, m * m * math.factorial(n))
         assert len(dist.atoms) == m * m * math.factorial(n)
         assert all(a.weight == weight for a in dist.atoms)

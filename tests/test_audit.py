@@ -211,7 +211,7 @@ def test_check_lorenz_dominating():
 
 def test_stochastic_ef_contested_item():
     vals = [AdditiveDichotomous(F({0}))] * 2
-    dist = run_rpe(vals, 1, mode="exact")
+    dist = run_rpe(vals, 1)
     rep = check_stochastic_ef(dist, vals)
     assert rep.holds("stochastic_ef")
     assert rep.holds("ex_ante_ef")
@@ -257,7 +257,7 @@ def test_rpe_is_stochastically_ef_on_the_hand_rounding_instance():
         AdditiveDichotomous(F(range(5))),
         AdditiveDichotomous(F(range(5))),
     ]
-    dist = run_rpe(vals, 5, mode="exact")
+    dist = run_rpe(vals, 5)
     assert check_stochastic_ef(dist, vals).holds("stochastic_ef")
 
 
@@ -278,7 +278,7 @@ def test_rpe_stochastic_ef_on_random_mrf_instances():
         n = rng.randint(2, 4)
         m = rng.randint(1, 5)
         vals = [MatroidValuation(rand_matroid(rng, m)) for _ in range(n)]
-        dist = run_rpe(vals, m, mode="exact")
+        dist = run_rpe(vals, m)
         rep = check_stochastic_ef(dist, vals)
         assert rep.holds("stochastic_ef"), vals
         assert rep.holds("ex_ante_ef")

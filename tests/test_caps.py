@@ -34,7 +34,7 @@ CAPS = {
     "enumeration-items": (6, lambda m: enumerate_optimal(additive_instance([F(range(m))]))),
     "exact-rpe-agents": (
         6,
-        lambda n: run_rpe([AdditiveDichotomous(F({0}))] * n, 1, mode="exact"),
+        lambda n: run_rpe([AdditiveDichotomous(F({0}))] * n, 1),
     ),
     "maximin-items": (10, lambda m: maximin_share(SMALL_SUPPORT, 2, m)),
     "maximin-agents": (4, lambda n: maximin_share(SMALL_SUPPORT, n, 2)),

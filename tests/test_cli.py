@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import egalloc
 from conftest import nested_truncations
 from egalloc.cli import main
 
@@ -374,3 +379,76 @@ def test_stack_or_memory_exhaustion_is_a_capability_exit(exc, monkeypatch, capsy
     assert out == ""
     assert err.startswith("capability cap exceeded: ") and type(exc).__name__ in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fuzz", "--mech", "rpe"), ("fuzz", "--mech", "meps"), ("fuzz", "--mech", "pe", "--expectation")],
+    ids=["rpe-without-flag", "meps-without-flag", "pe-with-flag"],
+)
+def test_fuzz_expectation_flag_pairs_with_the_mechanism(argv, write_doc, capsys):
+    code, out, err = run_cli(capsys, *argv, "--in", write_doc(MEPS3), "--deviator", "p1")
+    assert code == 2
+    assert out == ""
+    assert "--expectation" in err
+
+
+def _one_agent(valuation, **extra):
+    return {"items": ["x", "y"], "agents": [{"name": "p", "valuation": valuation}], **extra}
+
+
+def _doc(doc):
+    return json.dumps(doc).encode()
+
+
+TWO_AGENTS = {
+    "items": ["x"],
+    "agents": [{"name": n, "valuation": {"demand": ["x"]}} for n in ("p1", "p2")],
+}
+GOOD_ALLOCATION = _doc({"allocation": {"p1": ["x"]}})
+NOT_UTF8 = b'\xff\xfe{"items": []}'
+PARTITION_WITH_DICT = {"type": "partition", "blocks": [{"items": [{}], "cap": 1}]}
+
+# (instance bytes, allocation bytes or None for `solve`, extra argv)
+HOSTILE = {
+    "nested-demand-id": (_doc(_one_agent({"demand": [["x"]]})), None, ()),
+    "dict-in-partition-block": (_doc(_one_agent({"matroid": PARTITION_WITH_DICT})), None, ()),
+    "dict-in-xos-set": (_doc(_one_agent({"xos": [["x", {"y": 1}]]})), None, ()),
+    "nested-allocation-id": (_doc(TWO_AGENTS), _doc({"allocation": {"p1": [["x"]]}}), ()),
+    "mixed-type-priority": (_doc({**TWO_AGENTS, "priority": [1, "p1"]}), None, ()),
+    "non-utf8-instance": (NOT_UTF8, None, ()),
+    "non-utf8-allocation": (_doc(TWO_AGENTS), NOT_UTF8, ()),
+    "huge-exponent-value": (
+        _doc(_one_agent({"values": {"x": "1e999999999"}}, epsilon="1/10")), None, ()
+    ),
+    "huge-exponent-epsilon": (
+        _doc(_one_agent({"demand": ["x"]}, epsilon="1e-999999999")), None, ()
+    ),
+    "integer-past-digit-limit": (b'{"items": ["x"], "epsilon": 1' + b"0" * 5000 + b"}", None, ()),
+    "alpha-not-a-number": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "abc")),
+    "alpha-zero-denominator": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "1/0")),
+    "alpha-huge-exponent": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "1e-9999999999")),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE))
+def test_hostile_input_is_a_short_usage_error(case, tmp_path):
+    instance, allocation, extra = HOSTILE[case]
+    (tmp_path / "inst.json").write_bytes(instance)
+    if allocation is None:
+        argv = ["solve", "--mech", "pe", "--in", "inst.json"]
+    else:
+        (tmp_path / "alloc.json").write_bytes(allocation)
+        argv = ["audit", "--in", "inst.json", "--alloc", "alloc.json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(egalloc.__file__).parents[1])}
+    start = time.perf_counter()
+    # a fresh interpreter, so that a traceback would reach stderr; the
+    # timeout ends a run that hangs
+    proc = subprocess.run(
+        [sys.executable, "-m", "egalloc", *argv, *extra],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode in (2, 3), proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

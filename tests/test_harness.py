@@ -51,13 +51,13 @@ def test_floor_pe_manipulable_on_leveled_instance():
 def test_meps_truthful_in_expectation_on_leveled_instance():
     inst = two_item_leveled_instance()  # eps = 1/20 < 1/(2*8)
     for deviator in range(2):
-        res = fuzz_truthfulness("meps", inst, deviator, AllDemandSubsets(), mode="expectation")
+        res = fuzz_truthfulness("meps", inst, deviator, AllDemandSubsets())
         assert res.truthful
 
 
 def test_rpe_expectation_truthful_smoke():
     inst = additive_instance([F({0, 1}), F({0})])
-    res = fuzz_truthfulness("rpe", inst, 0, AllDemandSubsets(), mode="expectation")
+    res = fuzz_truthfulness("rpe", inst, 0, AllDemandSubsets())
     assert res.truthful
 
 
@@ -108,7 +108,8 @@ def test_fuzz_validates_each_report_once(mechanism, mode, monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(mechanisms, "validate_matroid", counting)
-    res = fuzz_truthfulness(mechanism, inst, 0, space, mode)
+    res = fuzz_truthfulness(mechanism, inst, 0, space)
+    assert res.mode == mode
     # the two other agents once, the truthful report and 11 deviations once each
     assert len(calls) == 2 + 1 + 11
     assert res.truthful
@@ -121,10 +122,6 @@ def test_fuzz_validates_each_report_once(mechanism, mode, monkeypatch):
 
 def test_fuzz_mode_validation():
     inst = additive_instance([F({0})])
-    with pytest.raises(ValidationError):
-        fuzz_truthfulness("pe", inst, 0, AllDemandSubsets(), mode="expectation")
-    with pytest.raises(ValidationError):
-        fuzz_truthfulness("meps", inst, 0, AllDemandSubsets(), mode="expost")
     with pytest.raises(ValidationError):
         fuzz_truthfulness("nope", inst, 0, AllDemandSubsets())
     with pytest.raises(ValidationError):
@@ -175,4 +172,4 @@ def test_meps_fuzzing_rejects_an_agent_without_a_demand_set():
         valuations=(AdditiveDichotomous(F({0, 1})), MatroidValuation(Uniform(F({1, 2}), 1))),
     )
     with pytest.raises(ValidationError, match="demand-set"):
-        fuzz_truthfulness("meps", inst, 0, AllDemandSubsets(), "expectation")
+        fuzz_truthfulness("meps", inst, 0, AllDemandSubsets())

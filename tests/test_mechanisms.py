@@ -73,7 +73,7 @@ def test_report_outside_universe_rejected():
 
 
 def test_rpe_exact_two_agents_one_item():
-    dist = run_rpe([AdditiveDichotomous(F({0}))] * 2, 1, mode="exact")
+    dist = run_rpe([AdditiveDichotomous(F({0}))] * 2, 1)
     assert len(dist.atoms) == 2
     assert all(a.weight == Fraction(1, 2) for a in dist.atoms)
     winners = {next(iter(a.allocation.bundles[0] | a.allocation.bundles[1])) for a in dist.atoms}
@@ -99,7 +99,7 @@ def test_rpe_exact_validates_each_report_once(monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(mechanisms, "validate_matroid", counting)
-    dist = run_rpe(reports, 4, mode="exact")
+    dist = run_rpe(reports, 4)
     assert len(calls) == len(reports)
     assert len(dist.atoms) == 24
     for atom in dist.atoms:
@@ -109,15 +109,15 @@ def test_rpe_exact_validates_each_report_once(monkeypatch):
 def test_rpe_exact_cap():
     reports = [AdditiveDichotomous(F({0}))] * 7
     with pytest.raises(CapabilityError):
-        run_rpe(reports, 1, mode="exact")
+        run_rpe(reports, 1)
 
 
 def test_rpe_sampled_reproducible():
     reports = [AdditiveDichotomous(F({0, 1, 2}))] * 3
-    a = run_rpe(reports, 3, mode="sampled", seed=7)
-    b = run_rpe(reports, 3, mode="sampled", seed=7)
-    assert a.bundles == b.bundles
-    seen = {run_rpe(reports, 3, mode="sampled", seed=s).bundles for s in range(20)}
+    a = sample_rpe(reports, 3, seed=7)
+    b = sample_rpe(reports, 3, seed=7)
+    assert a == b
+    seen = {sample_rpe(reports, 3, seed=s)[0].bundles for s in range(20)}
     assert len(seen) > 1  # different seeds explore different priorities
 
 
@@ -158,10 +158,12 @@ def test_meps_eps_validation():
 def test_meps_report_outside_universe():
     with pytest.raises(ValidationError):
         run_meps([F({7})], 3, 0)
+    with pytest.raises(ValidationError):  # no agents: the eps bound 1/(n*m^3) is undefined
+        run_meps([], 3, 0)
 
 
 def test_meps_exact_atom_structure():
-    dist = run_meps([F({0, 1, 2})] * 2, 3, Fraction(1, 60), mode="exact")
+    dist = run_meps([F({0, 1, 2})] * 2, 3, Fraction(1, 60))
     assert len(dist.atoms) == 18
     assert all(a.weight == Fraction(1, 18) for a in dist.atoms)
     singles = sum((a.weight for a in dist.atoms if len(a.held_out) == 1), Fraction(0))
@@ -181,14 +183,14 @@ def test_meps_exact_atom_structure():
 
 
 def test_meps_single_item_universe():
-    dist = run_meps([F({0}), F({0})], 1, 0, mode="exact")
+    dist = run_meps([F({0}), F({0})], 1, 0)
     assert len(dist.atoms) == 2
     assert all(a.held_out == (0,) for a in dist.atoms)
 
 
 def test_meps_reasonable_on_every_atom():
     demands = [F({0, 1}), F({1, 2})]
-    dist = run_meps(demands, 3, Fraction(1, 100), mode="exact")
+    dist = run_meps(demands, 3, Fraction(1, 100))
     reported = demands[0] | demands[1]
     for atom in dist.atoms:
         allocated = F().union(*atom.allocation.bundles)
@@ -199,14 +201,14 @@ def test_meps_reasonable_on_every_atom():
 
 def test_meps_sampled_reproducible():
     demands = [F({0, 1, 2}), F({0, 2})]
-    a = run_meps(demands, 3, Fraction(1, 60), mode="sampled", seed=11)
-    b = run_meps(demands, 3, Fraction(1, 60), mode="sampled", seed=11)
-    assert a.bundles == b.bundles
+    a = sample_meps(demands, 3, Fraction(1, 60), seed=11)
+    b = sample_meps(demands, 3, Fraction(1, 60), seed=11)
+    assert a == b
 
 
 def test_expected_utilities():
     vals = [AdditiveDichotomous(F({0}))] * 2
-    dist = run_rpe(vals, 1, mode="exact")
+    dist = run_rpe(vals, 1)
     assert expected_utilities(dist, vals) == (Fraction(1, 2), Fraction(1, 2))
 
     pe = run_pe(vals, 1)
@@ -219,14 +221,14 @@ def test_expected_utilities():
 def test_meps_proportional_in_expectation_smoke():
     demands = [F({0, 1, 2}), F({0, 1})]
     vals = [AdditiveDichotomous(d) for d in demands]
-    dist = run_meps(demands, 3, Fraction(1, 60), mode="exact")
+    dist = run_meps(demands, 3, Fraction(1, 60))
     for v, exp in enumerate(expected_utilities(dist, vals)):
         assert exp >= Fraction(len(demands[v]), 2)
 
 
 def test_distribution_weights_must_sum_to_one():
     vals = [AdditiveDichotomous(F({0}))] * 2
-    dist = run_rpe(vals, 1, mode="exact")
+    dist = run_rpe(vals, 1)
     atom = dist.atoms[0]
     with pytest.raises(ValidationError):
         OutcomeDistribution((atom,))
@@ -277,16 +279,12 @@ def test_mx_reasonable_truthful_ef1_no_downward_envy():
 def test_samplers_match_sampled_modes_and_expose_traces():
     reports = [AdditiveDichotomous(F({0, 1, 2}))] * 3
     for seed in range(8):
-        via_mode = run_rpe(reports, 3, mode="sampled", seed=seed)
         alloc, sigma = sample_rpe(reports, 3, seed=seed)
-        assert via_mode.bundles == alloc.bundles
         assert sorted(sigma) == [0, 1, 2]
 
     demands = [F({0, 1, 2}), F({0, 2})]
     for seed in range(8):
-        via_mode = run_meps(demands, 3, Fraction(1, 60), mode="sampled", seed=seed)
         alloc, held_out, sigma = sample_meps(demands, 3, Fraction(1, 60), seed=seed)
-        assert via_mode.bundles == alloc.bundles
         assert len(held_out) in (1, 2)
         assert sorted(sigma) == [0, 1]
 
@@ -325,7 +323,7 @@ def test_meps_exact_matches_per_atom_reference(monkeypatch):
         undemanded += len(demanded) < m
         solves.clear()
         monkeypatch.setattr(mechanisms, "compute_lorenz_dominating", counting)
-        dist = run_meps(demands, m, 0, mode="exact")
+        dist = run_meps(demands, m, 0)
         monkeypatch.setattr(mechanisms, "compute_lorenz_dominating", original)
         want = reference_run_meps(demands, m)
         assert dist.atoms == want.atoms, (demands, m)
@@ -350,11 +348,11 @@ def test_exact_meps_cap_counts_atoms(monkeypatch):
     # 5 agents: 9 items make 9,720 atoms, 10 items 12,000
     assert 9 * 9 * 120 <= MEPS_EXACT_MAX_ATOMS < 10 * 10 * 120
     with pytest.raises(CapabilityError):
-        run_meps([F(range(10))] * 5, 10, 0, mode="exact")
+        run_meps([F(range(10))] * 5, 10, 0)
     with pytest.raises(CapabilityError):
-        run_meps([F({0})] * 7, 2, 0, mode="exact")
+        run_meps([F({0})] * 7, 2, 0)
     monkeypatch.undo()
-    dist = run_meps([F({0})] * 7, 1, 0, mode="exact")  # 5,040 atoms
+    dist = run_meps([F({0})] * 7, 1, 0)  # 5,040 atoms
     assert len(dist.atoms) == 5040
     assert {type(a.weight) for a in dist.atoms} == {Fraction}
     assert {a.weight for a in dist.atoms} == {Fraction(1, 5040)}

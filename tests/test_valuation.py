@@ -13,6 +13,7 @@ from egalloc.valuation import (
     EpsLeveled,
     MatroidValuation,
     XosFamily,
+    as_value,
     evaluate,
     floor_round,
     validate,
@@ -107,6 +108,34 @@ def test_negative_and_float_values_rejected():
         EpsLeveled({0: Fraction(-1)})
     with pytest.raises(ValidationError):
         EpsLeveled({0: 1.5})
+
+
+def test_every_rational_boundary_rejects_floats():
+    from egalloc.audit import check_envy, check_maximin_fair
+    from egalloc.mechanisms import run_meps, run_pe, sample_meps
+
+    demands = [F({0, 1}), F({0})]
+    vals = [AdditiveDichotomous(d) for d in demands]
+    alloc = run_pe(vals, 2)
+    # 0.001 lies below the eps bound 1/(n*m^3) = 1/16 and 0.5 inside (0, 1]
+    calls = [
+        lambda: run_meps(demands, 2, 0.001),
+        lambda: sample_meps(demands, 2, 0.001, seed=1),
+        lambda: check_envy(alloc, vals, "EF1", alpha=0.5),
+        lambda: check_maximin_fair(alloc, vals, alpha=0.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="floats are rejected"):
+            call()
+
+
+def test_decimal_exponent_cap_admits_its_limit_and_refuses_one_more():
+    assert as_value("1e4300") == 10**4300
+    assert as_value("1E-4300") == Fraction(1, 10**4300)
+    assert as_value("2.5e+3") == as_value("2_5e2") == 2500
+    for literal in ("1e4301", "1e-4301", "1E+4301", "2e" + "9" * 5000):
+        with pytest.raises(ValidationError, match="bad rational literal"):
+            as_value(literal)
 
 
 def test_xos_family_nonempty():
