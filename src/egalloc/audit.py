@@ -104,9 +104,7 @@ def check_envy(
     checked past its first failure, and the sweep ends once every mode has
     failed.  Valuations are monotone, so a pair with f_i(A_i) >= α f_i(A_j)
     fails no mode and needs no drop values.  Values come from
-    `valuation.value_functions`: plain ints for additive-dichotomous
-    reports, the item values for ε-leveled ones, and `evaluate` once per
-    set for other tags.
+    `valuation.value_functions`, in the valuation's native type.
     """
     modes = (mode,) if isinstance(mode, str) else tuple(mode)
     if not modes:
@@ -127,7 +125,8 @@ def check_envy(
     open_modes = set(modes)
     bundles = allocation.bundles
     for i in range(allocation.n):
-        value, drop = value_functions(valuations[i], allocation.m)
+        # every bundle was checked against its universe by Allocation
+        value, drop = value_functions(valuations[i])
         own = value(bundles[i])
         for j, other in enumerate(bundles):
             if i == j:
@@ -285,46 +284,44 @@ def check_stochastic_ef(
         raise ValidationError("empty distribution")
     m = dist.atoms[0].allocation.m
 
-    own_vals: list[list[Fraction]] = [[] for _ in range(n)]
-    cross_vals: dict[tuple[int, int], list[Fraction]] = {}
+    # table[i][j]: f_i(A_j) per atom, in the valuation's native type; every
+    # bundle was checked against its universe by Allocation
     weights = [atom.weight for atom in dist.atoms]
-    for atom in dist.atoms:
-        for i in range(n):
-            own_vals[i].append(evaluate(valuations[i], atom.allocation.bundles[i], m))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                cross_vals[(i, j)] = [
-                    evaluate(valuations[i], atom.allocation.bundles[j], m)
-                    for atom in dist.atoms
-                ]
+    table = []
+    for spec in valuations:
+        value = value_functions(spec)[0]
+        table.append(
+            [[value(atom.allocation.bundles[j]) for atom in dist.atoms] for j in range(n)]
+        )
 
     stochastic = Verdict(True)
     for i in range(n):
         if not stochastic.holds:
             break
+        own = table[i][i]
         for j in range(n):
             if i == j:
                 continue
-            other = cross_vals[(i, j)]
-            thresholds = sorted(set(own_vals[i]) | set(other))
+            other = table[i][j]
+            thresholds = sorted(set(own) | set(other))
             for t in thresholds:
                 if t <= 0:
                     continue
                 own_tail = sum(
-                    (w for w, val in zip(weights, own_vals[i]) if val >= t), Fraction(0)
+                    (w for w, val in zip(weights, own) if val >= t), Fraction(0)
                 )
                 other_tail = sum(
                     (w for w, val in zip(weights, other) if val >= t), Fraction(0)
                 )
                 if own_tail < other_tail:
-                    stochastic = Verdict(False, TailWitness(i, j, t, own_tail, other_tail))
+                    witness = TailWitness(i, j, Fraction(t), own_tail, other_tail)
+                    stochastic = Verdict(False, witness)
                     break
             if not stochastic.holds:
                 break
 
     expectations = [
-        sum((w * val for w, val in zip(weights, own_vals[i])), Fraction(0))
+        sum((w * val for w, val in zip(weights, table[i][i])), Fraction(0))
         for i in range(n)
     ]
     ex_ante_ef = Verdict(True)
@@ -333,7 +330,7 @@ def check_stochastic_ef(
             if i == j:
                 continue
             cross_exp = sum(
-                (w * val for w, val in zip(weights, cross_vals[(i, j)])), Fraction(0)
+                (w * val for w, val in zip(weights, table[i][j])), Fraction(0)
             )
             if expectations[i] < cross_exp:
                 ex_ante_ef = Verdict(False, BoundWitness(i, cross_exp, expectations[i]))

@@ -113,30 +113,19 @@ def _cmd_solve(args) -> int:
         _emit(_result_document(inst, alloc, sigma, "pe"))
         return EXIT_OK
     if mech == "rpe":
-        if args.exact:
-            dist = run_rpe(floor_reports(inst.valuations), inst.m)
-            _emit({"mechanism": "rpe", **docio.distribution_document(dist, inst)})
-        else:
-            alloc, sigma = sample_rpe(
-                floor_reports(inst.valuations), inst.m, seed=args.seed
-            )
-            doc = _result_document(inst, alloc, sigma, "rpe")
-            doc["seed"] = args.seed
-            _emit(doc)
+        alloc, sigma = sample_rpe(floor_reports(inst.valuations), inst.m, seed=args.seed)
+        doc = _result_document(inst, alloc, sigma, "rpe")
+        doc["seed"] = args.seed
+        _emit(doc)
         return EXIT_OK
     if mech == "meps":
-        demands = meps_demands(inst.valuations)
-        if args.exact:
-            dist = run_meps(demands, inst.m, inst.epsilon)
-            _emit({"mechanism": "meps", **docio.distribution_document(dist, inst)})
-        else:
-            alloc, held_out, sigma = sample_meps(
-                demands, inst.m, inst.epsilon, seed=args.seed
-            )
-            doc = _result_document(inst, alloc, sigma, "meps")
-            doc["seed"] = args.seed
-            doc["held_out"] = [inst.item_names[a] for a in held_out]
-            _emit(doc)
+        alloc, held_out, sigma = sample_meps(
+            meps_demands(inst.valuations), inst.m, inst.epsilon, seed=args.seed
+        )
+        doc = _result_document(inst, alloc, sigma, "meps")
+        doc["seed"] = args.seed
+        doc["held_out"] = [inst.item_names[a] for a in held_out]
+        _emit(doc)
         return EXIT_OK
     raise ValidationError(f"unknown mechanism {mech!r}")
 
@@ -253,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run a mechanism on an instance")
     solve.add_argument("--mech", required=True, choices=["pe", "rpe", "meps"])
     solve.add_argument("--in", dest="infile", required=True)
-    solve.add_argument("--seed", type=int, default=0, help="PRNG seed for sampled modes")
-    solve.add_argument("--exact", action="store_true", help="emit the exact distribution")
+    solve.add_argument("--seed", type=int, default=0, help="PRNG seed for rpe and meps")
     solve.add_argument("--priority", help="comma-separated agent names, highest first")
     solve.set_defaults(fn=_cmd_solve)
 

@@ -9,16 +9,20 @@ mechanism and reports the most profitable deviation, if any.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
+from .audit import check_envy, maximin_share
 from .errors import CapabilityError, ValidationError
-from .lorenz import compute_lorenz_dominating, potential
+from .lorenz import compute_lorenz_dominating, enumerate_optimal, potential
 from .matroid import FreeOver, ItemSet, MatroidSpec, Partition, Restricted, Truncated
-from .model import Instance
+from .model import Allocation, Instance
 from .mechanisms import (
+    MEPS_EXACT_MAX_ATOMS,
+    _check_meps_inputs,
     _rpe_distribution,
     expected_utilities,
     floor_reports,
@@ -126,7 +130,9 @@ def fuzz_truthfulness(
     Mechanisms: 'pe' (deterministic, ex-post utilities), 'rpe' and 'meps'
     (expected utilities over the exact outcome distribution).  On an
     ε-leveled instance 'pe' means floor-then-PE: reports are demand sets
-    but utilities are measured by the true leveled valuations.
+    but utilities are measured by the true leveled valuations.  'rpe' and
+    'meps' build one distribution of n! or m^2·n! atoms per candidate and for
+    the truth; past MEPS_EXACT_MAX_ATOMS atoms in all, CapabilityError first.
     """
     n, m = instance.n, instance.m
     if not (0 <= deviator < n):
@@ -159,7 +165,8 @@ def fuzz_truthfulness(
                 return expected_utilities(dist, instance.valuations)[deviator]
 
     elif mechanism == "meps":
-        base_demands = meps_demands(instance.valuations)
+        # ε and the demands are checked before the size cap below, as in run_meps
+        base_demands = _check_meps_inputs(meps_demands(instance.valuations), n, m, instance.epsilon)
 
         def utility(report: ValuationSpec) -> Fraction:
             if not isinstance(report, AdditiveDichotomous):
@@ -172,6 +179,15 @@ def fuzz_truthfulness(
     else:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
 
+    reports = _deviation_reports(space, instance, deviator)
+    if mechanism != "pe":
+        atoms = math.factorial(n) * (m * m if mechanism == "meps" else 1)
+        total = (len(reports) + 1) * atoms
+        if total > MEPS_EXACT_MAX_ATOMS:
+            raise CapabilityError(
+                f"fuzzing {mechanism} builds {len(reports) + 1} exact distributions of "
+                f"{atoms} atoms ({total} in all); the cap is {MEPS_EXACT_MAX_ATOMS}"
+            )
     truthful_report = (
         AdditiveDichotomous(support(truth)) if mechanism == "meps" else floor_reports([truth])[0]
     )
@@ -179,7 +195,7 @@ def fuzz_truthfulness(
 
     best_report = None
     best_utility = truthful_utility
-    for report in _deviation_reports(space, instance, deviator):
+    for report in reports:
         val = utility(report)
         if val > best_utility:
             best_utility = val
@@ -299,8 +315,6 @@ def lorenz_gap_instance() -> Instance:
 
 def fixture_f2() -> FixtureResult:
     """Maximin share 3 vs Lorenz utility 2 for the two-agent gap instance."""
-    from .audit import maximin_share  # local import avoids a module cycle
-
     inst = lorenz_gap_instance()
     share = maximin_share(inst.valuations[0], inst.n, inst.m)
     alloc = run_pe(inst.valuations, inst.m)
@@ -460,36 +474,21 @@ def fixture_f4() -> FixtureResult:
     )
 
 
-def _xos_value(family: Sequence[int], mask: int) -> int:
-    return max(_popcount(t & mask) for t in family)
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def fixture_f5() -> FixtureResult:
     """XOS welfare/EF1 gap at n=2, k=2: max welfare 8, best EF1 welfare 6."""
-    s1 = (1 << 6) - 1          # items 0..5
-    s2 = 0b11000000            # items 6, 7
-    fam0 = [s1]
-    fam1 = [s1, s2]
     m = 8
+    s1 = frozenset(range(6))
+    valuations = (XosFamily((s1,)), XosFamily((s1, frozenset({6, 7}))))
 
     max_welfare = 0
     max_ef1_welfare = 0
     for assignment in product(range(3), repeat=m):
-        masks = [0, 0]
-        for item, owner in enumerate(assignment):
-            if owner < 2:
-                masks[owner] |= 1 << item
-        u0 = _xos_value(fam0, masks[0])
-        u1 = _xos_value(fam1, masks[1])
-        welfare = u0 + u1
+        alloc = Allocation(
+            tuple(frozenset(i for i, o in enumerate(assignment) if o == v) for v in (0, 1)), m
+        )
+        welfare = int(sum(alloc.utilities(valuations)))
         max_welfare = max(max_welfare, welfare)
-        if welfare <= max_ef1_welfare:
-            continue
-        if _mask_ef1(fam0, masks[0], u0, masks[1]) and _mask_ef1(fam1, masks[1], u1, masks[0]):
+        if welfare > max_ef1_welfare and check_envy(alloc, valuations, "EF1").holds("EF1"):
             max_ef1_welfare = welfare
 
     computed = {"max_welfare": max_welfare, "max_ef1_welfare": max_ef1_welfare}
@@ -499,35 +498,14 @@ def fixture_f5() -> FixtureResult:
     )
 
 
-def _mask_ef1(family, own_mask, own_value, other_mask) -> bool:
-    if other_mask == 0:
-        return True
-    best = None
-    rest = other_mask
-    while rest:
-        bit = rest & -rest
-        val = _xos_value(family, other_mask ^ bit)
-        best = val if best is None else min(best, val)
-        rest ^= bit
-    return own_value >= best
-
-
 def _welfare_max_profiles(v0, v1, m: int) -> tuple[Fraction, set[tuple[Fraction, Fraction]]]:
     """Maximum welfare of two agents over m items, and every utility pair
-    (u0, u1) that attains it, by enumerating all 3^m assignments."""
-    best = Fraction(-1)
-    profiles = set()
-    for assignment in product(range(3), repeat=m):
-        b0 = frozenset(i for i, o in enumerate(assignment) if o == 0)
-        b1 = frozenset(i for i, o in enumerate(assignment) if o == 1)
-        u0, u1 = evaluate(v0, b0, m), evaluate(v1, b1, m)
-        w = u0 + u1
-        if w > best:
-            best = w
-            profiles = {(u0, u1)}
-        elif w == best:
-            profiles.add((u0, u1))
-    return best, profiles
+    (u0, u1) that attains it, read from `enumerate_optimal`.  Its scan
+    covers the non-redundant allocations only, which reach every
+    welfare-maximal pair: dropping zero-marginal items keeps both values."""
+    result = enumerate_optimal(Instance(tuple(map(str, range(m))), ("a0", "a1"), (v0, v1)))
+    best = result.max_welfare
+    return best, {vec for vec in result.vectors if sum(vec) == best}
 
 
 def fixture_f6() -> FixtureResult:

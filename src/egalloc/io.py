@@ -153,23 +153,25 @@ def _parse_valuation(raw, item_index, eps: Fraction, where: str) -> ValuationSpe
     raise ParseError(f"{where}: unknown valuation kind {kind!r}")
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse and validate an instance document."""
+def _load_json(text: str):
+    """`json.loads` with floats, malformed JSON and deep nesting as ParseErrors."""
     try:
-        doc = json.loads(text, parse_float=_reject_float)
-    except ParseError:
-        raise
+        return json.loads(text, parse_float=_reject_float)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("document nests too deeply to decode") from None
-    return instance_from_document(doc)
 
 
 def _reject_float(raw: str):
     raise ParseError(
         f"float literal {raw!r} in document; write rationals as strings (e.g. \"{raw}\")"
     )
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse and validate an instance document."""
+    return instance_from_document(_load_json(text))
 
 
 def instance_from_document(doc) -> Instance:
@@ -308,12 +310,7 @@ def allocation_document(alloc: Allocation, inst: Instance) -> dict:
 
 def parse_allocation(text: str, inst: Instance) -> Allocation:
     """Accepts a bare allocation document or any result document carrying one."""
-    try:
-        doc = json.loads(text, parse_float=_reject_float)
-    except ValueError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("document nests too deeply to decode") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "allocation" not in doc:
         raise ParseError("allocation document needs an 'allocation' object")
     body = doc["allocation"]

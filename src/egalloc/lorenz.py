@@ -102,15 +102,8 @@ def lorenz_compare(u: Sequence[Fraction], v: Sequence[Fraction]) -> LorenzRelati
     return LorenzRelation.INCOMPARABLE
 
 
-def _permute_to_rank_order(reports, sigma):
-    """Reports listed by priority rank: position k holds agent sigma[k]'s report.
-
-    `_unpermute` maps per-rank bundles back to agent order.
-    """
-    return [reports[agent] for agent in sigma]
-
-
 def _unpermute(bundles_by_rank, sigma, m, n):
+    """Per-rank bundles (position k is agent sigma[k]'s) back in agent order."""
     bundles = [frozenset()] * n
     for rank0, agent in enumerate(sigma):
         bundles[agent] = bundles_by_rank[rank0]
@@ -131,7 +124,7 @@ def compute_lorenz_dominating(
     """
     n = len(reports)
     sigma = identity_priority(n) if sigma is None else check_priority(sigma, n)
-    bundles = _yankee_swap(_permute_to_rank_order(reports, sigma), m)
+    bundles = _yankee_swap([reports[agent] for agent in sigma], m)
     return _unpermute(bundles, sigma, m, n)
 
 
@@ -225,7 +218,7 @@ def greedy_welfare(
     """
     n = len(reports)
     sigma = identity_priority(n) if sigma is None else check_priority(sigma, n)
-    ordered = _permute_to_rank_order(reports, sigma)
+    ordered = [reports[agent] for agent in sigma]
     universe = frozenset(range(m))
 
     targets: list[int] = []

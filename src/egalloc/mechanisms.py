@@ -347,15 +347,15 @@ def expected_utilities(
     """Exact per-agent expectation of the true valuations over the atoms.
 
     Each agent's values f_v(A_v) are summed per distinct atom weight in the
-    valuation's native type (`valuation.value_functions`: ints for
-    additive-dichotomous valuations, the item values for ε-leveled ones,
-    `evaluate` otherwise), and each sum is multiplied by its weight once.
+    valuation's native type (`valuation.value_functions`: `Fraction` sums
+    of item values for ε-leveled valuations, ints for every other tag), and
+    each sum is multiplied by its weight once.
     Σ_w w·Σ_{weight(a)=w} f_v(A_v) is the same rational as the per-atom sum
     Σ_a weight(a)·f_v(A_v), so the result does not change; exact
     distributions have one or a few distinct weights.
     """
     n = len(valuations)
-    # m=None: every bundle was checked against its universe by Allocation
+    # every bundle was checked against its universe by Allocation
     values = [value_functions(spec)[0] for spec in valuations]
     sums_by_weight: dict[Fraction, list] = {}
     for atom in dist.atoms:

@@ -140,28 +140,19 @@ def _check_universe(s: ItemSet, m: int | None) -> None:
 
 
 def evaluate(spec: ValuationSpec, s: ItemSet, m: int | None = None) -> Fraction:
-    """f(S).  Normalized (f(∅)=0) and non-decreasing for every tag."""
+    """f(S) as a `Fraction`, with S checked against the universe 0..m-1 if m is given."""
     s = frozenset(s)
     _check_universe(s, m)
-    if isinstance(spec, AdditiveDichotomous):
-        return Fraction(len(s & spec.demand))
-    if isinstance(spec, MatroidValuation):
-        return Fraction(spec.matroid.rank(s))
-    if isinstance(spec, EpsLeveled):
-        vm = spec.value_map
-        return sum((vm[a] for a in s if a in vm), Fraction(0))
-    if isinstance(spec, XosFamily):
-        return Fraction(max(len(t & s) for t in spec.family))
-    raise ValidationError(f"unknown valuation tag {type(spec).__name__}")
+    return Fraction(value_functions(spec)[0](s))
 
 
-def value_functions(spec: ValuationSpec, m: int | None = None):
+def value_functions(spec: ValuationSpec):
     """(value, drop) for one valuation: S ↦ f(S) and (S, f(S), a) ↦ f(S − {a}).
 
-    Values come in the tag's native type: plain ints for additive-dichotomous
-    valuations (|S ∩ D|, drop `whole − [a ∈ D]`), sums of the `Fraction`
-    item values for ε-leveled ones, and `evaluate` once per set for every
-    other tag.  Each equals `evaluate` as a rational.
+    The one value rule per tag: |S ∩ D| (additive-dichotomous), the matroid
+    rank, Σ of the item values (ε-leveled) and max |T ∩ S| over the family
+    (XOS); each is normalized (f(∅)=0) and non-decreasing.  S is a frozenset;
+    values are ints, or `Fraction` sums for ε-leveled valuations.
     """
     if isinstance(spec, AdditiveDichotomous):
         demand = spec.demand
@@ -172,10 +163,17 @@ def value_functions(spec: ValuationSpec, m: int | None = None):
             lambda s: sum(vm[a] for a in s if a in vm),
             lambda s, whole, a: whole - vm.get(a, 0),
         )
-    return (
-        lambda s: evaluate(spec, s, m),
-        lambda s, whole, a: evaluate(spec, s - {a}, m),
-    )
+    if isinstance(spec, MatroidValuation):
+        rank = spec.matroid.rank
+        return rank, (lambda s, whole, a: rank(s - {a}))
+    if isinstance(spec, XosFamily):
+        family = spec.family
+
+        def value(s):
+            return max(len(t & s) for t in family)
+
+        return value, (lambda s, whole, a: value(s - {a}))
+    raise ValidationError(f"unknown valuation tag {type(spec).__name__}")
 
 
 def validate(spec: ValuationSpec, eps, m: int) -> ValidationReport:

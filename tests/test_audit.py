@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from audit_reference import reference_check_envy
+from audit_reference import reference_check_envy, reference_check_stochastic_ef
 from conftest import additive_instance, rand_matroid, rand_valuation
 from egalloc.audit import (
     BoundWitness,
@@ -283,3 +284,36 @@ def test_rpe_stochastic_ef_on_random_mrf_instances():
         assert rep.holds("stochastic_ef"), vals
         assert rep.holds("ex_ante_ef")
         assert rep.holds("ex_ante_proportional")
+
+
+def test_stochastic_ef_matches_reference():
+    # whole reports, witnesses and their types included, over seeded
+    # distributions with unequal atom weights and all four valuation tags
+    rng = random.Random(5151)
+    failures = {"stochastic_ef": 0, "ex_ante_ef": 0, "ex_ante_proportional": 0}
+    tags_seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 6)
+        tags = [rng.choice(("additive", "leveled", "matroid", "xos")) for _ in range(n)]
+        tags_seen.update(tags)
+        vals = [rand_valuation(rng, tag, m) for tag in tags]
+        raw = [rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+        atoms = []
+        for w in raw:
+            owner = [rng.randrange(n + rng.randint(0, 1)) for _ in range(m)]
+            bundles = tuple(F(a for a, o in enumerate(owner) if o == v) for v in range(n))
+            atoms.append(Atom(Fraction(w, sum(raw)), Allocation(bundles, m), tuple(range(n))))
+        dist = OutcomeDistribution(tuple(atoms))
+        got = check_stochastic_ef(dist, vals)
+        want = reference_check_stochastic_ef(dist, vals)
+        assert got == want, (dist, vals)
+        for (name, verdict), (_, ref) in zip(got.entries, want.entries):
+            if verdict.holds:
+                continue
+            failures[name] += 1
+            fields = dataclasses.astuple(verdict.witness)
+            assert [type(x) for x in fields] == [type(x) for x in dataclasses.astuple(ref.witness)]
+            assert all(type(x) is Fraction for x in fields if not isinstance(x, int))
+    assert tags_seen == {"additive", "leveled", "matroid", "xos"}
+    assert min(failures.values()) >= 20, failures

@@ -11,6 +11,7 @@ import pytest
 from conftest import additive_instance
 from egalloc.audit import maximin_share
 from egalloc.errors import CapabilityError
+from egalloc.harness import ExplicitDeviations, fuzz_truthfulness
 from egalloc.io import parse_instance
 from egalloc.lorenz import enumerate_optimal
 from egalloc.matroid import Explicit, FreeOver, validate_matroid
@@ -21,6 +22,9 @@ F = frozenset
 
 # a two-item support keeps the brute force cheap at every universe size
 SMALL_SUPPORT = MatroidValuation(FreeOver(F({0, 1})))
+
+
+ONE_AGENT_TEN_ITEMS = additive_instance([F(range(10))])
 
 
 def explicit_document(k):
@@ -40,6 +44,14 @@ CAPS = {
     "maximin-agents": (4, lambda n: maximin_share(SMALL_SUPPORT, n, 2)),
     "explicit-validation-items": (12, lambda k: validate_matroid(Explicit(F({F(range(k))})))),
     "explicit-document-items": (12, lambda k: parse_instance(explicit_document(k))),
+    # one agent over 10 items: m^2 * n! = 100 atoms for each of the k
+    # candidate reports and the truthful one, so k = 99 builds 10,000
+    "fuzz-total-atoms": (
+        99,
+        lambda k: fuzz_truthfulness(
+            "meps", ONE_AGENT_TEN_ITEMS, 0, ExplicitDeviations((AdditiveDichotomous(F()),) * k)
+        ),
+    ),
 }
 
 

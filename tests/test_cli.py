@@ -76,10 +76,8 @@ def test_solve_priority_flag(write_doc, capsys):
     assert doc["utilities"] == {"p1": "0", "p2": "1", "p3": "1"}
 
 
-def test_solve_meps_exact_atoms(write_doc, capsys):
-    code, out, _ = run_cli(
-        capsys, "solve", "--mech", "meps", "--in", write_doc(MEPS3), "--exact"
-    )
+def test_distribution_meps_atoms(write_doc, capsys):
+    code, out, _ = run_cli(capsys, "distribution", "--mech", "meps", "--in", write_doc(MEPS3))
     assert code == 0
     doc = json.loads(out)
     assert doc["atom_count"] == 18
@@ -92,6 +90,15 @@ def test_distribution_rpe(write_doc, capsys):
     )
     assert code == 0
     assert json.loads(out)["atom_count"] == 6
+
+
+def test_solve_has_no_exact_flag(write_doc, capsys):
+    # `distribution` is the one command that prints an exact distribution
+    code, out, _ = run_cli(
+        capsys, "solve", "--mech", "rpe", "--exact", "--in", write_doc(EX_LORENZ)
+    )
+    assert code == 2
+    assert out == ""
 
 
 def test_sampled_solve_is_seed_deterministic(write_doc, capsys):
@@ -284,21 +291,20 @@ def test_oversized_explicit_family_is_capped_quickly(doc, write_doc, capsys):
     assert "validation cap" in err
 
 
+def _additive_document(n, m):
+    items = [f"i{k}" for k in range(m)]
+    agents = [
+        {"name": f"a{v}", "valuation": {"demand": [x for k, x in enumerate(items) if (k + v) % 3]}}
+        for v in range(n)
+    ]
+    return {"items": items, "agents": agents}
+
+
 # 6 agents over 12 items: m^2 * n! = 103,680 atoms, above the exact cap
-MEPS_6_12 = {
-    "items": [f"i{k}" for k in range(12)],
-    "agents": [
-        {"name": f"a{v}", "valuation": {"demand": [f"i{k}" for k in range(12) if (k + v) % 3]}}
-        for v in range(6)
-    ],
-}
+MEPS_6_12 = _additive_document(6, 12)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("solve", "--mech", "meps", "--exact"), ("distribution", "--mech", "meps")],
-    ids=["solve-exact", "distribution"],
-)
+@pytest.mark.parametrize("argv", [("distribution", "--mech", "meps")], ids=["distribution"])
 def test_oversized_exact_meps_is_capped_quickly(argv, write_doc, capsys):
     path = write_doc(MEPS_6_12)
     start = time.perf_counter()
@@ -307,6 +313,29 @@ def test_oversized_exact_meps_is_capped_quickly(argv, write_doc, capsys):
     assert code == 3
     assert out == ""
     assert "103680 atoms" in err and "cap is 10000" in err
+
+
+# (candidate reports + 1) x atoms per report, against the 10,000-atom cap:
+# meps 4/12 builds 4,097 distributions of 12^2 * 4! = 3,456 atoms,
+# rpe 6/6 builds 65 of 6! = 720 (46,800 atoms in all)
+@pytest.mark.parametrize(
+    "mech, n, m, total", [("meps", 4, 12, 14159232), ("rpe", 6, 6, 46800)], ids=["meps", "rpe"]
+)
+def test_oversized_fuzz_is_capped_quickly(mech, n, m, total, tmp_path):
+    (tmp_path / "inst.json").write_text(json.dumps(_additive_document(n, m)))
+    argv = ["fuzz", "--mech", mech, "--expectation", "--space", "subsets"]
+    env = {**os.environ, "PYTHONPATH": str(Path(egalloc.__file__).parents[1])}
+    start = time.perf_counter()
+    # a fresh interpreter with a timeout, so that an uncapped run fails
+    # this test rather than hanging it
+    proc = subprocess.run(
+        [sys.executable, "-m", "egalloc", *argv, "--in", "inst.json", "--deviator", "a0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert f"({total} in all); the cap is 10000" in proc.stderr
 
 
 # EF fails first at (p1, p2), EFX at (p2, p3) on item g, EF1 at (p3, p2).

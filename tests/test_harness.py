@@ -173,3 +173,11 @@ def test_meps_fuzzing_rejects_an_agent_without_a_demand_set():
     )
     with pytest.raises(ValidationError, match="demand-set"):
         fuzz_truthfulness("meps", inst, 0, AllDemandSubsets())
+
+
+def test_meps_fuzzing_checks_epsilon_before_the_size_cap():
+    # 4 agents over 12 items is past the fuzz cap, but a bad ε is a usage
+    # error (ValidationError), as it is for run_meps
+    inst = additive_instance([F(range(12))] * 4, epsilon=Fraction(1, 10))
+    with pytest.raises(ValidationError, match="eps must be below"):
+        fuzz_truthfulness("meps", inst, 0, AllDemandSubsets())

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_matroid
+from conftest import rand_matroid, rand_subset, rand_valuation
 from egalloc.errors import ValidationError
-from egalloc.matroid import Explicit
+from egalloc.matroid import Explicit, brute_force_rank
 from egalloc.valuation import (
     AdditiveDichotomous,
     EpsLeveled,
@@ -17,6 +17,7 @@ from egalloc.valuation import (
     evaluate,
     floor_round,
     validate,
+    value_functions,
 )
 
 F = frozenset
@@ -187,3 +188,35 @@ def test_matroid_marginals_dichotomous_and_submodular():
                     mt = evaluate(spec, t | {a}) - evaluate(spec, t)
                     assert ms in (0, 1) and mt in (0, 1)
                     assert ms >= mt
+
+
+def _written_out_value(spec, s):
+    # each tag's rule, written independently of the library
+    if isinstance(spec, AdditiveDichotomous):
+        return len(s & spec.demand)
+    if isinstance(spec, MatroidValuation):
+        return brute_force_rank(spec.matroid, s)
+    if isinstance(spec, EpsLeveled):
+        return sum((v for a, v in spec.values if a in s), Fraction(0))
+    return max(len(t & s) for t in spec.family)
+
+
+def test_value_rule_matches_written_out_formulas():
+    rng = random.Random(6161)
+    checked = dict.fromkeys(("additive", "leveled", "matroid", "xos"), 0)
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        tag = rng.choice(sorted(checked))
+        spec = rand_valuation(rng, tag, m)
+        value, drop = value_functions(spec)
+        for _ in range(4):
+            s = rand_subset(rng, m, rng.random())
+            want = _written_out_value(spec, s)
+            got = evaluate(spec, s, m)
+            assert type(got) is Fraction and got == want, (spec, s)
+            whole = value(s)
+            assert whole == want, (spec, s)
+            for a in sorted(s):
+                assert drop(s, whole, a) == _written_out_value(spec, s - {a}), (spec, s, a)
+            checked[tag] += 1
+    assert min(checked.values()) >= 100, checked
