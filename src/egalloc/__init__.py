@@ -31,16 +31,13 @@ from .harness import (
     fuzz_truthfulness,
     run_fixture,
 )
-from .intersection import feasible_with_profile, max_common_independent
+from .intersection import max_common_independent
 from .io import emit_instance, parse_allocation, parse_instance
 from .lorenz import (
     EnumerationResult,
-    LorenzRelation,
     additive_balanced,
     compute_lorenz_dominating,
     enumerate_optimal,
-    greedy_welfare,
-    lorenz_compare,
     potential,
 )
 from .matroid import (

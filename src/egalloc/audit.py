@@ -10,11 +10,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Sequence
 
 from .errors import CapabilityError, PreconditionError, ValidationError
-from .lorenz import enumerate_optimal, lorenz_compare, LorenzRelation, potential
+from .lorenz import enumerate_optimal, potential
 from .model import Allocation, Instance, OutcomeDistribution, PriorityOrder
 from .valuation import (
     AdditiveDichotomous, ValuationSpec, as_value, evaluate, support, value_functions
@@ -258,14 +258,16 @@ def efficiency_metrics(
 def check_lorenz_dominating(allocation: Allocation, instance: Instance) -> FairnessReport:
     """Does the allocation Lorenz-dominate every allocation of the instance?
 
-    Enumeration-backed; capability-capped like `enumerate_optimal`.
+    No enumerated utility vector, sorted ascending, may have a larger prefix
+    sum (the rule of `enumerate_optimal`); the witness is the first that
+    does.  Capability-capped like `enumerate_optimal`.
     """
     result = enumerate_optimal(instance)
-    own_sorted = tuple(sorted(allocation.utilities(instance.valuations)))
-    for idx, vec in enumerate(result.vectors):
-        rel = lorenz_compare(own_sorted, tuple(sorted(vec)))
-        if rel in (LorenzRelation.DOMINATED, LorenzRelation.INCOMPARABLE):
-            witness = (result.allocations[idx].bundles, tuple(sorted(vec)))
+    own = tuple(accumulate(sorted(allocation.utilities(instance.valuations))))
+    for other, vec in zip(result.allocations, result.vectors):
+        ranked = tuple(sorted(vec))
+        if any(p > q for p, q in zip(accumulate(ranked), own)):
+            witness = (other.bundles, ranked)
             return FairnessReport((("lorenz_dominating", Verdict(False, witness)),))
     return FairnessReport((("lorenz_dominating", Verdict(True)),))
 

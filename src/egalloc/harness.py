@@ -38,7 +38,6 @@ from .valuation import (
     ValuationSpec,
     XosFamily,
     evaluate,
-    support,
 )
 
 SUBSET_SPACE_MAX_ITEMS = 12
@@ -188,10 +187,7 @@ def fuzz_truthfulness(
                 f"fuzzing {mechanism} builds {len(reports) + 1} exact distributions of "
                 f"{atoms} atoms ({total} in all); the cap is {MEPS_EXACT_MAX_ATOMS}"
             )
-    truthful_report = (
-        AdditiveDichotomous(support(truth)) if mechanism == "meps" else floor_reports([truth])[0]
-    )
-    truthful_utility = utility(truthful_report)
+    truthful_utility = utility(floor_reports([truth])[0])
 
     best_report = None
     best_utility = truthful_utility

@@ -5,7 +5,9 @@ Ground set: layered elements (agent, item) for every item in the agent's
 demand support.  A set of elements is feasible iff each agent's items are
 independent in her (possibly truncated) matroid and no item is used twice.
 Maximizing the number of elements maximizes welfare over non-redundant
-allocations.
+allocations.  No mechanism calls it: it backs the potential descent in
+`tests/lorenz_reference.py`, and the benchmark's tracer looks it up by
+name.
 
 The solver runs classical augmenting paths over the exchange graph:
   * sources: elements addable to the agent-side matroid,
@@ -183,13 +185,3 @@ def _lex_min_shortest_path(matroids, caps, supports, bundles, user):
         path.append(node)
     return path
 
-
-def feasible_with_profile(
-    matroids: Sequence[MatroidSpec], m: int, targets: Sequence[int]
-) -> bool:
-    """True iff some allocation gives agent v exactly targets[v] independent items."""
-    targets = list(targets)
-    if any(t < 0 for t in targets):
-        raise ValidationError("profile targets must be >= 0")
-    best = max_common_independent(matroids, m, caps=targets)
-    return best.total_items() == sum(targets)

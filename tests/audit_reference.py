@@ -5,8 +5,11 @@
 `evaluate`, in `Fraction` arithmetic, with no shared values and no
 shortcut for pairs without envy.  `reference_check_stochastic_ef` builds
 its own-bundle and cross-bundle values in two separate `evaluate` loops.
-Each shares only `evaluate` and the report types with the program's
-auditor, so agreement between the two, witnesses included, is a
+`reference_check_lorenz_dominating` classifies each enumerated vector by a
+pairwise prefix-sum walk (dominates, dominated, equal or incomparable) and
+fails on the first one the allocation does not weakly dominate.  Each
+shares only `evaluate`, `enumerate_optimal` and the report types with the
+program's auditor, so agreement between the two, witnesses included, is a
 differential check.
 """
 
@@ -17,7 +20,8 @@ from typing import Sequence
 
 from egalloc.audit import BoundWitness, EnvyWitness, FairnessReport, TailWitness, Verdict
 from egalloc.errors import PreconditionError, ValidationError
-from egalloc.model import Allocation, OutcomeDistribution
+from egalloc.lorenz import enumerate_optimal
+from egalloc.model import Allocation, Instance, OutcomeDistribution
 from egalloc.valuation import ValuationSpec, evaluate
 
 
@@ -152,3 +156,39 @@ def reference_check_stochastic_ef(
             ("ex_ante_proportional", ex_ante_prop),
         )
     )
+
+
+def reference_check_lorenz_dominating(allocation: Allocation, instance: Instance) -> FairnessReport:
+    """Does the allocation Lorenz-dominate every allocation of the instance?
+
+    Each enumerated vector, sorted ascending, is compared with the
+    allocation's sorted vector prefix by prefix; the first one that the
+    allocation is dominated by or incomparable with is the witness.
+    """
+    result = enumerate_optimal(instance)
+    own_sorted = tuple(sorted(allocation.utilities(instance.valuations)))
+    for idx, vec in enumerate(result.vectors):
+        other_sorted = tuple(sorted(vec))
+        if len(own_sorted) != len(other_sorted):
+            raise ValidationError("sorted utility vectors must have equal length")
+        ge = le = True
+        pu = pv = Fraction(0)
+        for a, b in zip(own_sorted, other_sorted):
+            pu += a
+            pv += b
+            if pu < pv:
+                ge = False
+            if pu > pv:
+                le = False
+        if ge and le:
+            relation = "equal"
+        elif ge:
+            relation = "dominates"
+        elif le:
+            relation = "dominated"
+        else:
+            relation = "incomparable"
+        if relation in ("dominated", "incomparable"):
+            witness = (result.allocations[idx].bundles, other_sorted)
+            return FairnessReport((("lorenz_dominating", Verdict(False, witness)),))
+    return FairnessReport((("lorenz_dominating", Verdict(True)),))

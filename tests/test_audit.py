@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from audit_reference import reference_check_envy, reference_check_stochastic_ef
-from conftest import additive_instance, rand_matroid, rand_valuation
+from audit_reference import (
+    reference_check_envy,
+    reference_check_lorenz_dominating,
+    reference_check_stochastic_ef,
+)
+from conftest import additive_instance, matroid_instance, rand_matroid, rand_subset, rand_valuation
 from egalloc.audit import (
     BoundWitness,
     EnvyWitness,
@@ -22,7 +26,7 @@ from egalloc.audit import (
 from egalloc.errors import CapabilityError, PreconditionError, ValidationError
 from egalloc.matroid import FreeOver, Partition
 from egalloc.mechanisms import run_pe, run_rpe
-from egalloc.model import Allocation, Atom, OutcomeDistribution
+from egalloc.model import Allocation, Atom, Instance, OutcomeDistribution
 from egalloc.valuation import AdditiveDichotomous, MatroidValuation
 
 F = frozenset
@@ -205,9 +209,45 @@ def test_check_lorenz_dominating():
     hand = Allocation((F(), F({0, 1}), F()), 2)
     rep = check_lorenz_dominating(hand, inst)
     assert not rep.all_hold
+    # the first enumerated vector with a larger prefix sum: (0, 1, 1) > (0, 0, 2) at k = 2
+    assert rep.verdict("lorenz_dominating").witness == (
+        (F({0}), F({1}), F()),
+        (Fraction(0), Fraction(1), Fraction(1)),
+    )
 
     solo = additive_instance([F({0})])
     assert check_lorenz_dominating(run_pe(solo.valuations, 1), solo).all_hold
+
+
+def test_check_lorenz_dominating_matches_reference():
+    # whole reports, witnesses included, on the engine's allocation and on
+    # random ones (items to a random agent or to nobody) of seeded additive
+    # and matroid instances
+    rng = random.Random(6161)
+    checked = failing = 0
+    for trial in range(300):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 4)
+        if trial % 2:
+            inst = matroid_instance([rand_matroid(rng, m) for _ in range(n)], m)
+        else:
+            inst = Instance(
+                item_names=tuple(f"i{j}" for j in range(m)),
+                agent_names=tuple(f"a{j}" for j in range(n)),
+                valuations=tuple(AdditiveDichotomous(rand_subset(rng, m)) for _ in range(n)),
+            )
+        allocations = [run_pe(inst.valuations, m)]
+        for _ in range(3):
+            owner = [rng.randrange(n + 1) for _ in range(m)]
+            bundles = tuple(F(a for a, o in enumerate(owner) if o == v) for v in range(n))
+            allocations.append(Allocation(bundles, m))
+        for alloc in allocations:
+            got = check_lorenz_dominating(alloc, inst)
+            assert got == reference_check_lorenz_dominating(alloc, inst), (alloc, inst)
+            checked += 1
+            failing += not got.all_hold
+    assert checked >= 1000
+    assert 3 * failing >= checked, (failing, checked)
 
 
 def test_stochastic_ef_contested_item():

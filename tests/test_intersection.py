@@ -4,7 +4,7 @@ import pytest
 
 from conftest import brute_max_common, rand_matroid
 from egalloc.errors import ValidationError
-from egalloc.intersection import feasible_with_profile, max_common_independent
+from egalloc.intersection import max_common_independent
 from egalloc.matroid import FreeOver
 
 F = frozenset
@@ -24,16 +24,6 @@ def test_three_agent_two_item_report_profile():
     capped = max_common_independent(mats, 2, caps=[1, 1, 0])
     assert capped.total_items() == 2
     assert capped.bundles[2] == F()
-
-
-def test_feasible_with_profile_examples():
-    both = F({0, 1})
-    mats = [FreeOver(both), FreeOver(both), FreeOver(F({0}))]
-    assert feasible_with_profile(mats, 2, (1, 1, 0)) is True
-    assert feasible_with_profile(mats, 2, (2, 1, 0)) is False
-    assert feasible_with_profile(mats, 2, (0, 0, 1)) is True
-    with pytest.raises(ValidationError):
-        feasible_with_profile(mats, 2, (-1, 0, 0))
 
 
 def test_caps_validation():

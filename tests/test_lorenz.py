@@ -12,15 +12,12 @@ from conftest import (
     rand_matroid_of_tag,
     rand_subset,
 )
-from egalloc.audit import check_envy, maximin_share, nsw_key
+from egalloc.audit import check_envy, check_lorenz_dominating, maximin_share, nsw_key
 from egalloc.errors import CapabilityError, ValidationError
 from egalloc.lorenz import (
-    LorenzRelation,
     additive_balanced,
     compute_lorenz_dominating,
     enumerate_optimal,
-    greedy_welfare,
-    lorenz_compare,
     potential,
 )
 from egalloc.matroid import FreeOver, Partition, Restricted, Truncated, Uniform
@@ -39,19 +36,6 @@ def test_potential_examples():
         potential((1, -1), (0, 1))
 
 
-def test_lorenz_compare_examples():
-    two = [Fraction(2), Fraction(2)]
-    onethree = [Fraction(1), Fraction(3)]
-    assert lorenz_compare(two, onethree) is LorenzRelation.DOMINATES
-    assert lorenz_compare(onethree, two) is LorenzRelation.DOMINATED
-    assert lorenz_compare([Fraction(0), Fraction(3)], [Fraction(1), Fraction(1)]) is (
-        LorenzRelation.INCOMPARABLE
-    )
-    assert lorenz_compare(two, two) is LorenzRelation.EQUAL
-    with pytest.raises(ValidationError):
-        lorenz_compare([Fraction(1)], two)
-
-
 def test_compute_lorenz_examples():
     both = F({0, 1})
     alloc = compute_lorenz_dominating([FreeOver(both)] * 3, 2)
@@ -64,28 +48,6 @@ def test_compute_lorenz_examples():
 
     solo = compute_lorenz_dominating([FreeOver(F(range(5)))], 5)
     assert solo.profile() == (5,)
-
-
-def test_greedy_welfare_examples():
-    mats = [Uniform(F({0, 1}), 1), FreeOver(F({0, 1}))]
-    assert greedy_welfare(mats, 2).profile() == (1, 1)
-    assert greedy_welfare(mats, 2, sigma=(1, 0)).profile() == (0, 2)
-    assert greedy_welfare([FreeOver(F())] * 3, 2).profile() == (0, 0, 0)
-
-
-def test_greedy_prefix_welfare_is_maximal():
-    rng = random.Random(77)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 5)
-        mats = [rand_matroid(rng, m) for _ in range(n)]
-        alloc = greedy_welfare(mats, m)
-        prefix = 0
-        for i in range(n):
-            prefix += len(alloc.bundles[i])
-            sub = matroid_instance(mats[: i + 1], m)
-            best = enumerate_optimal(sub).max_welfare
-            assert prefix == best
 
 
 def test_additive_balanced_examples():
@@ -217,12 +179,7 @@ def test_matroid_path_matches_enumeration():
         assert len(vecs) == 1, "minimum-potential utility vector must be unique"
         alloc = compute_lorenz_dominating(mats, m)
         assert alloc.utilities(inst.valuations) == next(iter(vecs))
-        own = tuple(sorted(alloc.utilities(inst.valuations)))
-        for vec in res.vectors:
-            assert lorenz_compare(own, tuple(sorted(vec))) in (
-                LorenzRelation.DOMINATES,
-                LorenzRelation.EQUAL,
-            )
+        assert check_lorenz_dominating(alloc, inst).all_hold
 
 
 def test_fairness_bundle_against_enumeration():
