@@ -60,6 +60,13 @@ def _item_list(raw, item_index: Mapping[str, int], where: str) -> frozenset[int]
     return frozenset(out)
 
 
+def _count(raw, where: str) -> int:
+    """A cap or limit: a JSON integer >= 0 (not a bool)."""
+    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 0:
+        raise ParseError(f"{where}: expected a non-negative integer")
+    return raw
+
+
 def _parse_matroid(raw, item_index, where: str, depth: int = 0) -> MatroidSpec:
     if depth > MAX_MATROID_NESTING:
         raise ParseError(f"{where}: matroid nesting deeper than {MAX_MATROID_NESTING}")
@@ -71,9 +78,7 @@ def _parse_matroid(raw, item_index, where: str, depth: int = 0) -> MatroidSpec:
     if kind == "uniform":
         if "cap" not in raw:
             raise ParseError(f"{where}: uniform matroid needs 'cap'")
-        cap = raw["cap"]
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-            raise ParseError(f"{where}.cap: expected a non-negative integer")
+        cap = _count(raw["cap"], f"{where}.cap")
         return Uniform(_item_list(raw.get("demand", []), item_index, f"{where}.demand"), cap)
     if kind == "partition":
         blocks = raw.get("blocks")
@@ -83,9 +88,7 @@ def _parse_matroid(raw, item_index, where: str, depth: int = 0) -> MatroidSpec:
         for i, blk in enumerate(blocks):
             if not isinstance(blk, dict):
                 raise ParseError(f"{where}.blocks[{i}]: expected an object")
-            cap = blk.get("cap")
-            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-                raise ParseError(f"{where}.blocks[{i}].cap: expected a non-negative integer")
+            cap = _count(blk.get("cap"), f"{where}.blocks[{i}].cap")
             items = _item_list(blk.get("items", []), item_index, f"{where}.blocks[{i}].items")
             parsed.append((items, cap))
         try:
@@ -102,9 +105,7 @@ def _parse_matroid(raw, item_index, where: str, depth: int = 0) -> MatroidSpec:
         check_explicit_cap(sets)
         return Explicit(frozenset(sets))
     if kind == "truncated":
-        limit = raw.get("limit")
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-            raise ParseError(f"{where}.limit: expected a non-negative integer")
+        limit = _count(raw.get("limit"), f"{where}.limit")
         inner = _parse_matroid(raw.get("inner"), item_index, f"{where}.inner", depth + 1)
         return Truncated(inner, limit)
     if kind == "restricted":
@@ -225,9 +226,8 @@ def instance_from_document(doc) -> Instance:
         priority=priority,
     )
     for i, spec in enumerate(inst.valuations):
-        report = validate(spec, eps, inst.m)
-        if not report.valid:
-            v = report.violations[0]
+        v = validate(spec, eps, inst.m)
+        if v is not None:
             raise ParseError(
                 f"agents[{i}].valuation: invalid ({v.constraint} fails, witness {v.witness})"
             )

@@ -205,13 +205,12 @@ class EnumerationResult:
         return {self.vectors[i] for i in self.min_potential}
 
 
-def enumerate_optimal(
-    instance: Instance, sigma: PriorityOrder | None = None
-) -> EnumerationResult:
+def enumerate_optimal(instance: Instance) -> EnumerationResult:
     """Enumerate every non-redundant allocation and its utility vector.
 
     Returns the Pareto set, the Lorenz-dominating set (possibly empty), and
-    the minimum-potential set among welfare-maximizing allocations.  An
+    the minimum-potential set among welfare-maximizing allocations, with
+    potential taken under `instance.priority_or_default()`.  An
     allocation is Lorenz dominating iff its prefix-sum vector equals the
     pointwise maximum over all allocations.  Capped at
     ENUMERATION_MAX_AGENTS agents and ENUMERATION_MAX_ITEMS items.
@@ -222,7 +221,7 @@ def enumerate_optimal(
             f"enumeration cap exceeded: n={n} (max {ENUMERATION_MAX_AGENTS}), "
             f"m={m} (max {ENUMERATION_MAX_ITEMS})"
         )
-    sigma = instance.priority_or_default() if sigma is None else check_priority(sigma, n)
+    sigma = instance.priority_or_default()
 
     value_tables = []
     nonred_tables = []

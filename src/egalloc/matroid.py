@@ -1,4 +1,4 @@
-"""Matroid rank oracles, combinators, and an axiom validator with witnesses.
+"""Matroid rank oracles, combinators, and an axiom validator with a witness.
 
 A matroid is described by a structured, immutable spec.  Structured tags
 (free, uniform, partition, truncation, restriction) are matroids by
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Hashable, Iterable
 
@@ -41,18 +42,6 @@ class Violation:
 
     constraint: str
     witness: tuple
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 class MatroidSpec:
@@ -236,7 +225,9 @@ class Explicit(MatroidSpec):
     Construction keeps only the maximal listed sets, deduplicated; two specs
     are therefore equal exactly when their independence families are.  The
     result need not satisfy the exchange axiom; use `validate_matroid`
-    before trusting it as a matroid.
+    before trusting it as a matroid.  The verdict is kept once computed,
+    so every check of one spec, and of the truncations and restrictions
+    that wrap it, shares one scan.
     """
 
     family: frozenset[ItemSet]
@@ -259,6 +250,12 @@ class Explicit(MatroidSpec):
 
     def support(self):
         return frozenset().union(*self.family)
+
+    @cached_property
+    def _verdict(self) -> Violation | None:
+        # not a field: equality, hashing, repr and documents see only `family`;
+        # a family past the cap raises and keeps no verdict
+        return _validate_explicit(self)
 
 
 @dataclass(frozen=True)
@@ -335,45 +332,43 @@ def check_explicit_cap(sets: Iterable[ItemSet]) -> None:
         )
 
 
-def _validate_explicit(spec: Explicit) -> list[Violation]:
+def _validate_explicit(spec: Explicit) -> Violation | None:
     check_explicit_cap(spec.family)
     bases = sorted(spec.family, key=lambda t: (len(t), sorted(t)))
     smallest, largest = bases[0], bases[-1]
     if len(smallest) < len(largest):
         # smallest is maximal, so no item of largest augments it
-        return [Violation("exchange", (tuple(sorted(smallest)), tuple(sorted(largest))))]
+        return Violation("exchange", (tuple(sorted(smallest)), tuple(sorted(largest))))
     # Bases axiom: for bases B1, B2 and x in B1∖B2 some y in B2∖B1 makes
     # B1-x+y a basis.  With rest = B1-x, the items that extend rest to a
     # basis include x itself, so the axiom fails exactly when some basis
     # misses all of them; (rest, B2) is then an augmentation witness.
     universe = spec.support()
-    out: list[Violation] = []
     for rest in sorted({b - {x} for b in bases for x in b}, key=sorted):
         extends = frozenset(y for y in universe - rest if rest | {y} in spec.family)
         for b in bases:
             if b.isdisjoint(extends):
-                out.append(Violation("exchange", (tuple(sorted(rest)), tuple(sorted(b)))))
-    return out
+                return Violation("exchange", (tuple(sorted(rest)), tuple(sorted(b))))
+    return None
 
 
-def validate_matroid(spec: MatroidSpec) -> ValidationReport:
-    """Check the matroid axioms.
+def validate_matroid(spec: MatroidSpec) -> Violation | None:
+    """Check the matroid axioms; return the first violation, or None.
 
     Structured tags are valid by construction and only their components are
     (recursively) checked.  Explicit families get the bases axiom on their
-    maximal sets: all of one size, and closed under basis exchange.  Each
+    maximal sets: all of one size, and closed under basis exchange.  The
     violation's witness (S, T) has |S| < |T|, both independent, and no
     x in T∖S with S+x independent.  Families over more than
-    EXPLICIT_VALIDATION_CAP items raise CapabilityError.
+    EXPLICIT_VALIDATION_CAP items raise CapabilityError on every call.
     """
-    violations: list[Violation] = []
     if isinstance(spec, Explicit):
-        violations += _validate_explicit(spec)
-    elif isinstance(spec, (Truncated, Restricted)):
-        violations += list(validate_matroid(spec.inner).violations)
-    elif not isinstance(spec, (FreeOver, Uniform, Partition)):
-        violations.append(Violation("unknown-matroid-tag", (type(spec).__name__,)))
-    return ValidationReport(tuple(violations))
+        return spec._verdict
+    if isinstance(spec, (Truncated, Restricted)):
+        return validate_matroid(spec.inner)
+    if isinstance(spec, (FreeOver, Uniform, Partition)):
+        return None
+    return Violation("unknown-matroid-tag", (type(spec).__name__,))
 
 
 def brute_force_rank(spec: MatroidSpec, s: ItemSet) -> int:

@@ -69,24 +69,20 @@ RPE_EXACT_MAX_AGENTS = 6
 MEPS_EXACT_MAX_ATOMS = 10_000
 
 
-def sanitize_reports(
-    reports: Sequence[ValuationSpec | MatroidSpec], m: int
-) -> list[MatroidSpec]:
+def sanitize_reports(reports: Sequence[ValuationSpec], m: int) -> list[MatroidSpec]:
     """Map each report to a matroid rank function, one per report.
 
-    Reports that are illegal for PE (not a matroid, or not a
-    dichotomous-submodular class) become `matroid.ZERO_MATROID`, the
-    identically-zero valuation.
+    Additive demand sets become free matroids and valid matroid valuations
+    keep their matroid.  Every other report is illegal for PE (not a
+    matroid, or not a dichotomous-submodular class) and becomes
+    `matroid.ZERO_MATROID`, the identically-zero valuation.
     """
     matroids: list[MatroidSpec] = []
     for rep in reports:
         if isinstance(rep, AdditiveDichotomous):
             matroids.append(FreeOver(rep.demand))
-        elif isinstance(rep, (MatroidValuation, MatroidSpec)):
-            spec = rep.matroid if isinstance(rep, MatroidValuation) else rep
-            matroids.append(spec if validate_matroid(spec).valid else ZERO_MATROID)
-        elif isinstance(rep, (set, frozenset)):
-            matroids.append(FreeOver(frozenset(rep)))
+        elif isinstance(rep, MatroidValuation) and validate_matroid(rep.matroid) is None:
+            matroids.append(rep.matroid)
         else:
             matroids.append(ZERO_MATROID)
     for spec in matroids:
@@ -97,15 +93,13 @@ def sanitize_reports(
 
 
 def run_pe(
-    reports: Sequence[ValuationSpec | MatroidSpec],
-    m: int,
-    sigma: PriorityOrder | None = None,
+    reports: Sequence[ValuationSpec], m: int, sigma: PriorityOrder | None = None
 ) -> Allocation:
     """Prioritized egalitarian mechanism on the given reports."""
     return compute_lorenz_dominating(sanitize_reports(reports, m), m, sigma)
 
 
-def run_rpe(reports: Sequence[ValuationSpec | MatroidSpec], m: int) -> OutcomeDistribution:
+def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
     """PE under uniformly random priorities, as an exact distribution.
 
     Sanitizes the reports once and returns all n! atoms of weight 1/n!,
@@ -130,7 +124,7 @@ def _rpe_distribution(matroids: Sequence[MatroidSpec], m: int) -> OutcomeDistrib
 
 
 def sample_rpe(
-    reports: Sequence[ValuationSpec | MatroidSpec], m: int, seed: int | None = None
+    reports: Sequence[ValuationSpec], m: int, seed: int | None = None
 ) -> tuple[Allocation, PriorityOrder]:
     """One seeded draw of the random-priority mechanism, with its trace."""
     rng = random.Random(seed)

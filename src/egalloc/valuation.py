@@ -15,14 +15,7 @@ from numbers import Rational
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .matroid import (
-    ItemSet,
-    MatroidSpec,
-    ValidationReport,
-    Violation,
-    _freeze,
-    validate_matroid,
-)
+from .matroid import ItemSet, MatroidSpec, Violation, _freeze, validate_matroid
 
 
 #: Largest decimal exponent, in magnitude, of a rational literal ("1e4300").
@@ -176,36 +169,34 @@ def value_functions(spec: ValuationSpec):
     raise ValidationError(f"unknown valuation tag {type(spec).__name__}")
 
 
-def validate(spec: ValuationSpec, eps, m: int) -> ValidationReport:
+def validate(spec: ValuationSpec, eps, m: int) -> Violation | None:
     """Check the valuation against its class constraints for the given ε and universe.
 
-    Never raises for constraint violations; the report lists each one with a
-    witness.
+    Never raises for constraint violations; returns the first one with its
+    witness, or None.
     """
     eps = as_value(eps)
-    violations: list[Violation] = []
 
-    def check_items(items: ItemSet, where: str):
+    def outside(items: ItemSet, where: str) -> Violation | None:
         bad = sorted(a for a in items if a >= m)
-        if bad:
-            violations.append(Violation("item-in-universe", (where, tuple(bad))))
+        return Violation("item-in-universe", (where, tuple(bad))) if bad else None
 
     if isinstance(spec, AdditiveDichotomous):
-        check_items(spec.demand, "demand")
-    elif isinstance(spec, MatroidValuation):
-        check_items(spec.matroid.support(), "matroid support")
-        violations += list(validate_matroid(spec.matroid).violations)
-    elif isinstance(spec, EpsLeveled):
-        check_items(frozenset(a for a, _ in spec.values), "values")
-        for item, val in spec.values:
-            if val != 0 and not (1 <= val <= 1 + eps):
-                violations.append(Violation("value-in-eps-band", (item, str(val))))
-    elif isinstance(spec, XosFamily):
-        for t in spec.family:
-            check_items(t, "family")
-    else:
-        violations.append(Violation("unknown-valuation-tag", (type(spec).__name__,)))
-    return ValidationReport(tuple(violations))
+        return outside(spec.demand, "demand")
+    if isinstance(spec, MatroidValuation):
+        # the matroid is checked first, so a family past its cap always raises
+        verdict = validate_matroid(spec.matroid)
+        return outside(spec.matroid.support(), "matroid support") or verdict
+    if isinstance(spec, EpsLeveled):
+        off_band = (
+            Violation("value-in-eps-band", (item, str(val)))
+            for item, val in spec.values
+            if val != 0 and not (1 <= val <= 1 + eps)
+        )
+        return outside(frozenset(a for a, _ in spec.values), "values") or next(off_band, None)
+    if isinstance(spec, XosFamily):
+        return next(filter(None, (outside(t, "family") for t in spec.family)), None)
+    return Violation("unknown-valuation-tag", (type(spec).__name__,))
 
 
 def floor_round(spec: ValuationSpec, eps=Fraction(0), m: int | None = None) -> ValuationSpec:
@@ -226,8 +217,8 @@ def floor_round(spec: ValuationSpec, eps=Fraction(0), m: int | None = None) -> V
             raise ValidationError(
                 f"floor rounding requires eps < 1/m; got eps={eps} with m={m}"
             )
-        report = validate(spec, eps, m)
-        if not report.valid:
-            raise ValidationError(f"not ε-leveled for eps={eps}: {report.violations[0]}")
+        violation = validate(spec, eps, m)
+        if violation is not None:
+            raise ValidationError(f"not ε-leveled for eps={eps}: {violation}")
         return AdditiveDichotomous(spec.demand())
     raise ValidationError(f"unknown valuation tag {type(spec).__name__}")

@@ -291,6 +291,89 @@ def test_oversized_explicit_family_is_capped_quickly(doc, write_doc, capsys):
     assert "validation cap" in err
 
 
+def _explicit(*sets):
+    return {"type": "explicit", "independent": [list(t) for t in sets]}
+
+
+# two agents hold one explicit family each, a third holds a truncation and a
+# restriction of one more, and the fourth is additive: three family objects
+EXPLICIT_AGENTS = {
+    "items": ["a", "b", "c", "d"],
+    "agents": [
+        {"name": "p1", "valuation": {"matroid": _explicit("ab", "ac", "bc")}},
+        {"name": "p2", "valuation": {"matroid": _explicit("cd", "ad", "ac")}},
+        {
+            "name": "p3",
+            "valuation": {
+                "matroid": {
+                    "type": "truncated",
+                    "limit": 1,
+                    "inner": {
+                        "type": "restricted",
+                        "demand": list("abd"),
+                        "inner": _explicit("abd"),
+                    },
+                }
+            },
+        },
+        {"name": "p4", "valuation": {"demand": ["d"]}},
+    ],
+}
+
+
+def test_solve_scans_each_explicit_family_once(write_doc, capsys, monkeypatch):
+    import egalloc.matroid as matroid
+
+    scanned = []
+    original = matroid._validate_explicit
+
+    def counting(spec):
+        scanned.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(matroid, "_validate_explicit", counting)
+    code, out, _ = run_cli(capsys, "solve", "--mech", "pe", "--in", write_doc(EXPLICIT_AGENTS))
+    assert code == 0
+    assert json.loads(out)["utilities"] == {"p1": "1", "p2": "1", "p3": "1", "p4": "1"}
+    # parsing validates each family and PE's sanitizing reuses that verdict
+    assert len(scanned) == 3
+    assert len(set(map(id, scanned))) == 3
+
+
+@pytest.mark.parametrize(
+    "agent, expected",
+    [
+        # the maximal sets differ in size
+        (
+            {"matroid": _explicit("a", "bc")},
+            "error: agents[0].valuation: invalid (exchange fails, witness ((0,), (1, 2)))\n",
+        ),
+        # one size, four exchange violations; the first in scan order is reported
+        (
+            {
+                "matroid": {
+                    "type": "restricted",
+                    "demand": list("abc"),
+                    "inner": _explicit("ab", "cd"),
+                }
+            },
+            "error: agents[0].valuation: invalid (exchange fails, witness ((0,), (2, 3)))\n",
+        ),
+    ],
+    ids=["sizes", "exchange"],
+)
+def test_non_matroid_explicit_document_stderr_is_pinned(agent, expected, write_doc, capsys):
+    doc = {
+        "items": ["a", "b", "c", "d"],
+        "agents": [
+            {"name": "p1", "valuation": agent},
+            {"name": "p2", "valuation": {"demand": ["a"]}},
+        ],
+    }
+    code, out, err = run_cli(capsys, "solve", "--mech", "pe", "--in", write_doc(doc))
+    assert (code, out, err) == (2, "", expected)
+
+
 def _additive_document(n, m):
     items = [f"i{k}" for k in range(m)]
     agents = [

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -118,6 +119,28 @@ def test_fuzz_validates_each_report_once(mechanism, mode, monkeypatch):
     else:
         want = expected_utilities(run_rpe(inst.valuations, 4), inst.valuations)[0]
     assert res.truthful_utility == want
+
+
+def test_library_fuzz_scans_an_explicit_truth_once(monkeypatch):
+    import egalloc.matroid as matroid
+    from egalloc.harness import _deviation_reports
+    from egalloc.matroid import Explicit
+
+    # U(2,6) listed explicitly; every library candidate wraps this one object
+    truth = Explicit(F(F(t) for t in combinations(range(6), 2)))
+    inst = matroid_instance([truth, Uniform(F({0, 1, 2}), 2)], 6)
+    assert len(_deviation_reports(RestrictedMrfLibrary(), inst, 0)) == 68
+    scanned = []
+    original = matroid._validate_explicit
+
+    def counting(spec):
+        scanned.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(matroid, "_validate_explicit", counting)
+    res = fuzz_truthfulness("pe", inst, 0, RestrictedMrfLibrary())
+    assert res.truthful
+    assert scanned == [truth]
 
 
 def test_fuzz_mode_validation():

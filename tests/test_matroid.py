@@ -80,15 +80,43 @@ def test_explicit_empty_family_rejected():
 
 
 def test_validator_examples():
-    assert validate_matroid(Uniform(F({0, 1}), 1)).valid
+    assert validate_matroid(Uniform(F({0, 1}), 1)) is None
     bad = Explicit(F({F({0}), F({1, 2})}))
-    report = validate_matroid(bad)
-    assert not report.valid
-    kinds = {v.constraint for v in report.violations}
-    assert "exchange" in kinds
-    witness = next(v.witness for v in report.violations if v.constraint == "exchange")
-    s, t = witness
+    violation = validate_matroid(bad)
+    assert violation is not None
+    assert violation.constraint == "exchange"
+    s, t = violation.witness
     assert len(s) < len(t)
+
+
+def test_explicit_verdict_is_kept_and_is_not_a_field(monkeypatch):
+    import egalloc.matroid as matroid
+
+    scanned = []
+    original = matroid._validate_explicit
+
+    def counting(spec):
+        scanned.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(matroid, "_validate_explicit", counting)
+    bad = Explicit(F({F({0, 1}), F({2, 3})}))
+    twin = Explicit(F({F({2, 3}), F({1, 0})}))
+    first = validate_matroid(bad)
+    assert first.witness == ((0,), (2, 3))
+    # again, and through the combinators that wrap it: no second scan
+    assert validate_matroid(bad) is first
+    assert validate_matroid(Truncated(Restricted(bad, F({0, 2})), 1)) is first
+    assert scanned == [bad]
+    assert [f.name for f in dataclasses.fields(bad)] == ["family"]
+    assert bad == twin and hash(bad) == hash(twin)
+    assert repr(bad) == repr(twin)
+    assert instance_document(matroid_instance([bad], 4)) == instance_document(
+        matroid_instance([twin], 4)
+    )
+    # the twin has no verdict yet, and computes its own
+    assert validate_matroid(twin) == first
+    assert scanned == [bad, twin]
 
 
 def test_partition_overlap_is_construction_error():
@@ -98,8 +126,11 @@ def test_partition_overlap_is_construction_error():
 
 def test_validator_cap():
     big = Explicit(F({F(range(13))}))
-    with pytest.raises(CapabilityError):
-        validate_matroid(big)
+    for _ in range(2):  # no verdict is kept, so every call raises
+        with pytest.raises(CapabilityError):
+            validate_matroid(big)
+        with pytest.raises(CapabilityError):
+            validate_matroid(Truncated(big, 3))
 
 
 def test_negative_caps_rejected():
@@ -139,7 +170,7 @@ def test_random_valid_matroids_pass_validator():
     rng = random.Random(5)
     for _ in range(20):
         spec = rand_explicit_matroid(rng, rng.randint(1, 6))
-        assert validate_matroid(spec).valid
+        assert validate_matroid(spec) is None
 
 
 def test_support_is_singleton_rank():
@@ -183,10 +214,10 @@ def test_explicit_validator_matches_closure_reference():
         sets = _rand_family(rng, m)
         spec = Explicit(F(sets))
         closure = downward_closure(sets)
-        violations = validate_matroid(spec).violations
-        valid = not violations
+        v = validate_matroid(spec)
+        valid = v is None
         assert valid == (not reference_exchange_violations(sets)), sets
-        for v in violations:
+        if v is not None:
             assert v.constraint == "exchange"
             s, t = (F(w) for w in v.witness)
             assert len(s) < len(t)

@@ -17,17 +17,6 @@ def run_script(name, *args):
     )
 
 
-def test_pe_oracle_grid_smoke():
-    proc = run_script("pe_oracle_grid.py", "--max-agents", "2", "--max-items", "3")
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:] if line.strip()[:1].isdigit()]
-    assert [(r[0], r[1]) for r in rows] == [("2", "2"), ("2", "3")]
-    for _, _, instances, oracle_miss, _, profitable, _ in rows:
-        assert int(instances) > 0
-        assert oracle_miss == "0"
-        assert profitable == "0"
-
-
 def test_meps_margin_scan_smoke():
     proc = run_script("meps_margin_scan.py", "--denominators", "60")
     assert proc.returncode == 0, proc.stderr
