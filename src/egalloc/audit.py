@@ -216,6 +216,7 @@ def _maximin_brute(valuation, n, m) -> Fraction:
 
 @dataclass(frozen=True)
 class EfficiencyMetrics:
+    utilities: tuple[Fraction, ...]
     welfare: Fraction
     nsw: Fraction
     sum_squares: Fraction
@@ -247,6 +248,7 @@ def efficiency_metrics(
     for u in utils:
         prod *= u
     return EfficiencyMetrics(
+        utilities=utils,
         welfare=sum(utils, Fraction(0)),
         nsw=prod,
         sum_squares=sum((u * u for u in utils), Fraction(0)),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -65,8 +66,7 @@ def _parse_priority_flag(flag: str | None, inst: Instance):
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _jsonable(obj):
@@ -91,10 +91,7 @@ def _result_document(inst: Instance, alloc: Allocation, sigma, mechanism: str) -
         "mechanism": mechanism,
         "priority": [inst.agent_names[a] for a in sigma],
         **docio.allocation_document(alloc, inst),
-        "utilities": {
-            name: str(u)
-            for name, u in zip(inst.agent_names, alloc.utilities(inst.valuations))
-        },
+        "utilities": {name: str(u) for name, u in zip(inst.agent_names, metrics.utilities)},
         "sorted_utilities": [str(u) for u in metrics.sorted_vector],
         "potential": str(metrics.potential),
         "welfare": str(metrics.welfare),
@@ -232,7 +229,14 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argparse tree of the process, built on first use.
+
+    Each subcommand's default `command_fn` is the *name* of its handler,
+    which `main` looks up in this module at call time, so a parser built
+    earlier never holds a stale function.
+    """
     parser = argparse.ArgumentParser(
         prog="egalloc",
         description="Truthful fair allocation for dichotomous and near-dichotomous valuations.",
@@ -244,18 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--seed", type=int, default=0, help="PRNG seed for rpe and meps")
     solve.add_argument("--priority", help="comma-separated agent names, highest first")
-    solve.set_defaults(fn=_cmd_solve)
+    solve.set_defaults(command_fn="_cmd_solve")
 
     audit = sub.add_parser("audit", help="audit an allocation against an instance")
     audit.add_argument("--in", dest="infile", required=True)
     audit.add_argument("--alloc", required=True)
     audit.add_argument("--alpha", help="approximation factor p/q in (0,1]")
-    audit.set_defaults(fn=_cmd_audit)
+    audit.set_defaults(command_fn="_cmd_audit")
 
     dist = sub.add_parser("distribution", help="exact outcome distribution")
     dist.add_argument("--mech", required=True, choices=["rpe", "meps"])
     dist.add_argument("--in", dest="infile", required=True)
-    dist.set_defaults(fn=_cmd_distribution)
+    dist.set_defaults(command_fn="_cmd_distribution")
 
     fuzz = sub.add_parser("fuzz", help="search deviating reports for an agent")
     fuzz.add_argument("--mech", required=True, choices=["pe", "rpe", "meps"])
@@ -263,27 +267,26 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--deviator", required=True, help="agent name")
     fuzz.add_argument("--space", choices=["subsets", "library"], default="subsets")
     fuzz.add_argument("--expectation", action="store_true")
-    fuzz.set_defaults(fn=_cmd_fuzz)
+    fuzz.set_defaults(command_fn="_cmd_fuzz")
 
     fixture = sub.add_parser("fixture", help="run a pinned fixture F1..F9")
     fixture.add_argument("--id", required=True)
-    fixture.set_defaults(fn=_cmd_fixture)
+    fixture.set_defaults(command_fn="_cmd_fixture")
 
     enum = sub.add_parser("enumerate", help="exhaustive oracle sets (small instances)")
     enum.add_argument("--in", dest="infile", required=True)
-    enum.set_defaults(fn=_cmd_enumerate)
+    enum.set_defaults(command_fn="_cmd_enumerate")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        return globals()[args.command_fn](args)
     except CapabilityError as exc:
         print(f"capability cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY

@@ -188,7 +188,7 @@ def test_efficiency_metrics_examples():
 
     uneven = Allocation((F({0}), F({2, 3})), 4)
     met2 = efficiency_metrics(uneven, vals, (0, 1))
-    assert met2.nsw == 2
+    assert met2.nsw == 2 and met2.utilities == (1, 2)
     assert nsw_key((Fraction(1), Fraction(3))) < nsw_key((Fraction(2), Fraction(2)))
 
     empty = Allocation((F(), F()), 4)

@@ -493,6 +493,75 @@ def test_stack_or_memory_exhaustion_is_a_capability_exit(exc, monkeypatch, capsy
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def run_fresh(*argv, cwd):
+    """Run `python -m egalloc` in a fresh interpreter: a `cli` with no state."""
+    env = {**os.environ, "PYTHONPATH": str(Path(egalloc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "egalloc", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=30,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_leaks_nothing_between_calls(write_doc, capsys, monkeypatch, tmp_path):
+    # help text wraps at the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    inst = write_doc(EX_LORENZ)
+    alloc = write_doc({"allocation": {"p1": ["x"], "p2": ["y"]}}, "alloc.json")
+    sequence = [
+        ("solve", "--mech", "nope", "--in", inst),
+        ("solve", "--help"),
+        ("solve", "--mech", "rpe", "--seed", "5", "--in", inst),
+        ("solve", "--mech", "rpe", "--in", inst),
+        ("audit", "--in", inst, "--alloc", alloc),
+        ("fixture", "--id", "F1"),
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 0, 0]
+    assert json.loads(in_process[3][1])["seed"] == 0
+    assert in_process == [run_fresh(*argv, cwd=tmp_path) for argv in sequence]
+
+
+def test_main_builds_each_parser_once(write_doc, capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    inst = write_doc(EX_LORENZ)
+    for argv in [
+        ("solve", "--mech", "pe", "--in", inst),
+        ("solve", "--mech", "nope"),
+        ("solve", "--help"),
+        ("fixture", "--id", "F1"),
+        ("solve", "--mech", "rpe", "--in", inst),
+    ]:
+        main(list(argv))
+    capsys.readouterr()
+    # the first call of the process builds the tree; later calls reuse it
+    assert len(built) == len(set(built)), built
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, prefix",
+    [
+        ((), 2, "stderr", "usage: egalloc [-h]"),
+        (("solve", "--help"), 0, "stdout", "usage: egalloc solve [-h]"),
+    ],
+    ids=["no-arguments", "solve-help"],
+)
+def test_module_entry_point_keeps_its_prog_names(argv, code, stream, prefix, tmp_path):
+    got_code, out, err = run_fresh(*argv, cwd=tmp_path)
+    text = out if stream == "stdout" else err
+    assert got_code == code
+    assert text.startswith(prefix), text
+
+
 @pytest.mark.parametrize(
     "argv",
     [("fuzz", "--mech", "rpe"), ("fuzz", "--mech", "meps"), ("fuzz", "--mech", "pe", "--expectation")],
