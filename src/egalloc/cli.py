@@ -210,20 +210,16 @@ def _cmd_fixture(args) -> int:
 def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.infile)
     result = enumerate_optimal(inst)
+    lorenz = {tuple(str(u) for u in sorted(result.vectors[i])) for i in result.lorenz_dominating}
+    min_potential = {tuple(str(u) for u in result.vectors[i]) for i in result.min_potential}
     doc = {
         "allocation_count": len(result.allocations),
         "max_welfare": str(result.max_welfare),
         "pareto_count": len(result.pareto),
-        "lorenz_dominating_vectors": sorted(
-            {tuple(str(u) for u in sorted(result.vectors[i])) for i in result.lorenz_dominating}
-        ),
+        "lorenz_dominating_vectors": [list(v) for v in sorted(lorenz)],
         "min_potential": str(result.min_potential_value),
-        "min_potential_vectors": sorted(
-            {tuple(str(u) for u in result.vectors[i]) for i in result.min_potential}
-        ),
+        "min_potential_vectors": [list(v) for v in sorted(min_potential)],
     }
-    doc["lorenz_dominating_vectors"] = [list(v) for v in doc["lorenz_dominating_vectors"]]
-    doc["min_potential_vectors"] = [list(v) for v in doc["min_potential_vectors"]]
     _emit(doc)
     return EXIT_OK
 

@@ -38,9 +38,11 @@ every item would; the profile does not depend on it.
 
 `additive_balanced` is the same engine on additive demand-set reports.
 Two oracles check it: `enumerate_optimal` (every non-redundant allocation
-of a desk-scale instance) and, past the enumeration caps, the potential
-descent in `tests/lorenz_reference.py`.  All are pure functions of
-immutable inputs.
+of a desk-scale instance, in one pass over per-agent value tables that
+`value_functions` fills with ints, or `Fraction` sums for ε-leveled
+valuations; values become `Fraction`s only in its result) and, past the
+enumeration caps, the potential descent in `tests/lorenz_reference.py`.
+All are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Sequence
 from .errors import CapabilityError, ValidationError
 from .matroid import FreeOver, ItemSet, MatroidSpec
 from .model import Allocation, Instance, PriorityOrder, check_priority, identity_priority
-from .valuation import evaluate
+from .valuation import value_functions
 
 ENUMERATION_MAX_AGENTS = 4
 ENUMERATION_MAX_ITEMS = 6
@@ -199,7 +201,7 @@ class EnumerationResult:
     pareto: tuple[int, ...]
     lorenz_dominating: tuple[int, ...]
     min_potential: tuple[int, ...]
-    min_potential_value: int | None
+    min_potential_value: int
 
     def min_potential_vectors(self) -> set[tuple[Fraction, ...]]:
         return {self.vectors[i] for i in self.min_potential}
@@ -212,8 +214,12 @@ def enumerate_optimal(instance: Instance) -> EnumerationResult:
     the minimum-potential set among welfare-maximizing allocations, with
     potential taken under `instance.priority_or_default()`.  An
     allocation is Lorenz dominating iff its prefix-sum vector equals the
-    pointwise maximum over all allocations.  Capped at
-    ENUMERATION_MAX_AGENTS agents and ENUMERATION_MAX_ITEMS items.
+    pointwise maximum over all allocations.  Allocations are listed in
+    `product(range(n + 1), repeat=m)` order, the order every index refers
+    to.  Bundle values come from `value_functions` (ints, or `Fraction`
+    sums for ε-leveled valuations) and become `Fraction`s only in the
+    result.  Capped at ENUMERATION_MAX_AGENTS agents and
+    ENUMERATION_MAX_ITEMS items.
     """
     n, m = instance.n, instance.m
     if n > ENUMERATION_MAX_AGENTS or m > ENUMERATION_MAX_ITEMS:
@@ -222,100 +228,56 @@ def enumerate_optimal(instance: Instance) -> EnumerationResult:
             f"m={m} (max {ENUMERATION_MAX_ITEMS})"
         )
     sigma = instance.priority_or_default()
+    subsets = [frozenset(a for a in range(m) if mask >> a & 1) for mask in range(1 << m)]
 
-    value_tables = []
-    nonred_tables = []
+    # per agent: non-redundant mask -> value; a bundle is non-redundant iff
+    # dropping any one of its items lowers the value
+    tables = []
     for spec in instance.valuations:
-        vals = [Fraction(0)] * (1 << m)
-        for mask in range(1 << m):
-            vals[mask] = evaluate(spec, _mask_to_set(mask), m)
-        nonred = [True] * (1 << m)
-        for mask in range(1 << m):
-            v = vals[mask]
-            rest = mask
-            ok = True
-            while rest:
-                bit = rest & -rest
-                if vals[mask ^ bit] >= v:
-                    ok = False
-                    break
-                rest ^= bit
-            nonred[mask] = ok
-        value_tables.append(vals)
-        nonred_tables.append(nonred)
+        vals = list(map(value_functions(spec)[0], subsets))
+        tables.append(
+            {
+                mask: v
+                for mask, v in enumerate(vals)
+                if all(vals[mask ^ (1 << a)] < v for a in subsets[mask])
+            }
+        )
 
-    allocations: list[Allocation] = []
-    vectors: list[tuple[Fraction, ...]] = []
-    profiles: list[tuple[int, ...]] = []
+    allocations, vectors = [], []
     for assignment in product(range(n + 1), repeat=m):
-        masks = [0] * n
+        masks = [0] * (n + 1)  # masks[n]: the unallocated items
         for item, owner in enumerate(assignment):
-            if owner < n:
-                masks[owner] |= 1 << item
-        if not all(nonred_tables[v][masks[v]] for v in range(n)):
-            continue
-        bundles = tuple(_mask_to_set(masks[v]) for v in range(n))
-        vec = tuple(value_tables[v][masks[v]] for v in range(n))
-        allocations.append(Allocation(bundles, m))
-        vectors.append(vec)
-        profiles.append(tuple(len(b) for b in bundles))
+            masks[owner] |= 1 << item
+        if all(masks[v] in tables[v] for v in range(n)):
+            allocations.append(Allocation(tuple(subsets[masks[v]] for v in range(n)), m))
+            vectors.append(tuple(tables[v][masks[v]] for v in range(n)))
 
-    welfares = [sum(vec) for vec in vectors]
-    max_welfare = max(welfares)
-
-    prefix_vectors = [tuple(accumulate(sorted(vec))) for vec in vectors]
-    best_prefix = tuple(map(max, zip(*prefix_vectors)))
-    lorenz_idx = tuple(
-        i for i, pv in enumerate(prefix_vectors) if pv == best_prefix
-    )
-
-    welfare_max_idx = [i for i, w in enumerate(welfares) if w == max_welfare]
-    pots = {i: potential(profiles[i], sigma) for i in welfare_max_idx}
-    min_pot = min(pots.values()) if pots else None
-    min_pot_idx = tuple(i for i in welfare_max_idx if pots[i] == min_pot)
-
-    pareto_idx = _pareto_filter(vectors)
-
-    return EnumerationResult(
-        allocations=tuple(allocations),
-        vectors=tuple(vectors),
-        max_welfare=max_welfare,
-        pareto=pareto_idx,
-        lorenz_dominating=lorenz_idx,
-        min_potential=min_pot_idx,
-        min_potential_value=min_pot,
-    )
-
-
-def _mask_to_set(mask: int) -> ItemSet:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
-
-
-def _pareto_filter(vectors) -> tuple[int, ...]:
-    """Indices of allocations whose utility vector is Pareto-undominated."""
-    distinct: dict[tuple, None] = {}
-    for vec in vectors:
-        distinct.setdefault(vec)
+    # u Pareto-dominates v only if sum(u) > sum(v), so in descending welfare
+    # a vector is dominated iff some frontier vector found before it is
+    distinct = sorted(dict.fromkeys(vectors), key=sum, reverse=True)
     frontier: list[tuple] = []
     for vec in distinct:
-        dominated = False
-        for other in distinct:
-            if other == vec:
-                continue
-            if all(o >= s for o, s in zip(other, vec)) and any(
-                o > s for o, s in zip(other, vec)
-            ):
-                dominated = True
-                break
-        if not dominated:
+        if not any(all(o >= s for o, s in zip(other, vec)) for other in frontier):
             frontier.append(vec)
     frontier_set = set(frontier)
-    return tuple(i for i, vec in enumerate(vectors) if vec in frontier_set)
 
+    prefix = {vec: tuple(accumulate(sorted(vec))) for vec in distinct}
+    best_prefix = tuple(map(max, zip(*prefix.values())))
+
+    max_welfare = sum(distinct[0])  # the all-unallocated row is always listed
+    welfare_max_idx = [i for i, vec in enumerate(vectors) if sum(vec) == max_welfare]
+    pots = {i: potential(allocations[i].profile(), sigma) for i in welfare_max_idx}
+    min_pot = min(pots.values())
+
+    exact = {vec: tuple(map(Fraction, vec)) for vec in distinct}
+    return EnumerationResult(
+        allocations=tuple(allocations),
+        vectors=tuple(exact[vec] for vec in vectors),
+        max_welfare=Fraction(max_welfare),
+        pareto=tuple(i for i, vec in enumerate(vectors) if vec in frontier_set),
+        lorenz_dominating=tuple(
+            i for i, vec in enumerate(vectors) if prefix[vec] == best_prefix
+        ),
+        min_potential=tuple(i for i in welfare_max_idx if pots[i] == min_pot),
+        min_potential_value=min_pot,
+    )

@@ -5,12 +5,14 @@ import pytest
 
 from conftest import (
     MATROID_TAGS,
+    VALUATION_KINDS,
     additive_instance,
     matroid_instance,
     rand_explicit_matroid,
     rand_matroid,
     rand_matroid_of_tag,
     rand_subset,
+    rand_valuation,
 )
 from egalloc.audit import check_envy, check_lorenz_dominating, maximin_share, nsw_key
 from egalloc.errors import CapabilityError, ValidationError
@@ -22,7 +24,9 @@ from egalloc.lorenz import (
 )
 from egalloc.matroid import FreeOver, Partition, Restricted, Truncated, Uniform
 from egalloc.mechanisms import run_pe
+from egalloc.model import Instance
 from egalloc.valuation import AdditiveDichotomous, MatroidValuation
+from enumeration_reference import reference_enumerate_optimal
 from lorenz_reference import descent_lorenz, yankee_swap_reference
 
 F = frozenset
@@ -156,6 +160,12 @@ def test_enumerate_examples():
     res = enumerate_optimal(ex)
     assert res.min_potential_vectors() == {(Fraction(1), Fraction(1), Fraction(0))}
 
+    # an empty demand: only the all-unallocated assignment is non-redundant
+    res = enumerate_optimal(additive_instance([F()]))
+    assert len(res.allocations) == 1
+    assert res.min_potential == (0,)
+    assert type(res.min_potential_value) is int
+
     with pytest.raises(CapabilityError):
         enumerate_optimal(additive_instance([F(range(7))]))
 
@@ -165,6 +175,47 @@ def test_enumerate_counts_nonredundant_only():
     res = enumerate_optimal(inst)
     # item 0 to the agent or unallocated; a redundant extra item never appears
     assert len(res.allocations) == 2
+
+
+def _enumeration_instance(rng, k):
+    """Instance k of the differential grid: every hundredth at both caps,
+    every tenth with one item and every tenth with one agent; the rest keep
+    (n + 1)^m, the assignments scanned, within 1,024."""
+    if k % 100 == 0:
+        n, m = 4, 6
+    elif k % 10 == 1:
+        n, m = rng.randint(1, 4), 1
+    elif k % 10 == 2:
+        n, m = 1, rng.randint(1, 6)
+    else:
+        n, m = 4, 6
+        while (n + 1) ** m > 1024:
+            n, m = rng.randint(1, 4), rng.randint(1, 6)
+    valuations = []
+    for v in range(n):
+        kind = VALUATION_KINDS[(k + v) % len(VALUATION_KINDS)]
+        if kind == "matroid":
+            tag = MATROID_TAGS[(k + v) % len(MATROID_TAGS)]
+            valuations.append(MatroidValuation(rand_matroid_of_tag(rng, tag, m)))
+        else:
+            valuations.append(rand_valuation(rng, kind, m))
+    priority = rng.sample(range(n), n)
+    names = (tuple(f"i{j}" for j in range(m)), tuple(f"a{j}" for j in range(n)))
+    return Instance(*names, tuple(valuations), priority=priority)
+
+
+def test_enumerate_matches_reference():
+    rng = random.Random(14)
+    proper_pareto = no_lorenz = 0
+    for k in range(600):
+        inst = _enumeration_instance(rng, k)
+        res = enumerate_optimal(inst)
+        assert res == reference_enumerate_optimal(inst), k
+        assert type(res.max_welfare) is Fraction
+        assert all(type(u) is Fraction for vec in res.vectors for u in vec)
+        proper_pareto += len(res.pareto) < len(res.vectors)
+        no_lorenz += not res.lorenz_dominating
+    assert proper_pareto >= 50 and no_lorenz >= 20
 
 
 def test_matroid_path_matches_enumeration():
@@ -233,7 +284,6 @@ def test_non_additive_report_error():
 
 def test_enumerate_xos_instance():
     from egalloc.valuation import XosFamily
-    from egalloc.model import Instance
 
     t = F({1, 2, 3})
     inst = Instance(
@@ -257,7 +307,6 @@ def test_enumerate_leveled_instance_without_lorenz_dominating_allocation():
     # maximization and equalization pull apart, so no allocation
     # Lorenz-dominates every other one
     from egalloc.valuation import EpsLeveled
-    from egalloc.model import Instance
 
     eps = Fraction(1, 100)
     inst = Instance(
