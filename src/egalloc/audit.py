@@ -7,6 +7,7 @@ carries a checkable witness.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,16 +244,16 @@ def efficiency_metrics(
     valuations: Sequence[ValuationSpec],
     sigma: PriorityOrder,
 ) -> EfficiencyMetrics:
-    utils = allocation.utilities(valuations)
-    prod = Fraction(1)
-    for u in utils:
-        prod *= u
+    """Every field is formed in native `value_functions` values (ints, or
+    `Fraction` sums for ε-leveled valuations; `Allocation` checked each
+    bundle's universe) and converted to `Fraction` once."""
+    utils = [value_functions(v)[0](b) for v, b in zip(valuations, allocation.bundles)]
     return EfficiencyMetrics(
-        utilities=utils,
-        welfare=sum(utils, Fraction(0)),
-        nsw=prod,
-        sum_squares=sum((u * u for u in utils), Fraction(0)),
-        sorted_vector=tuple(sorted(utils)),
+        utilities=tuple(map(Fraction, utils)),
+        welfare=Fraction(sum(utils)),
+        nsw=Fraction(math.prod(utils)),
+        sum_squares=Fraction(sum(u * u for u in utils)),
+        sorted_vector=tuple(map(Fraction, sorted(utils))),
         potential=potential(allocation.profile(), sigma),
     )
 

@@ -129,7 +129,7 @@ def _cmd_solve(args) -> int:
 def _cmd_audit(args) -> int:
     inst = _load_instance(args.infile)
     alloc = docio.parse_allocation(_read_text(args.alloc), inst)
-    alpha = as_value(args.alpha or 1)
+    alpha = as_value(1 if args.alpha is None else args.alpha)
     envy = check_envy(alloc, inst.valuations, ("EF", "EF1", "EFX"), alpha)
     entries = {mode: _jsonable(verdict) for mode, verdict in envy.entries}
     ok = envy.holds("EF1") and envy.holds("EFX")

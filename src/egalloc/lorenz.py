@@ -12,8 +12,10 @@ One engine computes it: `compute_lorenz_dominating` runs Yankee Swap
 (Viswanathan & Zick, AAMAS 2023).  The playing agent with the fewest items
 moves next, ties going to the higher-priority agent; it takes a shortest
 transfer path through the item exchange graph that ends at an unowned
-item, and an agent with no such path leaves the game.  Shortest paths keep
-every bundle independent (the transfer-path lemma of Benabbou,
+item, and an agent with no such path leaves the game.  The game ends once
+every item in any agent's support is owned: a search discovers only support
+items and ends only at an unowned one, so no path is left.  Shortest paths
+keep every bundle independent (the transfer-path lemma of Benabbou,
 Chakraborty, Igarashi & Zick, ACM TEAC 2021), so every bundle is
 non-redundant and the final profile is the welfare-maximal one of minimum
 potential.
@@ -88,8 +90,9 @@ def compute_lorenz_dominating(
 
     Yankee Swap: all bundles start empty; the playing agent with the fewest
     items (ties to higher priority) takes a shortest transfer path ending
-    at an unowned item, and an agent with no such path leaves the game.
-    Every turn adds one item to the mover and keeps every other size, so
+    at an unowned item, and an agent with no such path leaves the game (all
+    leave once every support item is owned, since no path is left).  Every
+    turn adds one item to the mover and keeps every other size, so
     the playing agents always hold equally many items at the start of a
     round, and the order of turns is a round-robin in priority order.
     """
@@ -100,20 +103,26 @@ def compute_lorenz_dominating(
 
 
 def _yankee_swap(matroids: Sequence[MatroidSpec], m: int) -> list[ItemSet]:
-    """Yankee Swap bundles for agents already in rank order."""
+    """Yankee Swap bundles for agents already in rank order.  A search
+    discovers only support items and ends only at an unowned one, so once
+    `wanted` (the unowned support items) is empty every playing agent leaves."""
     universe = frozenset(range(m))
     # descending item ids: the documented tie-break among shortest paths
     supports = [sorted(spec.support() & universe, reverse=True) for spec in matroids]
     bundles: list[ItemSet] = [frozenset()] * len(matroids)
     owner: dict[int, int] = {}  # item -> rank of its holder; unowned items absent
+    wanted = set().union(*supports)  # unowned items in some agent's support
     playing = [i for i, supp in enumerate(supports) if supp]
-    while playing:
+    while playing and wanted:
         still = []
         for i in playing:
+            if not wanted:  # no path can end at an unowned item: all leave
+                break
             path = _transfer_path(i, matroids, supports, bundles, owner)
             if path is None:
                 continue
             still.append(i)
+            wanted.discard(path[-1])
             # i takes path[0]; the holder of path[t] takes path[t+1] in its place
             taker = i
             for item in path:

@@ -7,7 +7,9 @@ shortcut for pairs without envy.  `reference_check_stochastic_ef` builds
 its own-bundle and cross-bundle values in two separate `evaluate` loops.
 `reference_check_lorenz_dominating` classifies each enumerated vector by a
 pairwise prefix-sum walk (dominates, dominated, equal or incomparable) and
-fails on the first one the allocation does not weakly dominate.  Each
+fails on the first one the allocation does not weakly dominate.
+`reference_efficiency_metrics` forms every metric from `evaluate`'s
+`Fraction` utilities, with `Fraction` accumulators throughout.  Each
 shares only `evaluate`, `enumerate_optimal` and the report types with the
 program's auditor, so agreement between the two, witnesses included, is a
 differential check.
@@ -18,10 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from egalloc.audit import BoundWitness, EnvyWitness, FairnessReport, TailWitness, Verdict
+from egalloc.audit import (
+    BoundWitness, EfficiencyMetrics, EnvyWitness, FairnessReport, TailWitness, Verdict
+)
 from egalloc.errors import PreconditionError, ValidationError
-from egalloc.lorenz import enumerate_optimal
-from egalloc.model import Allocation, Instance, OutcomeDistribution
+from egalloc.lorenz import enumerate_optimal, potential
+from egalloc.model import Allocation, Instance, OutcomeDistribution, PriorityOrder
 from egalloc.valuation import ValuationSpec, evaluate
 
 
@@ -192,3 +196,22 @@ def reference_check_lorenz_dominating(allocation: Allocation, instance: Instance
             witness = (result.allocations[idx].bundles, other_sorted)
             return FairnessReport((("lorenz_dominating", Verdict(False, witness)),))
     return FairnessReport((("lorenz_dominating", Verdict(True)),))
+
+
+def reference_efficiency_metrics(
+    allocation: Allocation,
+    valuations: Sequence[ValuationSpec],
+    sigma: PriorityOrder,
+) -> EfficiencyMetrics:
+    utils = allocation.utilities(valuations)
+    prod = Fraction(1)
+    for u in utils:
+        prod *= u
+    return EfficiencyMetrics(
+        utilities=utils,
+        welfare=sum(utils, Fraction(0)),
+        nsw=prod,
+        sum_squares=sum((u * u for u in utils), Fraction(0)),
+        sorted_vector=tuple(sorted(utils)),
+        potential=potential(allocation.profile(), sigma),
+    )

@@ -8,8 +8,16 @@ from audit_reference import (
     reference_check_envy,
     reference_check_lorenz_dominating,
     reference_check_stochastic_ef,
+    reference_efficiency_metrics,
 )
-from conftest import additive_instance, matroid_instance, rand_matroid, rand_subset, rand_valuation
+from conftest import (
+    VALUATION_KINDS,
+    additive_instance,
+    matroid_instance,
+    rand_matroid,
+    rand_subset,
+    rand_valuation,
+)
 from egalloc.audit import (
     BoundWitness,
     EnvyWitness,
@@ -194,6 +202,37 @@ def test_efficiency_metrics_examples():
     empty = Allocation((F(), F()), 4)
     met3 = efficiency_metrics(empty, vals, (0, 1))
     assert met3.welfare == 0 and met3.nsw == 0 and met3.sum_squares == 0
+
+
+def test_efficiency_metrics_matches_reference():
+    # The native-valued metrics against the all-Fraction body kept in
+    # audit_reference, as whole objects, on random allocations of random
+    # valuations of every kind (matroids of all six tags), with empty
+    # bundles and zero utilities; every field but the int potential is a
+    # Fraction.
+    rng = random.Random(2024)
+    kinds_seen, tags_seen, zero_nsw = set(), set(), 0
+    for trial in range(360):
+        n, m = rng.randint(1, 6), rng.randint(0, 12)
+        kinds = [rng.choice(VALUATION_KINDS) for _ in range(n)]
+        vals = [rand_valuation(rng, kind, m) for kind in kinds]
+        kinds_seen.update(kinds)
+        tags_seen.update(type(v.matroid).__name__ for v in vals if isinstance(v, MatroidValuation))
+        owner = [rng.randrange(n + 1) for _ in range(m)]  # n: unallocated
+        if trial % 10 == 0:
+            owner = [n] * m
+        bundles = tuple(F(a for a in range(m) if owner[a] == i) for i in range(n))
+        alloc = Allocation(bundles, m)
+        sigma = tuple(rng.sample(range(n), n))
+        got = efficiency_metrics(alloc, vals, sigma)
+        assert got == reference_efficiency_metrics(alloc, vals, sigma), trial
+        fractions = [got.welfare, got.nsw, got.sum_squares, *got.utilities, *got.sorted_vector]
+        assert all(type(x) is Fraction for x in fractions)
+        assert type(got.potential) is int
+        zero_nsw += got.nsw == 0
+    assert kinds_seen == set(VALUATION_KINDS)
+    assert tags_seen == {"FreeOver", "Uniform", "Partition", "Explicit", "Truncated", "Restricted"}
+    assert 50 <= zero_nsw < 360
 
 
 def test_nsw_key_zero_handling():

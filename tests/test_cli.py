@@ -669,6 +669,7 @@ HOSTILE = {
     "alpha-not-a-number": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "abc")),
     "alpha-zero-denominator": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "1/0")),
     "alpha-huge-exponent": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "1e-9999999999")),
+    "alpha-empty": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "")),
 }
 
 

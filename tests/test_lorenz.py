@@ -14,6 +14,7 @@ from conftest import (
     rand_subset,
     rand_valuation,
 )
+from egalloc import lorenz
 from egalloc.audit import check_envy, check_lorenz_dominating, maximin_share, nsw_key
 from egalloc.errors import CapabilityError, ValidationError
 from egalloc.lorenz import (
@@ -146,6 +147,44 @@ def test_engine_asks_free_and_uniform_specs_no_independence_oracle(monkeypatch):
     monkeypatch.setattr(Uniform, "is_independent", refuse)
     for reports, m, sigma, before in cases:
         assert run_pe(reports, m, sigma) == before
+
+
+def test_engine_stops_searching_once_no_unowned_item_is_wanted(monkeypatch):
+    # Every path ends at an unowned item of some agent's support, so once
+    # all such items are owned no search can succeed and none may start.
+    # Shapes of the benchmark (additive 24x120 at density 0.15, mixed
+    # matroids 8x24) plus agents capped by a uniform cap or full partition
+    # blocks, who leave while wanted items remain: their failed searches
+    # still run, and bundles equal the per-item search, which has no stop
+    # rule.
+    searches = []  # (unowned support items left, path found) per search
+    search = lorenz._transfer_path
+
+    def counting(i, matroids, supports, bundles, owner):
+        path = search(i, matroids, supports, bundles, owner)
+        searches.append((len(set().union(*supports) - owner.keys()), path is not None))
+        return path
+
+    monkeypatch.setattr(lorenz, "_transfer_path", counting)
+    rng = random.Random(1515)
+    cases = []
+    for _ in range(12):
+        cases.append(([FreeOver(rand_subset(rng, 120, 0.15)) for _ in range(24)], 120))
+    for trial in range(60):
+        tags = [MATROID_TAGS[(trial + v) % len(MATROID_TAGS)] for v in range(8)]
+        cases.append(([rand_matroid_of_tag(rng, tag, 24) for tag in tags], 24))
+    for _ in range(20):
+        pool = rand_subset(rng, 24, 0.5)
+        capped = [Uniform(rand_subset(rng, 24, 0.5), rng.randint(1, 3)) for _ in range(4)]
+        blocks = [Partition(((pool, rng.randint(1, 2)), (F(range(24)) - pool, 1)))] * 4
+        cases.append((capped + blocks, 24))
+    for mats, m in cases:
+        n = len(mats)
+        sigma = tuple(rng.sample(range(n), n))
+        got = compute_lorenz_dominating(mats, m, sigma)
+        assert got.bundles == yankee_swap_reference(mats, m, sigma).bundles
+    assert searches and all(left for left, _ in searches)
+    assert sum(1 for left, found in searches if left and not found) >= 50
 
 
 def test_enumerate_examples():

@@ -31,3 +31,13 @@ def test_output_digest_smoke():
     # the exit codes, stdout and stderr of those ops, pinned: any change to
     # the CLI's output bytes changes it (the same under Python 3.10-3.13)
     assert hexdigest == "721ed43e992332356f79b8cd3e3cafeed48b54e06c98c53b3998ec2941fe2c25"
+
+
+def test_output_digest_wider_pin():
+    # 12 ops of each pool: enough rounds of the engine to pin its item
+    # tie-break (which items each agent gets), not just the profile
+    proc = run_script("output_digest.py", "--limit", "12", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "45", "cdde83432e28de5bb8d7e613901e9e5088036edfaec2cb3913fcbc8be4f2d117"
+    ]
