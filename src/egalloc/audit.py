@@ -104,7 +104,8 @@ def check_envy(
     for EFX, the lowest item whose removal leaves the envy.  A mode is not
     checked past its first failure, and the sweep ends once every mode has
     failed.  Valuations are monotone, so a pair with f_i(A_i) >= α f_i(A_j)
-    fails no mode and needs no drop values.  Values come from
+    fails no mode and needs no drop values, and i envies no j that holds
+    none of i's support items.  Values come from
     `valuation.value_functions`, in the valuation's native type.
     """
     modes = (mode,) if isinstance(mode, str) else tuple(mode)
@@ -125,13 +126,15 @@ def check_envy(
     witnesses: dict[str, EnvyWitness] = {}
     open_modes = set(modes)
     bundles = allocation.bundles
+    owner = {a: j for j, bundle in enumerate(bundles) for a in bundle}
     for i in range(allocation.n):
         # every bundle was checked against its universe by Allocation
         value, drop = value_functions(valuations[i])
         own = value(bundles[i])
-        for j, other in enumerate(bundles):
-            if i == j:
-                continue
+        # f_i(A_j) = f_i(A_j ∩ supp_i) and f_i(∅) = 0, so i can envy only the
+        # owners of its support items; ascending j keeps the row-major order
+        for j in sorted({owner[a] for a in support(valuations[i]) if a in owner} - {i}):
+            other = bundles[j]
             whole = value(other)
             if not below(own, whole):
                 continue

@@ -51,6 +51,13 @@ def _rational(raw, where: str) -> Fraction:
 def _item_list(raw, item_index: Mapping[str, int], where: str) -> frozenset[int]:
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list of item ids")
+    try:
+        out = frozenset(map(item_index.__getitem__, raw))
+        if len(out) == len(raw):
+            return out
+    except (KeyError, TypeError):  # an unknown or unhashable id
+        pass
+    # some id is unknown or repeated: find the first, for the message
     out = set()
     for name in raw:
         if not isinstance(name, str) or name not in item_index:

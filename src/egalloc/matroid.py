@@ -223,8 +223,10 @@ class Explicit(MatroidSpec):
     A set is independent when it is a subset of some listed set, so inputs
     may list any sets whose downward closure is the intended family.
     Construction keeps only the maximal listed sets, deduplicated; two specs
-    are therefore equal exactly when their independence families are.  The
-    result need not satisfy the exchange axiom; use `validate_matroid`
+    are therefore equal exactly when their independence families are.  Sets
+    are taken longest first, and one lies inside a kept set exactly when the
+    AND of its items' bitmasks (of the kept sets holding each) is non-zero.
+    The result need not satisfy the exchange axiom; use `validate_matroid`
     before trusting it as a matroid.  The verdict is kept once computed,
     so every check of one spec, and of the truncations and restrictions
     that wrap it, shares one scan.
@@ -237,8 +239,14 @@ class Explicit(MatroidSpec):
         if not given:
             raise ValidationError("explicit independence family must be nonempty")
         maximal: list[ItemSet] = []
+        kept_with: dict[int, int] = {}
         for t in given:
-            if not any(t <= kept for kept in maximal):
+            inside = (1 << len(maximal)) - 1
+            for a in t:
+                inside &= kept_with.get(a, 0)
+            if not inside:
+                for a in t:
+                    kept_with[a] = kept_with.get(a, 0) | 1 << len(maximal)
                 maximal.append(t)
         object.__setattr__(self, "family", frozenset(maximal))
 
@@ -334,22 +342,39 @@ def check_explicit_cap(sets: Iterable[ItemSet]) -> None:
 
 def _validate_explicit(spec: Explicit) -> Violation | None:
     check_explicit_cap(spec.family)
-    bases = sorted(spec.family, key=lambda t: (len(t), sorted(t)))
-    smallest, largest = bases[0], bases[-1]
-    if len(smallest) < len(largest):
-        # smallest is maximal, so no item of largest augments it
-        return Violation("exchange", (tuple(sorted(smallest)), tuple(sorted(largest))))
+    bases = tuple(spec.family)
+    if len({len(b) for b in bases}) > 1:
+        # the smallest is maximal, so no item of the largest augments it
+        bases = sorted(bases, key=lambda t: (len(t), sorted(t)))
+        return Violation("exchange", (tuple(sorted(bases[0])), tuple(sorted(bases[-1]))))
     # Bases axiom: for bases B1, B2 and x in B1∖B2 some y in B2∖B1 makes
     # B1-x+y a basis.  With rest = B1-x, the items that extend rest to a
     # basis include x itself, so the axiom fails exactly when some basis
     # misses all of them; (rest, B2) is then an augmentation witness.
-    universe = spec.support()
-    for rest in sorted({b - {x} for b in bases for x in b}, key=sorted):
-        extends = frozenset(y for y in universe - rest if rest | {y} in spec.family)
-        for b in bases:
-            if b.isdisjoint(extends):
-                return Violation("exchange", (tuple(sorted(rest)), tuple(sorted(b))))
-    return None
+    # rest+y is a basis exactly when it is a basis b with b-y = rest, so one
+    # pass over the (b, y) pairs ORs, per rest (an item bitmask), the masks
+    # of the bases holding each such y; a clear bit is a missed basis.  The
+    # witness, sorted only on failure, is the least failing rest (by sorted
+    # items) and its first missed basis: what an ordered scan meets first.
+    items = sorted(spec.support())
+    bit = {x: 1 << k for k, x in enumerate(items)}
+    holders = dict.fromkeys(items, 0)
+    for k, b in enumerate(bases):
+        for x in b:
+            holders[x] |= 1 << k
+    covered: dict[int, int] = {}
+    for b in bases:
+        mask = sum(map(bit.__getitem__, b))
+        for x in b:
+            rest = mask ^ bit[x]
+            covered[rest] = covered.get(rest, 0) | holders[x]
+    full = (1 << len(bases)) - 1
+    failing = [(rest, cover) for rest, cover in covered.items() if cover != full]
+    if not failing:
+        return None
+    rest, cover = min(failing, key=lambda f: [x for x in items if f[0] & bit[x]])
+    missed = min(sorted(b) for k, b in enumerate(bases) if not cover >> k & 1)
+    return Violation("exchange", (tuple(x for x in items if rest & bit[x]), tuple(missed)))
 
 
 def validate_matroid(spec: MatroidSpec) -> Violation | None:

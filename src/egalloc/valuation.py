@@ -29,8 +29,11 @@ def as_value(x) -> Fraction:
     the one coercion at every boundary that takes a rational.
 
     Floats and bools are refused: mechanism comparisons hinge on differences
-    of order eps/(n*m^2), far below float noise.
+    of order eps/(n*m^2), far below float noise.  A `Fraction` is immutable,
+    so one is returned as it is.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise ValidationError(f"exact rational required, got {x!r}; floats are rejected")
     if isinstance(x, Rational) and not isinstance(x, bool):

@@ -1,10 +1,14 @@
-"""Reference explicit-family validator, kept as a test oracle.
+"""Reference explicit-family validators, kept as test oracles.
 
-This is the closure-based validator `egalloc.matroid` used when `Explicit`
-stored the full downward closure of its listed sets: build every subset of
-every listed set, then check the augmentation axiom between each pair of
-adjacent sizes.  `tests/test_matroid.py` compares the basis-exchange
-validator against it on random families.
+`reference_exchange_violations` is the closure-based validator
+`egalloc.matroid` used when `Explicit` stored the full downward closure of
+its listed sets: build every subset of every listed set, then check the
+augmentation axiom between each pair of adjacent sizes.
+`reference_maximal_sets` and `reference_validate_explicit` are the
+pairwise maximal-set filter and the ordered basis-exchange scan that
+`Explicit` and `_validate_explicit` used before both worked by item
+bitmasks.  `tests/test_matroid.py` compares the validator against them on
+random families.
 """
 
 from __future__ import annotations
@@ -47,3 +51,33 @@ def reference_exchange_violations(sets: Iterable[ItemSet]) -> list[Violation]:
                 if not any(s | {x} in fam for x in t - s):
                     out.append(Violation("exchange", (tuple(sorted(s)), tuple(sorted(t)))))
     return out
+
+
+def reference_maximal_sets(sets: Iterable[ItemSet]) -> frozenset[ItemSet]:
+    """The listed sets that lie inside no other, by pairwise subset tests."""
+    given = sorted({frozenset(t) for t in sets}, key=len, reverse=True)
+    maximal: list[ItemSet] = []
+    for t in given:
+        if not any(t <= kept for kept in maximal):
+            maximal.append(t)
+    return frozenset(maximal)
+
+
+def reference_validate_explicit(family: frozenset[ItemSet]) -> Violation | None:
+    """The first basis-exchange failure of a family of maximal sets.
+
+    Rests b - x in sorted order, each against every basis in (size, sorted)
+    order; the first basis missing all items that extend the rest to a
+    basis gives the witness.
+    """
+    bases = sorted(family, key=lambda t: (len(t), sorted(t)))
+    smallest, largest = bases[0], bases[-1]
+    if len(smallest) < len(largest):
+        return Violation("exchange", (tuple(sorted(smallest)), tuple(sorted(largest))))
+    universe = frozenset().union(*family)
+    for rest in sorted({b - {x} for b in bases for x in b}, key=sorted):
+        extends = frozenset(y for y in universe - rest if rest | {y} in family)
+        for b in bases:
+            if b.isdisjoint(extends):
+                return Violation("exchange", (tuple(sorted(rest)), tuple(sorted(b))))
+    return None

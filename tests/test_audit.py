@@ -32,10 +32,10 @@ from egalloc.audit import (
     nsw_key,
 )
 from egalloc.errors import CapabilityError, PreconditionError, ValidationError
-from egalloc.matroid import FreeOver, Partition
+from egalloc.matroid import FreeOver, Partition, Uniform
 from egalloc.mechanisms import run_pe, run_rpe
 from egalloc.model import Allocation, Atom, Instance, OutcomeDistribution
-from egalloc.valuation import AdditiveDichotomous, MatroidValuation
+from egalloc.valuation import AdditiveDichotomous, MatroidValuation, support
 
 F = frozenset
 
@@ -111,6 +111,42 @@ def test_one_sweep_matches_per_mode_reference():
     assert tags_seen == {"additive", "leveled", "matroid", "xos"}
     assert empty_bundles >= 100 and unallocated >= 100
     assert min(failures.values()) >= 100, failures
+
+
+def test_check_envy_values_only_the_owners_of_each_enviers_support(monkeypatch):
+    import egalloc.audit as audit
+
+    calls = []
+    original = audit.value_functions
+
+    def counting(spec):
+        value, drop = original(spec)
+
+        def counted_value(s):
+            calls.append(None)
+            return value(s)
+
+        def counted_drop(s, whole, a):
+            calls.append(None)
+            return drop(s, whole, a)
+
+        return counted_value, counted_drop
+
+    monkeypatch.setattr(audit, "value_functions", counting)
+    n = 300
+    # everyone wants the one item, which agent 0 holds
+    crowd = ([AdditiveDichotomous(F({0}))] * n, Allocation((F({0}),) + (F(),) * (n - 1), 1))
+    # agent i holds item i and wants items i and i+1
+    ring = (
+        [MatroidValuation(Uniform(F({i, (i + 1) % n}), 1)) for i in range(n)],
+        Allocation(tuple(F({i}) for i in range(n)), n),
+    )
+    for vals, alloc, ef_witness in (crowd + (EnvyWitness(1, 0, None, 0, 1),), ring + (None,)):
+        calls.clear()
+        report = check_envy(alloc, vals, ("EF", "EF1", "EFX"))
+        assert report.verdict("EF").witness == ef_witness
+        assert report.holds("EF1") and report.holds("EFX")
+        assert len(calls) <= 3 * (n + sum(len(support(v)) for v in vals))
 
 
 def test_check_envy_rejects_bad_modes():

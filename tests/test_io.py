@@ -98,6 +98,50 @@ def test_unknown_item_rejected():
         parse_instance(json.dumps(doc))
 
 
+_ITEM_LIST_SITES = {
+    "agents[0].valuation.demand": lambda ids: {"demand": ids},
+    "agents[0].valuation.matroid.blocks[1].items": lambda ids: {
+        "matroid": {
+            "type": "partition",
+            "blocks": [{"items": ["c"], "cap": 1}, {"items": ids, "cap": 1}],
+        }
+    },
+    "agents[0].valuation.matroid.independent[1]": lambda ids: {
+        "matroid": {"type": "explicit", "independent": [["c"], ids]}
+    },
+    "agents[0].valuation.matroid.demand": lambda ids: {
+        "matroid": {
+            "type": "restricted",
+            "inner": {"type": "free", "demand": ["c"]},
+            "demand": ids,
+        }
+    },
+    "agents[0].valuation.xos[1]": lambda ids: {"xos": [["c"], ids]},
+}
+
+_BAD_ITEM_LISTS = [
+    (["a", "zz"], "unknown item id 'zz'"),
+    (["a", 0], "unknown item id 0"),
+    ([None, "a"], "unknown item id None"),
+    (["a", ["b"]], "unknown item id ['b']"),
+    (["b", "a", "b"], "duplicate item id 'b'"),
+    (["a", "a", "zz"], "duplicate item id 'a'"),
+]
+
+
+@pytest.mark.parametrize("ids, message", _BAD_ITEM_LISTS)
+def test_item_list_errors_name_the_first_bad_id(ids, message):
+    for where, valuation in _ITEM_LIST_SITES.items():
+        doc = {"items": ["a", "b", "c"], "agents": [{"name": "x", "valuation": valuation(ids)}]}
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(doc))
+        assert str(exc.value) == f"{where}: {message}"
+    inst = parse_instance(MINIMAL.replace('"b"]', '"b", "c"]'))
+    with pytest.raises(ParseError) as exc:
+        parse_allocation(json.dumps({"allocation": {"alice": ids}}), inst)
+    assert str(exc.value) == f"allocation['alice']: {message}"
+
+
 def test_bad_priority_rejected():
     doc = {
         "items": ["a"],

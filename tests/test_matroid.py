@@ -26,7 +26,13 @@ from egalloc.matroid import (
     brute_force_rank,
     validate_matroid,
 )
-from matroid_reference import downward_closure, reference_exchange_violations
+from egalloc.valuation import AdditiveDichotomous
+from matroid_reference import (
+    downward_closure,
+    reference_exchange_violations,
+    reference_maximal_sets,
+    reference_validate_explicit,
+)
 
 F = frozenset
 
@@ -117,6 +123,25 @@ def test_explicit_verdict_is_kept_and_is_not_a_field(monkeypatch):
     # the twin has no verdict yet, and computes its own
     assert validate_matroid(twin) == first
     assert scanned == [bad, twin]
+
+
+@pytest.mark.parametrize("bad", [True, -1, "a"])
+def test_item_ids_must_be_non_negative_ints(bad):
+    for build in (FreeOver, lambda s: Explicit(F({s})), lambda s: Partition(((s, 1),))):
+        with pytest.raises(ValidationError) as exc:
+            build(F({0, bad}))
+        assert str(exc.value) == f"item ids must be non-negative integers, got {bad!r}"
+    with pytest.raises(ValidationError):
+        AdditiveDichotomous(F({bad}))
+
+
+def test_int_subclass_item_ids_are_accepted():
+    class ItemId(int):
+        pass
+
+    spec = Explicit(F({F({ItemId(2), 0}), F({ItemId(2)})}))
+    assert spec.family == F({F({0, 2})})
+    assert FreeOver(F({ItemId(5)})).demand == F({5})
 
 
 def test_partition_overlap_is_construction_error():
@@ -231,6 +256,29 @@ def test_explicit_validator_matches_closure_reference():
         verdicts[valid, len(sizes) == 1] += 1
     # valid families, and invalid ones failing by size and by exchange alone
     assert min(verdicts[True, True], verdicts[False, False], verdicts[False, True]) >= 150
+
+
+def test_explicit_filter_and_validator_match_pairwise_reference():
+    rng = random.Random(47)
+    u6_12 = [F(s) for s in combinations(range(12), 6)]
+    cases = [[F()], [F(), F({3})], u6_12, u6_12[1:], u6_12[:-1]]
+    while len(cases) < 5200:
+        m = rng.choice((0, 2, 3, 4, 5, 6, 6, 7, 7, 8, 8, 9, 10, 11, 12))
+        sets = _rand_family(rng, m) if m else [F()]
+        if rng.random() < 0.3:  # non-maximal sets too, which the filter drops
+            sets += [rand_subset(rng, m, 0.5) & t for t in sets if rng.random() < 0.5]
+        if rng.random() < 0.2:  # item ids that are neither small nor consecutive
+            sets = [F(7 * a + 40 for a in t) for t in sets]
+        cases.append(sets)
+    verdicts = Counter()
+    for sets in cases:
+        spec = Explicit(F(sets))
+        assert spec.family == reference_maximal_sets(sets), sets
+        v = validate_matroid(spec)
+        assert v == reference_validate_explicit(spec.family), sets
+        verdicts[v is None, len({len(t) for t in spec.family}) == 1] += 1
+    # valid families, and invalid ones failing by size and by exchange alone
+    assert min(verdicts[True, True], verdicts[False, False], verdicts[False, True]) >= 500
 
 
 def test_exchange_predicates_match_is_independent():
