@@ -23,12 +23,11 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
-    AllDemandSubsets,
-    ExplicitDeviations,
     FixtureResult,
     FuzzResult,
-    RestrictedMrfLibrary,
+    all_demand_subsets,
     fuzz_truthfulness,
+    restricted_mrf_library,
     run_fixture,
 )
 from .intersection import max_common_independent
@@ -68,8 +67,6 @@ from .valuation import (
     ValuationSpec,
     XosFamily,
     evaluate,
-    floor_round,
-    validate,
 )
 
 # submodules are package attributes too; exporting them would rebind `io` on a star import

@@ -228,20 +228,6 @@ class EfficiencyMetrics:
     potential: int
 
 
-def nsw_key(vector: Sequence[Fraction]) -> tuple[int, Fraction]:
-    """Comparison key for Nash social welfare in exact arithmetic.
-
-    Zero factors compare by count first (fewer zeros is better), then by
-    the product of the nonzero entries; this matches the lex-min ordering
-    whenever plain products tie at zero.
-    """
-    nonzero = [x for x in vector if x != 0]
-    prod = Fraction(1)
-    for x in nonzero:
-        prod *= x
-    return (len(nonzero), prod)
-
-
 def efficiency_metrics(
     allocation: Allocation,
     valuations: Sequence[ValuationSpec],

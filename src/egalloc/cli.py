@@ -19,12 +19,7 @@ from pathlib import Path
 from . import io as docio
 from .audit import check_envy, check_maximin_fair, efficiency_metrics
 from .errors import CapabilityError, EgallocError, ValidationError
-from .harness import (
-    AllDemandSubsets,
-    RestrictedMrfLibrary,
-    fuzz_truthfulness,
-    run_fixture,
-)
+from .harness import all_demand_subsets, fuzz_truthfulness, restricted_mrf_library, run_fixture
 from .lorenz import enumerate_optimal
 from .mechanisms import (
     floor_reports,
@@ -174,7 +169,7 @@ def _cmd_fuzz(args) -> int:
     if args.expectation == (args.mech == "pe"):  # pe is deterministic; rpe and meps are not
         need = "refuses" if args.expectation else "requires"
         raise ValidationError(f"fuzz --mech {args.mech} {need} --expectation")
-    space = RestrictedMrfLibrary() if args.space == "library" else AllDemandSubsets()
+    space = restricted_mrf_library if args.space == "library" else all_demand_subsets
     result = fuzz_truthfulness(args.mech, inst, deviator, space)
     doc = {
         "mechanism": result.mechanism,

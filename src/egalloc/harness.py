@@ -44,65 +44,49 @@ from .valuation import (
 
 SUBSET_SPACE_MAX_ITEMS = 12
 
+#: Most agents and items, summed over its PE solves (one per candidate
+#: report and one for the truth), that `fuzz_truthfulness("pe", ...)` takes
+#: on.  A solve over n agents and m items took 1–3 µs per agent or item on
+#: additive instances with m <= 12, so the cap is about one second of work.
+PE_FUZZ_MAX_SIZE = 300_000
 
-class DeviationSpace:
-    """Base class; concrete spaces enumerate candidate reports (truth included)."""
 
-
-@dataclass(frozen=True)
-class AllDemandSubsets(DeviationSpace):
+def all_demand_subsets(instance: Instance, deviator: int) -> list[ValuationSpec]:
     """Every demand-set report: all 2^m subsets of the item universe."""
+    m = instance.m
+    if m > SUBSET_SPACE_MAX_ITEMS:
+        raise CapabilityError(
+            f"subset space has 2^{m} reports; cap is m <= {SUBSET_SPACE_MAX_ITEMS}"
+        )
+    return [
+        AdditiveDichotomous(frozenset(sub))
+        for k in range(m + 1)
+        for sub in combinations(range(m), k)
+    ]
 
 
-@dataclass(frozen=True)
-class RestrictedMrfLibrary(DeviationSpace):
+def restricted_mrf_library(instance: Instance, deviator: int) -> list[ValuationSpec]:
     """Restrictions and truncations of the truthful matroid, plus zero.
 
     These are exactly the report surgeries the truthfulness argument walks
     through, so profitable deviations (if any existed) would show up here
     without enumerating all matroids.
     """
-
-
-@dataclass(frozen=True)
-class ExplicitDeviations(DeviationSpace):
-    reports: tuple[ValuationSpec, ...]
-
-
-def _deviation_reports(
-    space: DeviationSpace, instance: Instance, deviator: int
-) -> list[ValuationSpec]:
-    m = instance.m
     truth = instance.valuations[deviator]
-    if isinstance(space, AllDemandSubsets):
-        if m > SUBSET_SPACE_MAX_ITEMS:
-            raise CapabilityError(
-                f"subset space has 2^{m} reports; cap is m <= {SUBSET_SPACE_MAX_ITEMS}"
-            )
-        items = list(range(m))
-        out: list[ValuationSpec] = []
-        for k in range(m + 1):
-            for sub in combinations(items, k):
-                out.append(AdditiveDichotomous(frozenset(sub)))
-        return out
-    if isinstance(space, RestrictedMrfLibrary):
-        if not isinstance(truth, MatroidValuation):
-            raise ValidationError("the restricted-MRF library needs a matroid truth")
-        base = truth.matroid
-        supp = sorted(base.support())
-        if len(supp) > SUBSET_SPACE_MAX_ITEMS:
-            raise CapabilityError("truth support too large for the restriction library")
-        out = [MatroidValuation(FreeOver(frozenset()))]
-        for k in range(len(supp) + 1):
-            for sub in combinations(supp, k):
-                out.append(MatroidValuation(Restricted(base, frozenset(sub))))
-        full_rank = base.rank(frozenset(range(m)))
-        for t in range(full_rank + 1):
-            out.append(MatroidValuation(Truncated(base, t)))
-        return out
-    if isinstance(space, ExplicitDeviations):
-        return list(space.reports)
-    raise ValidationError(f"unknown deviation space {type(space).__name__}")
+    if not isinstance(truth, MatroidValuation):
+        raise ValidationError("the restricted-MRF library needs a matroid truth")
+    base = truth.matroid
+    supp = sorted(base.support())
+    if len(supp) > SUBSET_SPACE_MAX_ITEMS:
+        raise CapabilityError("truth support too large for the restriction library")
+    out = [MatroidValuation(FreeOver(frozenset()))]
+    for k in range(len(supp) + 1):
+        for sub in combinations(supp, k):
+            out.append(MatroidValuation(Restricted(base, frozenset(sub))))
+    full_rank = base.rank(frozenset(range(instance.m)))
+    for t in range(full_rank + 1):
+        out.append(MatroidValuation(Truncated(base, t)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,9 +108,13 @@ class FuzzResult:
 
 
 def fuzz_truthfulness(
-    mechanism: str, instance: Instance, deviator: int, space: DeviationSpace
+    mechanism: str,
+    instance: Instance,
+    deviator: int,
+    space: Callable[[Instance, int], Sequence[ValuationSpec]],
 ) -> FuzzResult:
-    """Enumerate deviations and compare true utilities against truth-telling.
+    """Try every report `space(instance, deviator)` lists and compare true
+    utilities against truth-telling.
 
     Mechanisms: 'pe' (deterministic, ex-post utilities), 'rpe' and 'meps'
     (exact expected utilities).  On an ε-leveled instance 'pe' means
@@ -135,6 +123,8 @@ def fuzz_truthfulness(
     the truth walk the n! or m^2·n! realizations of `run_rpe` or
     `run_meps`, tallying only the deviator's bundles (no atoms, no weights);
     past MEPS_EXACT_MAX_ATOMS realizations in all, CapabilityError first.
+    For 'pe', (candidates + 1) · (n + m) past PE_FUZZ_MAX_SIZE is refused
+    the same way, before the first solve.
     """
     n, m = instance.n, instance.m
     if not (0 <= deviator < n):
@@ -183,14 +173,22 @@ def fuzz_truthfulness(
     else:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
 
-    reports = _deviation_reports(space, instance, deviator)
-    if mechanism != "pe":
+    reports = space(instance, deviator)
+    solves = len(reports) + 1
+    if mechanism == "pe":
+        total = solves * (n + m)
+        if total > PE_FUZZ_MAX_SIZE:
+            raise CapabilityError(
+                f"fuzzing pe runs {solves} PE solves over {n + m} agents and items each "
+                f"({total} in all); the cap is {PE_FUZZ_MAX_SIZE}"
+            )
+    else:
         # the message counts realizations as the atoms of exact distributions
         atoms = math.factorial(n) * (m * m if mechanism == "meps" else 1)
-        total = (len(reports) + 1) * atoms
+        total = solves * atoms
         if total > MEPS_EXACT_MAX_ATOMS:
             raise CapabilityError(
-                f"fuzzing {mechanism} builds {len(reports) + 1} exact distributions of "
+                f"fuzzing {mechanism} builds {solves} exact distributions of "
                 f"{atoms} atoms ({total} in all); the cap is {MEPS_EXACT_MAX_ATOMS}"
             )
     truthful_utility = utility(floor_reports([truth])[0])
@@ -276,7 +274,7 @@ def fixture_f1() -> FixtureResult:
         AdditiveDichotomous(frozenset({0})),
     ]
     pe_dev = run_pe(pe_dev_reports, m)
-    fuzz = fuzz_truthfulness("pe", truth, 2, AllDemandSubsets())
+    fuzz = fuzz_truthfulness("pe", truth, 2, all_demand_subsets)
 
     computed = {
         "naive_gain_for_agent3": naive_gain,

@@ -22,6 +22,7 @@ from .matroid import (
     Truncated,
     Uniform,
     check_explicit_cap,
+    validate_matroid,
 )
 from .model import Allocation, Atom, Instance, OutcomeDistribution
 from .valuation import (
@@ -31,7 +32,6 @@ from .valuation import (
     ValuationSpec,
     XosFamily,
     as_value,
-    validate,
 )
 
 DOCUMENT_VERSION = "1"
@@ -233,8 +233,10 @@ def instance_from_document(doc) -> Instance:
         epsilon=eps,
         priority=priority,
     )
-    for i, spec in enumerate(inst.valuations):
-        v = validate(spec, eps, inst.m)
+    # parsing mapped every id into 0..m-1 and kept each value in its band;
+    # what is left is the exchange axiom of explicit families
+    for i, spec in enumerate(specs):
+        v = validate_matroid(spec.matroid) if isinstance(spec, MatroidValuation) else None
         if v is not None:
             raise ParseError(
                 f"agents[{i}].valuation: invalid ({v.constraint} fails, witness {v.witness})"

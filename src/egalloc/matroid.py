@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, Hashable, Iterable
 
 from .errors import CapabilityError, ValidationError
@@ -36,9 +35,16 @@ def _freeze(items: Iterable[int]) -> ItemSet:
     return out
 
 
+def _count(x, what: str) -> int:
+    """A cap or limit: an int >= 0, not a bool."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+        raise ValidationError(f"{what} must be a non-negative integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Violation:
-    """One violated matroid/valuation constraint plus a checkable witness."""
+    """One violated matroid constraint plus a checkable witness."""
 
     constraint: str
     witness: tuple
@@ -137,8 +143,7 @@ class Uniform(MatroidSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "demand", _freeze(self.demand))
-        if self.cap < 0:
-            raise ValidationError("uniform matroid cap must be >= 0")
+        _count(self.cap, "uniform matroid cap")
 
     def rank(self, s):
         return min(self.cap, len(s & self.demand))
@@ -166,12 +171,10 @@ class Partition(MatroidSpec):
     blocks: tuple[tuple[ItemSet, int], ...]
 
     def __post_init__(self):
-        frozen = tuple((_freeze(b), int(c)) for b, c in self.blocks)
+        frozen = tuple((_freeze(b), _count(c, "partition matroid cap")) for b, c in self.blocks)
         object.__setattr__(self, "blocks", frozen)
         seen: set[int] = set()
         for block, cap in frozen:
-            if cap < 0:
-                raise ValidationError("partition matroid caps must be >= 0")
             if seen & block:
                 raise ValidationError(
                     f"partition matroid blocks overlap on items {sorted(seen & block)}"
@@ -235,7 +238,9 @@ class Explicit(MatroidSpec):
     family: frozenset[ItemSet]
 
     def __post_init__(self):
-        given = sorted({_freeze(t) for t in self.family}, key=len, reverse=True)
+        given = {frozenset(t) for t in self.family}
+        _freeze(frozenset().union(*given))  # every item id checked once
+        given = sorted(given, key=len, reverse=True)
         if not given:
             raise ValidationError("explicit independence family must be nonempty")
         maximal: list[ItemSet] = []
@@ -274,8 +279,7 @@ class Truncated(MatroidSpec):
     limit: int
 
     def __post_init__(self):
-        if self.limit < 0:
-            raise ValidationError("truncation limit must be >= 0")
+        _count(self.limit, "truncation limit")
 
     def rank(self, s):
         return min(self.limit, self.inner.rank(s))
@@ -394,20 +398,3 @@ def validate_matroid(spec: MatroidSpec) -> Violation | None:
     if isinstance(spec, (FreeOver, Uniform, Partition)):
         return None
     return Violation("unknown-matroid-tag", (type(spec).__name__,))
-
-
-def brute_force_rank(spec: MatroidSpec, s: ItemSet) -> int:
-    """Size of the largest independent subset of s, by subset enumeration.
-
-    Independent oracle for rank(); exponential in |s|.
-    """
-    items = sorted(s)
-    best = 0
-    for k in range(len(items), 0, -1):
-        if k <= best:
-            break
-        for sub in combinations(items, k):
-            if spec.is_independent(frozenset(sub)):
-                best = k
-                break
-    return best

@@ -15,7 +15,7 @@ from numbers import Rational
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .matroid import ItemSet, MatroidSpec, Violation, _freeze, validate_matroid
+from .matroid import ItemSet, MatroidSpec, _freeze
 
 
 #: Largest decimal exponent, in magnitude, of a rational literal ("1e4300").
@@ -169,59 +169,4 @@ def value_functions(spec: ValuationSpec):
             return max(len(t & s) for t in family)
 
         return value, (lambda s, whole, a: value(s - {a}))
-    raise ValidationError(f"unknown valuation tag {type(spec).__name__}")
-
-
-def validate(spec: ValuationSpec, eps, m: int) -> Violation | None:
-    """Check the valuation against its class constraints for the given ε and universe.
-
-    Never raises for constraint violations; returns the first one with its
-    witness, or None.
-    """
-    eps = as_value(eps)
-
-    def outside(items: ItemSet, where: str) -> Violation | None:
-        bad = sorted(a for a in items if a >= m)
-        return Violation("item-in-universe", (where, tuple(bad))) if bad else None
-
-    if isinstance(spec, AdditiveDichotomous):
-        return outside(spec.demand, "demand")
-    if isinstance(spec, MatroidValuation):
-        # the matroid is checked first, so a family past its cap always raises
-        verdict = validate_matroid(spec.matroid)
-        return outside(spec.matroid.support(), "matroid support") or verdict
-    if isinstance(spec, EpsLeveled):
-        off_band = (
-            Violation("value-in-eps-band", (item, str(val)))
-            for item, val in spec.values
-            if val != 0 and not (1 <= val <= 1 + eps)
-        )
-        return outside(frozenset(a for a, _ in spec.values), "values") or next(off_band, None)
-    if isinstance(spec, XosFamily):
-        return next(filter(None, (outside(t, "family") for t in spec.family)), None)
-    return Violation("unknown-valuation-tag", (type(spec).__name__,))
-
-
-def floor_round(spec: ValuationSpec, eps=Fraction(0), m: int | None = None) -> ValuationSpec:
-    """Round the valuation down to the nearest integer on every set.
-
-    For an ε-dichotomous valuation with ε < 1/m the floor is dichotomous
-    and satisfies f(S) ≤ (1+ε)·f̂(S); for ε-leveled input the result is the
-    additive-dichotomous valuation over the items of nonzero value.
-    Dichotomous specs are their own floor (idempotent at ε = 0).
-    """
-    eps = as_value(eps)
-    if isinstance(spec, (AdditiveDichotomous, MatroidValuation, XosFamily)):
-        return spec
-    if isinstance(spec, EpsLeveled):
-        if m is None:
-            raise ValidationError("floor_round of an ε-leveled valuation needs the universe size m")
-        if eps >= Fraction(1, m):
-            raise ValidationError(
-                f"floor rounding requires eps < 1/m; got eps={eps} with m={m}"
-            )
-        violation = validate(spec, eps, m)
-        if violation is not None:
-            raise ValidationError(f"not ε-leveled for eps={eps}: {violation}")
-        return AdditiveDichotomous(spec.demand())
     raise ValidationError(f"unknown valuation tag {type(spec).__name__}")

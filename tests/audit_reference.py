@@ -9,7 +9,8 @@ its own-bundle and cross-bundle values in two separate `evaluate` loops.
 pairwise prefix-sum walk (dominates, dominated, equal or incomparable) and
 fails on the first one the allocation does not weakly dominate.
 `reference_efficiency_metrics` forms every metric from `evaluate`'s
-`Fraction` utilities, with `Fraction` accumulators throughout.  Each
+`Fraction` utilities, with `Fraction` accumulators throughout.
+`nsw_key` orders utility vectors by Nash social welfare.  Each
 shares only `evaluate`, `enumerate_optimal` and the report types with the
 program's auditor, so agreement between the two, witnesses included, is a
 differential check.
@@ -215,3 +216,17 @@ def reference_efficiency_metrics(
         sorted_vector=tuple(sorted(utils)),
         potential=potential(allocation.profile(), sigma),
     )
+
+
+def nsw_key(vector: Sequence[Fraction]) -> tuple[int, Fraction]:
+    """Comparison key for Nash social welfare in exact arithmetic.
+
+    Zero factors compare by count first (fewer zeros is better), then by
+    the product of the nonzero entries; this matches the lex-min ordering
+    whenever plain products tie at zero.
+    """
+    nonzero = [x for x in vector if x != 0]
+    prod = Fraction(1)
+    for x in nonzero:
+        prod *= x
+    return (len(nonzero), prod)

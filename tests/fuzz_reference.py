@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from egalloc.errors import CapabilityError, ValidationError
-from egalloc.harness import DeviationSpace, FuzzResult, _deviation_reports
+from egalloc.harness import FuzzResult
 from egalloc.mechanisms import (
     MEPS_EXACT_MAX_ATOMS,
     _check_meps_inputs,
@@ -31,7 +32,10 @@ from egalloc.valuation import AdditiveDichotomous, ValuationSpec
 
 
 def reference_fuzz_truthfulness(
-    mechanism: str, instance: Instance, deviator: int, space: DeviationSpace
+    mechanism: str,
+    instance: Instance,
+    deviator: int,
+    space: Callable[[Instance, int], Sequence[ValuationSpec]],
 ) -> FuzzResult:
     """`fuzz_truthfulness` for 'rpe' or 'meps', one exact distribution per candidate."""
     n, m = instance.n, instance.m
@@ -59,7 +63,7 @@ def reference_fuzz_truthfulness(
     else:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
 
-    reports = _deviation_reports(space, instance, deviator)
+    reports = space(instance, deviator)
     atoms = math.factorial(n) * (m * m if mechanism == "meps" else 1)
     total = (len(reports) + 1) * atoms
     if total > MEPS_EXACT_MAX_ATOMS:

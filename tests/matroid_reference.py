@@ -8,7 +8,9 @@ augmentation axiom between each pair of adjacent sizes.
 pairwise maximal-set filter and the ordered basis-exchange scan that
 `Explicit` and `_validate_explicit` used before both worked by item
 bitmasks.  `tests/test_matroid.py` compares the validator against them on
-random families.
+random families.  `brute_force_rank` is the largest independent subset
+found by subset enumeration, the oracle the rank functions are checked
+against.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from egalloc.matroid import ItemSet, Violation
+from egalloc.matroid import ItemSet, MatroidSpec, Violation
 
 
 def downward_closure(sets: Iterable[ItemSet]) -> frozenset[ItemSet]:
@@ -81,3 +83,20 @@ def reference_validate_explicit(family: frozenset[ItemSet]) -> Violation | None:
             if b.isdisjoint(extends):
                 return Violation("exchange", (tuple(sorted(rest)), tuple(sorted(b))))
     return None
+
+
+def brute_force_rank(spec: MatroidSpec, s: ItemSet) -> int:
+    """Size of the largest independent subset of s, by subset enumeration.
+
+    Independent oracle for rank(); exponential in |s|.
+    """
+    items = sorted(s)
+    best = 0
+    for k in range(len(items), 0, -1):
+        if k <= best:
+            break
+        for sub in combinations(items, k):
+            if spec.is_independent(frozenset(sub)):
+                best = k
+                break
+    return best

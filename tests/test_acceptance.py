@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from audit_reference import nsw_key
 from conftest import (
     all_demand_profiles,
     matroid_instance,
@@ -25,7 +26,6 @@ from egalloc.audit import (
     check_envy,
     check_stochastic_ef,
     maximin_share,
-    nsw_key,
 )
 from egalloc.harness import FIXTURES, run_fixture
 from egalloc.lorenz import enumerate_optimal

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from audit_reference import (
+    nsw_key,
     reference_check_envy,
     reference_check_lorenz_dominating,
     reference_check_stochastic_ef,
@@ -29,7 +30,6 @@ from egalloc.audit import (
     check_stochastic_ef,
     efficiency_metrics,
     maximin_share,
-    nsw_key,
 )
 from egalloc.errors import CapabilityError, PreconditionError, ValidationError
 from egalloc.matroid import FreeOver, Partition, Uniform
@@ -174,7 +174,8 @@ def test_efx_implies_ef1():
 
 def test_floor_ef1_implies_alpha_ef1_on_raw():
     # dichotomous verdict at alpha=1 transfers to the eps-leveled valuations at 1/(1+eps)
-    from egalloc.valuation import EpsLeveled, floor_round
+    from egalloc.mechanisms import floor_reports
+    from egalloc.valuation import EpsLeveled
 
     rng = random.Random(66)
     for _ in range(40):
@@ -192,7 +193,7 @@ def test_floor_ef1_implies_alpha_ef1_on_raw():
                     }
                 )
             )
-        floors = [floor_round(v, eps, m=m) for v in raw]
+        floors = floor_reports(raw)
         owner = [rng.randrange(n + 1) for _ in range(m)]
         bundles = tuple(F(i for i, o in enumerate(owner) if o == v) for v in range(n))
         alloc = Allocation(bundles, m)

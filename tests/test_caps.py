@@ -11,7 +11,7 @@ import pytest
 from conftest import additive_instance
 from egalloc.audit import maximin_share
 from egalloc.errors import CapabilityError
-from egalloc.harness import ExplicitDeviations, fuzz_truthfulness
+from egalloc.harness import fuzz_truthfulness
 from egalloc.io import parse_instance
 from egalloc.lorenz import enumerate_optimal
 from egalloc.matroid import Explicit, FreeOver, validate_matroid
@@ -25,6 +25,13 @@ SMALL_SUPPORT = MatroidValuation(FreeOver(F({0, 1})))
 
 
 ONE_AGENT_TEN_ITEMS = additive_instance([F(range(10))])
+
+# one agent over 59,999 items, wanting only the last: n + m = 60,000
+ONE_AGENT_60K = additive_instance([F({59_998})])
+
+
+def empty_reports(k):
+    return lambda instance, deviator: [AdditiveDichotomous(F())] * k
 
 
 def explicit_document(k):
@@ -48,10 +55,11 @@ CAPS = {
     # candidate reports and the truthful one, so k = 99 builds 10,000
     "fuzz-total-atoms": (
         99,
-        lambda k: fuzz_truthfulness(
-            "meps", ONE_AGENT_TEN_ITEMS, 0, ExplicitDeviations((AdditiveDichotomous(F()),) * k)
-        ),
+        lambda k: fuzz_truthfulness("meps", ONE_AGENT_TEN_ITEMS, 0, empty_reports(k)),
     ),
+    # k candidate reports and the truthful one, each a PE solve over
+    # 60,000 agents and items: k = 4 makes 300,000
+    "fuzz-pe-size": (4, lambda k: fuzz_truthfulness("pe", ONE_AGENT_60K, 0, empty_reports(k))),
 }
 
 

@@ -460,13 +460,23 @@ def test_oversized_exact_meps_is_capped_quickly(argv, write_doc, capsys):
 
 # (candidate reports + 1) x atoms per report, against the 10,000-atom cap:
 # meps 4/12 builds 4,097 distributions of 12^2 * 4! = 3,456 atoms,
-# rpe 6/6 builds 65 of 6! = 720 (46,800 atoms in all)
+# rpe 6/6 builds 65 of 6! = 720 (46,800 atoms in all); pe 250/12 runs
+# 4,097 solves over 262 agents and items each, against the 300,000 cap
+# (uncapped, it ran for about 1.5 s)
 @pytest.mark.parametrize(
-    "mech, n, m, total", [("meps", 4, 12, 14159232), ("rpe", 6, 6, 46800)], ids=["meps", "rpe"]
+    "mech, n, m, total, cap",
+    [
+        ("meps", 4, 12, 14159232, 10000),
+        ("rpe", 6, 6, 46800, 10000),
+        ("pe", 250, 12, 1073414, 300000),
+    ],
+    ids=["meps", "rpe", "pe"],
 )
-def test_oversized_fuzz_is_capped_quickly(mech, n, m, total, tmp_path):
+def test_oversized_fuzz_is_capped_quickly(mech, n, m, total, cap, tmp_path):
     (tmp_path / "inst.json").write_text(json.dumps(_additive_document(n, m)))
-    argv = ["fuzz", "--mech", mech, "--expectation", "--space", "subsets"]
+    argv = ["fuzz", "--mech", mech, "--space", "subsets"]
+    if mech != "pe":
+        argv.append("--expectation")
     env = {**os.environ, "PYTHONPATH": str(Path(egalloc.__file__).parents[1])}
     start = time.perf_counter()
     # a fresh interpreter with a timeout, so that an uncapped run fails
@@ -478,7 +488,7 @@ def test_oversized_fuzz_is_capped_quickly(mech, n, m, total, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert f"({total} in all); the cap is 10000" in proc.stderr
+    assert f"({total} in all); the cap is {cap}" in proc.stderr
 
 
 # EF fails first at (p1, p2), EFX at (p2, p3) on item g, EF1 at (p3, p2).

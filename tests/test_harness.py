@@ -16,12 +16,10 @@ from conftest import (
 )
 from egalloc.errors import ValidationError
 from egalloc.harness import (
-    AllDemandSubsets,
-    ExplicitDeviations,
     FIXTURES,
-    RestrictedMrfLibrary,
-    _deviation_reports,
+    all_demand_subsets,
     fuzz_truthfulness,
+    restricted_mrf_library,
     run_fixture,
 )
 from egalloc.matroid import Uniform
@@ -59,14 +57,14 @@ def two_item_leveled_instance(eps=Fraction(1, 20)) -> Instance:
 
 def test_pe_truthful_on_contested_pair_instance():
     inst = additive_instance([F({0, 1})] * 3)
-    res = fuzz_truthfulness("pe", inst, 2, AllDemandSubsets())
+    res = fuzz_truthfulness("pe", inst, 2, all_demand_subsets)
     assert res.truthful
     assert res.truthful_utility == 0  # lowest priority loses either way
 
 
 def test_floor_pe_manipulable_on_leveled_instance():
     inst = two_item_leveled_instance()
-    res = fuzz_truthfulness("pe", inst, 1, AllDemandSubsets())
+    res = fuzz_truthfulness("pe", inst, 1, all_demand_subsets)
     assert not res.truthful
     assert res.best_report == AdditiveDichotomous(F({1}))  # report H only
     assert res.gain == Fraction(1, 20)
@@ -75,13 +73,13 @@ def test_floor_pe_manipulable_on_leveled_instance():
 def test_meps_truthful_in_expectation_on_leveled_instance():
     inst = two_item_leveled_instance()  # eps = 1/20 < 1/(2*8)
     for deviator in range(2):
-        res = fuzz_truthfulness("meps", inst, deviator, AllDemandSubsets())
+        res = fuzz_truthfulness("meps", inst, deviator, all_demand_subsets)
         assert res.truthful
 
 
 def test_rpe_expectation_truthful_smoke():
     inst = additive_instance([F({0, 1}), F({0})])
-    res = fuzz_truthfulness("rpe", inst, 0, AllDemandSubsets())
+    res = fuzz_truthfulness("rpe", inst, 0, all_demand_subsets)
     assert res.truthful
 
 
@@ -93,23 +91,20 @@ def test_mrf_library_deviations_unprofitable():
         mats = [rand_explicit_matroid(rng, m) for _ in range(n)]
         inst = matroid_instance(mats, m)
         for deviator in range(n):
-            res = fuzz_truthfulness("pe", inst, deviator, RestrictedMrfLibrary())
+            res = fuzz_truthfulness("pe", inst, deviator, restricted_mrf_library)
             assert res.truthful, (mats, deviator, res)
 
 
 def test_explicit_deviation_space():
     inst = additive_instance([F({0, 1})] * 2)
-    space = ExplicitDeviations(
-        (AdditiveDichotomous(F({0, 1})), AdditiveDichotomous(F({0})))
-    )
-    res = fuzz_truthfulness("pe", inst, 1, space)
+    reports = [AdditiveDichotomous(F({0, 1})), AdditiveDichotomous(F({0}))]
+    res = fuzz_truthfulness("pe", inst, 1, lambda instance, deviator: reports)
     assert res.truthful
 
 
 @pytest.mark.parametrize("mechanism, mode", [("pe", "expost"), ("rpe", "expectation")])
 def test_fuzz_validates_each_report_once(mechanism, mode, monkeypatch):
     import egalloc.mechanisms as mechanisms
-    from egalloc.harness import _deviation_reports
     from egalloc.matroid import Partition, Uniform
     from egalloc.mechanisms import expected_utilities, run_pe, run_rpe
     from egalloc.valuation import evaluate
@@ -122,8 +117,7 @@ def test_fuzz_validates_each_report_once(mechanism, mode, monkeypatch):
         ],
         4,
     )
-    space = RestrictedMrfLibrary()
-    assert len(_deviation_reports(space, inst, 0)) == 11
+    assert len(restricted_mrf_library(inst, 0)) == 11
     calls = []
     original = mechanisms.validate_matroid
 
@@ -132,7 +126,7 @@ def test_fuzz_validates_each_report_once(mechanism, mode, monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(mechanisms, "validate_matroid", counting)
-    res = fuzz_truthfulness(mechanism, inst, 0, space)
+    res = fuzz_truthfulness(mechanism, inst, 0, restricted_mrf_library)
     assert res.mode == mode
     # the two other agents once, the truthful report and 11 deviations once each
     assert len(calls) == 2 + 1 + 11
@@ -146,13 +140,12 @@ def test_fuzz_validates_each_report_once(mechanism, mode, monkeypatch):
 
 def test_library_fuzz_scans_an_explicit_truth_once(monkeypatch):
     import egalloc.matroid as matroid
-    from egalloc.harness import _deviation_reports
     from egalloc.matroid import Explicit
 
     # U(2,6) listed explicitly; every library candidate wraps this one object
     truth = Explicit(F(F(t) for t in combinations(range(6), 2)))
     inst = matroid_instance([truth, Uniform(F({0, 1, 2}), 2)], 6)
-    assert len(_deviation_reports(RestrictedMrfLibrary(), inst, 0)) == 68
+    assert len(restricted_mrf_library(inst, 0)) == 68
     scanned = []
     original = matroid._validate_explicit
 
@@ -161,7 +154,7 @@ def test_library_fuzz_scans_an_explicit_truth_once(monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(matroid, "_validate_explicit", counting)
-    res = fuzz_truthfulness("pe", inst, 0, RestrictedMrfLibrary())
+    res = fuzz_truthfulness("pe", inst, 0, restricted_mrf_library)
     assert res.truthful
     assert scanned == [truth]
 
@@ -169,24 +162,23 @@ def test_library_fuzz_scans_an_explicit_truth_once(monkeypatch):
 def test_fuzz_mode_validation():
     inst = additive_instance([F({0})])
     with pytest.raises(ValidationError):
-        fuzz_truthfulness("nope", inst, 0, AllDemandSubsets())
+        fuzz_truthfulness("nope", inst, 0, all_demand_subsets)
     with pytest.raises(ValidationError):
-        fuzz_truthfulness("pe", inst, 5, AllDemandSubsets())
+        fuzz_truthfulness("pe", inst, 5, all_demand_subsets)
 
 
 def test_library_requires_matroid_truth():
     inst = additive_instance([F({0})])
     with pytest.raises(ValidationError):
-        fuzz_truthfulness("pe", inst, 0, RestrictedMrfLibrary())
+        fuzz_truthfulness("pe", inst, 0, restricted_mrf_library)
 
 
 def test_library_contains_truth():
-    from egalloc.harness import _deviation_reports
     from egalloc.matroid import FreeOver
     from egalloc.valuation import evaluate
 
     inst = matroid_instance([FreeOver(F({0, 1}))], 2)
-    reports = _deviation_reports(RestrictedMrfLibrary(), inst, 0)
+    reports = restricted_mrf_library(inst, 0)
     truth = inst.valuations[0]
     masks = [F(), F({0}), F({1}), F({0, 1})]
     assert any(
@@ -218,7 +210,7 @@ def test_meps_fuzzing_rejects_an_agent_without_a_demand_set():
         valuations=(AdditiveDichotomous(F({0, 1})), MatroidValuation(Uniform(F({1, 2}), 1))),
     )
     with pytest.raises(ValidationError, match="demand-set"):
-        fuzz_truthfulness("meps", inst, 0, AllDemandSubsets())
+        fuzz_truthfulness("meps", inst, 0, all_demand_subsets)
 
 
 def test_meps_fuzzing_checks_epsilon_before_the_size_cap():
@@ -226,7 +218,7 @@ def test_meps_fuzzing_checks_epsilon_before_the_size_cap():
     # error (ValidationError), as it is for run_meps
     inst = additive_instance([F(range(12))] * 4, epsilon=Fraction(1, 10))
     with pytest.raises(ValidationError, match="eps must be below"):
-        fuzz_truthfulness("meps", inst, 0, AllDemandSubsets())
+        fuzz_truthfulness("meps", inst, 0, all_demand_subsets)
 
 
 def _tally_instances(rng, mechanism):
@@ -266,9 +258,9 @@ def _tally_instances(rng, mechanism):
             valuations=tuple(valuations),
             epsilon=eps,
         )
-        spaces = [AllDemandSubsets()]
+        spaces = [all_demand_subsets]
         if isinstance(truth, tuple):
-            spaces.append(RestrictedMrfLibrary())
+            spaces.append(restricted_mrf_library)
         yield inst, deviator, spaces
 
 
@@ -279,7 +271,7 @@ def test_rpe_tally_matches_the_full_distribution():
         value = value_functions(inst.valuations[deviator])[0]
         for space in spaces:
             candidates = [floor_reports([inst.valuations[deviator]])[0]]
-            candidates += _deviation_reports(space, inst, deviator)
+            candidates += space(inst, deviator)
             for report in candidates:
                 reports = floor_reports(inst.valuations)
                 reports[deviator] = report
@@ -312,7 +304,7 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
         value = value_functions(inst.valuations[deviator])[0]
         held_outs = [x for x, _ in held_out_outcomes(m)]
         (space,) = spaces
-        for report in _deviation_reports(space, inst, deviator):
+        for report in space(inst, deviator):
             demands = meps_demands(inst.valuations)
             demands[deviator] = report.demand
             solves.clear()

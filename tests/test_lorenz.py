@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from audit_reference import nsw_key
 from conftest import (
     MATROID_TAGS,
     VALUATION_KINDS,
@@ -15,7 +16,7 @@ from conftest import (
     rand_valuation,
 )
 from egalloc import lorenz
-from egalloc.audit import check_envy, check_lorenz_dominating, maximin_share, nsw_key
+from egalloc.audit import check_envy, check_lorenz_dominating, maximin_share
 from egalloc.errors import CapabilityError, ValidationError
 from egalloc.lorenz import (
     additive_balanced,

@@ -23,11 +23,11 @@ from egalloc.matroid import (
     Restricted,
     Truncated,
     Uniform,
-    brute_force_rank,
     validate_matroid,
 )
 from egalloc.valuation import AdditiveDichotomous
 from matroid_reference import (
+    brute_force_rank,
     downward_closure,
     reference_exchange_violations,
     reference_maximal_sets,
@@ -163,6 +163,22 @@ def test_negative_caps_rejected():
         Uniform(F({0}), -1)
     with pytest.raises(ValidationError):
         Truncated(FreeOver(F({0})), -2)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "2", -1], ids=["float", "bool", "str", "negative"])
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda c: Uniform(F({0, 1}), c), "uniform matroid cap"),
+        (lambda c: Partition(((F({0, 1}), c),)), "partition matroid cap"),
+        (lambda c: Truncated(FreeOver(F({0, 1})), c), "truncation limit"),
+    ],
+    ids=["uniform", "partition", "truncated"],
+)
+def test_caps_and_limits_must_be_non_negative_ints(build, what, bad):
+    with pytest.raises(ValidationError) as exc:
+        build(bad)
+    assert str(exc.value) == f"{what} must be a non-negative integer, got {bad!r}"
 
 
 def test_rank_equals_brute_force_exhaustively():

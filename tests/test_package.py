@@ -23,3 +23,18 @@ def test_deleted_oracles_are_gone():
     assert not hasattr(egalloc.lorenz, "max_common_independent")
     # the validators return their first Violation, or None
     assert not hasattr(egalloc.matroid, "ValidationReport")
+    # second routes to one job: parsing validates, floor_reports floors, and
+    # a deviation space is a function (instance, deviator) -> reports
+    gone = {
+        egalloc.valuation: ("validate", "floor_round"),
+        egalloc.harness: (
+            "DeviationSpace", "AllDemandSubsets", "RestrictedMrfLibrary", "ExplicitDeviations",
+            "_deviation_reports",
+        ),
+        # test-only oracles, now in tests/matroid_reference.py and audit_reference.py
+        egalloc.matroid: ("brute_force_rank",),
+        egalloc.audit: ("nsw_key",),
+    }
+    for module, names in gone.items():
+        assert [name for name in names if hasattr(module, name)] == [], module.__name__
+        assert [name for name in names if name in egalloc.__all__] == []

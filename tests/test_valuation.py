@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_matroid, rand_subset, rand_valuation
-from egalloc.errors import ValidationError
-from egalloc.matroid import Explicit, brute_force_rank
+from egalloc.errors import ParseError, ValidationError
+from egalloc.io import parse_instance
+from egalloc.mechanisms import floor_reports
 from egalloc.valuation import (
     AdditiveDichotomous,
     EpsLeveled,
@@ -15,10 +17,9 @@ from egalloc.valuation import (
     XosFamily,
     as_value,
     evaluate,
-    floor_round,
-    validate,
     value_functions,
 )
+from matroid_reference import brute_force_rank
 
 F = frozenset
 
@@ -42,10 +43,10 @@ def test_evaluate_range_check():
 
 def test_floor_round_examples():
     lev = EpsLeveled({0: 1, 1: Fraction(10003, 10000)})
-    floored = floor_round(lev, Fraction(1, 100), m=2)
-    assert floored == AdditiveDichotomous(F({0, 1}))
     add = AdditiveDichotomous(F({3}))
-    assert floor_round(add) is add
+    floored, same = floor_reports([lev, add])
+    assert floored == AdditiveDichotomous(F({0, 1}))
+    assert same is add
     # floor of the evaluated sum matches evaluating the floor
     assert evaluate(floored, F({0, 1})) == 2
     raw = evaluate(lev, F({0, 1}))
@@ -54,11 +55,14 @@ def test_floor_round_examples():
 
 
 def test_floor_round_eps_bound():
-    lev = EpsLeveled({0: 1})
-    with pytest.raises(ValidationError):
-        floor_round(lev, Fraction(1, 2), m=2)
-    with pytest.raises(ValidationError):
-        floor_round(lev, Fraction(1, 100))  # m required
+    # the floor identity needs eps < 1/m: at eps = 1/m, m items worth 1+eps
+    # sum to m+1, which the floored report values at m
+    m = 4
+    for eps, raw_floor in ((Fraction(1, m), m + 1), (Fraction(1, m + 1), m)):
+        lev = EpsLeveled({a: 1 + eps for a in range(m)})
+        (hat,) = floor_reports([lev])
+        assert int(evaluate(lev, F(range(m)))) == raw_floor
+        assert evaluate(hat, F(range(m))) == m
 
 
 def test_floor_pointwise_and_obs_bound():
@@ -76,7 +80,7 @@ def test_floor_pointwise_and_obs_bound():
             else:
                 values[a] = 1 + eps * Fraction(rng.randint(0, 4), 4)
         lev = EpsLeveled(values)
-        hat = floor_round(lev, eps, m=m)
+        (hat,) = floor_reports([lev])
         for mask in range(1 << m):
             s = F(i for i in range(m) if mask >> i & 1)
             raw = evaluate(lev, s)
@@ -89,18 +93,24 @@ def test_floor_pointwise_and_obs_bound():
 
 def test_floor_round_idempotent():
     lev = EpsLeveled({0: 1, 2: Fraction(101, 100)})
-    once = floor_round(lev, Fraction(1, 50), m=4)
-    assert floor_round(once, Fraction(1, 50), m=4) == once
+    once = floor_reports([lev])
+    assert floor_reports(once) == once
 
 
 def test_validate_examples():
-    bad = EpsLeveled({0: Fraction(1, 2)})
-    violation = validate(bad, Fraction(1, 100), m=1)
-    assert violation is not None
-    assert violation.witness[0] == 0
-    assert validate(AdditiveDichotomous(F({0})), 0, m=2) is None
-    nonmatroid = MatroidValuation(Explicit(F({F({0}), F({1, 2})})))
-    assert validate(nonmatroid, 0, m=3) is not None
+    # parsing validates: a value off its band and an explicit family that
+    # fails basis exchange are refused, each named with its witness
+    def document(valuation):
+        agent = {"name": "x", "valuation": valuation}
+        return json.dumps({"items": ["a", "b", "c"], "epsilon": "1/100", "agents": [agent]})
+
+    with pytest.raises(ParseError, match=r"values\['a'\]: item values must be 0 or inside"):
+        parse_instance(document({"values": {"a": "1/2"}}))
+    inst = parse_instance(document({"demand": ["a"]}))
+    assert inst.valuations == (AdditiveDichotomous(F({0})),)
+    nonmatroid = {"matroid": {"type": "explicit", "independent": [["a"], ["b", "c"]]}}
+    with pytest.raises(ParseError, match=r"invalid \(exchange fails, witness \(\(0,\), \(1, 2\)\)\)"):
+        parse_instance(document(nonmatroid))
 
 
 def test_negative_and_float_values_rejected():
