@@ -157,7 +157,7 @@ def _cmd_distribution(args) -> int:
         dist = run_rpe(floor_reports(inst.valuations), inst.m)
     else:
         dist = run_meps(meps_demands(inst.valuations), inst.m, inst.epsilon)
-    _emit({"mechanism": args.mech, **docio.distribution_document(dist, inst)})
+    sys.stdout.write(docio.distribution_document(dist, inst, args.mech) + "\n")
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .audit import check_envy, maximin_share
 from .errors import CapabilityError, ValidationError
-from .lorenz import compute_lorenz_dominating, enumerate_optimal, potential
+from .lorenz import enumerate_optimal, potential, prepare_supports, solve_prepared
 from .matroid import FreeOver, ItemSet, MatroidSpec, Partition, Restricted, Truncated
 from .model import Allocation, Instance
 from .mechanisms import (
@@ -134,8 +134,8 @@ def fuzz_truthfulness(
     value = value_functions(truth)[0]
 
     if mechanism in ("pe", "rpe"):
-        # each report is sanitized once: the other agents' here, each
-        # candidate when its utility is computed
+        # each report is sanitized (and for pe set up) once: the other
+        # agents' here, each candidate when its utility is computed
         others = floor_reports(instance.valuations)
         del others[deviator]
         other_matroids = sanitize_reports(others, m)
@@ -146,9 +146,13 @@ def fuzz_truthfulness(
             return matroids
 
         if mechanism == "pe":
+            other_supports = prepare_supports(other_matroids, m)
 
             def utility(report: ValuationSpec) -> Fraction:
-                alloc = compute_lorenz_dominating(with_report(report), m, sigma)
+                matroids = with_report(report)
+                supports = list(other_supports)
+                supports[deviator:deviator] = prepare_supports([matroids[deviator]], m)
+                alloc = solve_prepared(matroids, supports, m, sigma)
                 return evaluate(truth, alloc.bundles[deviator], m)
 
         else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping, Sequence
 
@@ -24,7 +25,7 @@ from .matroid import (
     check_explicit_cap,
     validate_matroid,
 )
-from .model import Allocation, Atom, Instance, OutcomeDistribution
+from .model import Allocation, Instance, OutcomeDistribution
 from .valuation import (
     AdditiveDichotomous,
     EpsLeveled,
@@ -374,19 +375,37 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
     return Allocation(tuple(bundles), inst.m)
 
 
-def atom_document(atom: Atom, inst: Instance) -> dict:
-    doc = {
-        "weight": _frac_str(atom.weight),
-        "priority": [inst.agent_names[a] for a in atom.priority],
-    }
-    if atom.held_out is not None:
-        doc["held_out"] = [inst.item_names[a] for a in atom.held_out]
-    doc.update(allocation_document(atom.allocation, inst))
-    return doc
+def distribution_document(dist: OutcomeDistribution, inst: Instance, mechanism: str) -> str:
+    """The text `dumps_document` writes for the `distribution` document:
+    "mechanism", "atoms" (each with "weight", "priority", "held_out" when
+    the atom has one, "allocation" and "unallocated") and "atom_count".
 
+    The atoms of an exact distribution repeat a few weights, priority
+    orders, held-out lists and bundles, so `_dumps` renders each such
+    fragment, and each whole allocation, once per call (memoized by value),
+    and each atom only joins its fragments."""
+    agents, items = inst.agent_names, inst.item_names
+    atom_end, field, entry = "\n    ", "\n      ", "\n        "  # depths 2, 3 and 4
+    # weights by (numerator, denominator): hashing a Fraction is slow
+    weight = cache(lambda w: f'"weight": {_quote(_frac_str(Fraction(*w)))},{field}')
+    priority = cache(lambda p: f'"priority": {_dumps([agents[a] for a in p], field)},{field}')
+    held_out = cache(
+        lambda x: "" if x is None else f'"held_out": {_dumps([items[a] for a in x], field)},{field}'
+    )
+    bundle = cache(lambda name, b: f"{_quote(name)}: {_dumps([items[a] for a in sorted(b)], entry)}")
 
-def distribution_document(dist: OutcomeDistribution, inst: Instance) -> dict:
-    return {
-        "atoms": [atom_document(atom, inst) for atom in dist.atoms],
-        "atom_count": len(dist.atoms),
-    }
+    @cache
+    def allocation(alloc: Allocation) -> str:
+        body = f",{entry}".join(map(bundle, agents, alloc.bundles))
+        body = f"{{{entry}{body}{field}}}" if body else "{}"
+        unallocated = _dumps([items[a] for a in sorted(alloc.unallocated)], field)
+        return f'"allocation": {body},{field}"unallocated": {unallocated}'
+
+    atoms = [
+        f"{{{field}{weight((a.weight.numerator, a.weight.denominator))}{priority(a.priority)}"
+        f"{held_out(a.held_out)}{allocation(a.allocation)}{atom_end}}}"
+        for a in dist.atoms
+    ]
+    body = f"[{atom_end}{f',{atom_end}'.join(atoms)}\n  ]" if atoms else "[]"
+    head = f'{{\n  "mechanism": {_quote(mechanism)},\n  "atoms": '
+    return f'{head}{body},\n  "atom_count": {len(atoms)}\n}}'

@@ -38,6 +38,16 @@ discover nothing leaves that scan's discovery order unchanged, so the
 rule fixes which items each agent gets exactly as a search that expands
 every item would; the profile does not depend on it.
 
+A solve has two steps: `prepare_supports` sets up each report's support,
+clipped to the universe and in descending id, and `solve_prepared` runs
+Yankee Swap under one order on those lists, so an exact distribution sets
+up once for all n! orders.  A search asks only about items on the lists,
+so lists clipped to a set S give PE on the reports restricted to S.  A
+failed search is not repeated: the graph changes only when a path is
+applied, and the items it discovered (none unowned, nor leading to one)
+stay dead until then and are skipped; dead items lead only to dead items,
+so paths and bundles are unchanged.
+
 `additive_balanced` is the same engine on additive demand-set reports.
 Two oracles check it: `enumerate_optimal` (every non-redundant allocation
 of a desk-scale instance, in one pass over per-agent value tables that
@@ -75,14 +85,6 @@ def potential(profile: Sequence[int], sigma: PriorityOrder) -> int:
     return total
 
 
-def _unpermute(bundles_by_rank, sigma, m, n):
-    """Per-rank bundles (position k is agent sigma[k]'s) back in agent order."""
-    bundles = [frozenset()] * n
-    for rank0, agent in enumerate(sigma):
-        bundles[agent] = bundles_by_rank[rank0]
-    return Allocation(tuple(bundles), m)
-
-
 def compute_lorenz_dominating(
     reports: Sequence[MatroidSpec], m: int, sigma: PriorityOrder | None = None
 ) -> Allocation:
@@ -98,31 +100,49 @@ def compute_lorenz_dominating(
     """
     n = len(reports)
     sigma = identity_priority(n) if sigma is None else check_priority(sigma, n)
-    bundles = _yankee_swap([reports[agent] for agent in sigma], m)
-    return _unpermute(bundles, sigma, m, n)
+    return solve_prepared(reports, prepare_supports(reports, m), m, sigma)
 
 
-def _yankee_swap(matroids: Sequence[MatroidSpec], m: int) -> list[ItemSet]:
-    """Yankee Swap bundles for agents already in rank order.  A search
-    discovers only support items and ends only at an unowned one, so once
-    `wanted` (the unowned support items) is empty every playing agent leaves."""
+def prepare_supports(reports: Sequence[MatroidSpec], m: int) -> list[list[int]]:
+    """The set-up: each report's support, clipped to the universe 0..m-1, in
+    descending id (the documented tie-break among shortest paths)."""
     universe = frozenset(range(m))
-    # descending item ids: the documented tie-break among shortest paths
-    supports = [sorted(spec.support() & universe, reverse=True) for spec in matroids]
+    return [sorted(spec.support() & universe, reverse=True) for spec in reports]
+
+
+def solve_prepared(reports, supports, m: int, sigma: PriorityOrder) -> Allocation:
+    """The per-order solve: Yankee Swap under the permutation `sigma` on
+    `prepare_supports`' lists, or on sublists of them (see the module)."""
+    by_rank = _yankee_swap([reports[a] for a in sigma], [supports[a] for a in sigma])
+    bundles = [frozenset()] * len(reports)
+    for rank0, agent in enumerate(sigma):  # position k is agent sigma[k]'s
+        bundles[agent] = by_rank[rank0]
+    return Allocation(tuple(bundles), m)
+
+
+def _yankee_swap(matroids: Sequence[MatroidSpec], supports: Sequence[list[int]]) -> list[ItemSet]:
+    """Yankee Swap bundles for agents and supports already in rank order.
+    A search discovers only support items and ends only at an unowned one,
+    so once `wanted` (the unowned support items) is empty every playing
+    agent leaves.  `dead` holds the items failed searches discovered since
+    the last applied path (see `_transfer_path`)."""
     bundles: list[ItemSet] = [frozenset()] * len(matroids)
     owner: dict[int, int] = {}  # item -> rank of its holder; unowned items absent
     wanted = set().union(*supports)  # unowned items in some agent's support
+    dead: set[int] = set()
     playing = [i for i, supp in enumerate(supports) if supp]
     while playing and wanted:
         still = []
         for i in playing:
             if not wanted:  # no path can end at an unowned item: all leave
                 break
-            path = _transfer_path(i, matroids, supports, bundles, owner)
+            path = _transfer_path(i, matroids, supports, bundles, owner, dead)
             if path is None:
                 continue
             still.append(i)
             wanted.discard(path[-1])
+            if dead:
+                dead.clear()
             # i takes path[0]; the holder of path[t] takes path[t+1] in its place
             taker = i
             for item in path:
@@ -136,7 +156,7 @@ def _yankee_swap(matroids: Sequence[MatroidSpec], m: int) -> list[ItemSet]:
     return bundles
 
 
-def _transfer_path(i, matroids, supports, bundles, owner) -> list[int] | None:
+def _transfer_path(i, matroids, supports, bundles, owner, dead) -> list[int] | None:
     """A shortest transfer path for agent i ending at an unowned item.
 
     Breadth-first search over items: the start items are those i can add
@@ -152,14 +172,17 @@ def _transfer_path(i, matroids, supports, bundles, owner) -> list[int] | None:
     change during the search, and the earlier expansion put every such h
     in `parent` (or returned), so the skipped expansion would discover
     nothing: the discovery order, and hence the path, is the one the
-    per-item search finds.  Returns the items [g_1, ..., g_k] with g_k
-    unowned, or None.
+    per-item search finds.  The `dead` items are skipped as start items
+    and, seeding `parent`, as discovered items; a failed search adds every
+    item it discovered to them (see the module).  Returns the items
+    [g_1, ..., g_k] with g_k unowned, or None.
     """
     spec, own = matroids[i], bundles[i]
-    parent: dict[int, int | None] = {}
+    parent: dict[int, int | None] = dict.fromkeys(dead) if dead else {}
+    skip = own | dead if dead else own
     queue = []
     for g in supports[i]:
-        if g not in own and spec.can_add(own, g):
+        if g not in skip and spec.can_add(own, g):
             if g not in owner:
                 return [g]
             parent[g] = None
@@ -183,6 +206,7 @@ def _transfer_path(i, matroids, supports, bundles, owner) -> list[int] | None:
                     path.append(parent[path[-1]])
                 return path[::-1]
             queue.append(h)
+    dead.update(parent)
     return None
 
 

@@ -24,6 +24,10 @@ items under a random order sigma and M^X on X under reverse(sigma).
 Requires eps < 1/(n*m^3), which makes the guaranteed held-out gain of a
 truthful report outweigh any eps-scale composition gains from lying.
 `run_meps` returns the exact distribution; `sample_meps` draws one outcome.
+
+Exact distributions set each report up once and solve PE per order; a
+held-out PE half runs on the reports' `FreeOver(d)` with supports clipped
+to M∖X, which is PE on M∖X, as the engine asks only about support items.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapabilityError, ValidationError
-from .lorenz import compute_lorenz_dominating
+from .lorenz import compute_lorenz_dominating, prepare_supports, solve_prepared
 from .matroid import ZERO_MATROID, FreeOver, ItemSet, MatroidSpec, validate_matroid
 from .model import (
     Allocation,
@@ -60,14 +64,15 @@ RPE_EXACT_MAX_AGENTS = 6
 #: Largest exact held-out distribution, in atoms (m^2 * n!).  Measured with
 #: `distribution --mech meps` in-process on additive instances of density
 #: 0.3 near the cap, 5/9, 4/20 and 3/40 (Python 3.11, one core of a shared
-#: x86-64 VM, three runs each): 0.07-0.10 ms, 0.5-0.9 kB of output and 5-8
-#: kB of peak-RSS growth per atom, so the cap bounds a run near 1 s, 9 MB of
-#: output and 80 MB.  Before the cap, 6 agents over 12 items (103,680
-#: atoms) took 22 s and 63 MB of output.  It admits up to 20 items for 4
-#: agents, 9 for 5 and 3 for 6.  Sizes that must stay under it: acceptance
-#: criterion 10 up to 3/2 (24 atoms) and 2/4 (32); scripts/meps_margin_scan.py,
-#: 2/3 (18); the benchmark's exact pools, 4/8 (1,536) and 3/5 (150 per fuzz
-#: candidate); the per-atom reference test, n <= 4 and m <= 6 (864).
+#: x86-64 VM, three seeds each): 0.03-0.06 ms, 0.5-0.95 kB of output and
+#: 2.9-5.3 kB of peak-RSS growth per atom, so the cap bounds a run near
+#: 0.6 s, 9 MB of output and 50 MB.  Before the cap, 6 agents over 12
+#: items (103,680 atoms) took 22 s and 63 MB of output.  It admits up to 20
+#: items for 4 agents, 9 for 5 and 3 for 6.  Sizes that must stay under it:
+#: acceptance criterion 10 up to 3/2 (24 atoms) and 2/4 (32);
+#: scripts/meps_margin_scan.py, 2/3 (18); the benchmark's exact pools, 4/8
+#: (1,536) and 3/5 (150 per fuzz candidate); the per-atom reference test,
+#: n <= 4 and m <= 6 (864).
 MEPS_EXACT_MAX_ATOMS = 10_000
 
 
@@ -118,15 +123,16 @@ def _rpe_distribution(matroids: Sequence[MatroidSpec], m: int) -> OutcomeDistrib
 
 
 def _rpe_outcomes(matroids: Sequence[MatroidSpec], m: int) -> Iterator[tuple]:
-    """(sigma, PE allocation) for every priority order; past RPE_EXACT_MAX_AGENTS
-    agents, CapabilityError at the call, before the first solve."""
+    """(sigma, PE allocation) for every priority order, the reports set up once;
+    past RPE_EXACT_MAX_AGENTS agents, CapabilityError at the call, before any solve."""
     n = len(matroids)
     if n > RPE_EXACT_MAX_AGENTS:
         raise CapabilityError(
             f"exact mode enumerates n! priority orders; n={n} exceeds cap {RPE_EXACT_MAX_AGENTS}"
         )
+    supports = prepare_supports(matroids, m)
     orders = permutations(range(n))
-    return ((sigma, compute_lorenz_dominating(matroids, m, sigma)) for sigma in orders)
+    return ((sigma, solve_prepared(matroids, supports, m, sigma)) for sigma in orders)
 
 
 def sample_rpe(
@@ -247,43 +253,37 @@ def _check_meps_inputs(demands, n, m, eps) -> list[ItemSet]:
     return clean
 
 
-def _meps_halves(
-    demands: Sequence[ItemSet],
-    m: int,
-    held_out: tuple[int, ...],
-    sigma: PriorityOrder,
-    pe_halves: dict[ItemSet, Allocation],
-) -> tuple[Allocation, list[set[int]]]:
-    """One realization's two halves: PE on demands∖X under sigma, as a
-    validated `Allocation`, and M^X's grants on X under reverse(sigma).
+def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> Iterator[tuple]:
+    """(sigma, X, PE half, M^X grants) for every realization, the priority
+    orders `orders` outside and the held-out lists `held_outs` inside.
 
-    The PE half depends on X only through its demanded part X ∩ ∪demands,
-    since d − X = d − (X ∩ ∪demands) for every report d: not on the order
-    of X, nor on held-out items nobody demands.  So it is looked up in
-    `pe_halves`, keyed by that part, and solved only on a miss; the memo is
-    valid for one sigma only.  M^X runs through `_mx_bundles` without
-    `run_mx`'s input checks, which every caller meets by construction: X
-    holds distinct items, sigma is a permutation and each d ∩ X lies in X.
-    """
-    xset = frozenset(held_out)
-    on_x = [d & xset for d in demands]
-    demanded = frozenset().union(*on_x)
-    pe = pe_halves.get(demanded)
-    if pe is None:
-        pe = compute_lorenz_dominating([FreeOver(d - demanded) for d in demands], m, sigma)
-        pe_halves[demanded] = pe
-    return pe, _mx_bundles(held_out, tuple(reversed(sigma)), on_x)
-
-
-def _meps_outcomes(demands: Sequence[ItemSet], m: int, held_outs: Sequence) -> Iterator[tuple]:
-    """(sigma, X, PE half, M^X grants) for every realization, orders outside
-    and the held-out lists `held_outs` inside, with one memo of PE halves
-    per order (at most 1 + u + C(u, 2) entries for u demanded items), so PE
-    is solved once per (sigma, X ∩ ∪demands)."""
-    for sigma in permutations(range(len(demands))):
+    The PE half, PE on demands∖X under sigma, depends on X only through
+    Y = X ∩ ∪demands (d − X = d − Y for each report d), so it is solved once
+    per (sigma, Y): on the reports' own `FreeOver(d)`, set up once, with
+    supports clipped to M∖Y.  A free matroid answers every exchange
+    question alike, so that is PE on the free matroids over d − Y.  X's set,
+    each d ∩ X and Y are computed once per list, reverse(sigma) once per
+    order.  M^X runs through `_mx_bundles` without `run_mx`'s checks, met by
+    construction: X holds distinct items, sigma is a permutation and each
+    d ∩ X lies in X."""
+    reports = [FreeOver(d) for d in demands]
+    supports = {frozenset(): prepare_supports(reports, m)}
+    parts = []
+    for held_out in held_outs:
+        xset = frozenset(held_out)
+        on_x = [d & xset for d in demands]
+        demanded = frozenset().union(*on_x)
+        if demanded not in supports:
+            supports[demanded] = [[a for a in s if a not in demanded] for s in supports[frozenset()]]
+        parts.append((held_out, on_x, demanded))
+    for sigma in orders:
+        reverse = sigma[::-1]
         pe_halves: dict[ItemSet, Allocation] = {}
-        for held_out in held_outs:
-            yield sigma, held_out, *_meps_halves(demands, m, held_out, sigma, pe_halves)
+        for held_out, on_x, demanded in parts:
+            pe = pe_halves.get(demanded)
+            if pe is None:
+                pe = pe_halves[demanded] = solve_prepared(reports, supports[demanded], m, sigma)
+            yield sigma, held_out, pe, _mx_bundles(held_out, reverse, on_x)
 
 
 def _merged(pe: Allocation, mx: Sequence[set[int]], m: int) -> Allocation:
@@ -323,7 +323,8 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     orders = math.factorial(n)
     weight = Fraction(1, size)
     atoms: list[Atom | None] = [None] * size
-    for i, (sigma, held_out, pe, mx) in enumerate(_meps_outcomes(demands, m, held_outs)):
+    realizations = _meps_outcomes(demands, m, held_outs, permutations(range(n)))
+    for i, (sigma, held_out, pe, mx) in enumerate(realizations):
         k, h = divmod(i, len(held_outs))
         atoms[h * orders + k] = Atom(weight, _merged(pe, mx, m), sigma, held_out)
     return OutcomeDistribution(tuple(atoms))
@@ -336,6 +337,7 @@ def sample_meps(
 
     Draw order is fixed: first item, keep-single test, optional second
     item, then the priority shuffle; identical seeds give identical traces.
+    The two halves come from `_meps_outcomes`, as in `run_meps`.
     """
     n = len(demands)
     demands = _check_meps_inputs(demands, n, m, eps)
@@ -351,7 +353,8 @@ def sample_meps(
     order = list(range(n))
     rng.shuffle(order)
     sigma = tuple(order)
-    return _merged(*_meps_halves(demands, m, held_out, sigma, {}), m), held_out, sigma
+    ((_, _, pe, mx),) = _meps_outcomes(demands, m, [held_out], [sigma])
+    return _merged(pe, mx, m), held_out, sigma
 
 
 def expected_utilities(
@@ -396,7 +399,7 @@ def _rpe_expected_value(matroids: Sequence[MatroidSpec], m: int, agent: int, val
 def _meps_expected_value(demands, m: int, held_outs: Sequence, agent: int, value) -> Fraction:
     """The same for `run_meps` on checked `demands` over the m^2·n! realizations
     (`held_outs`: every held-out list), merging only the agent's two halves."""
-    realizations = _meps_outcomes(demands, m, held_outs)
+    realizations = _meps_outcomes(demands, m, held_outs, permutations(range(len(demands))))
     counts = Counter(_merged_bundle(pe, mx, agent) for _, _, pe, mx in realizations)
     atoms = m * m * math.factorial(len(demands))
     return Fraction(sum(c * value(b) for b, c in counts.items()), atoms)

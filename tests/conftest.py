@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from egalloc.matroid import (
@@ -135,6 +136,22 @@ def brute_max_common(matroids, m, caps=None) -> int:
         if all(matroids[v].is_independent(bundles[v]) for v in range(n)):
             best = max(best, sum(len(b) for b in bundles))
     return best
+
+
+def count_free_supports(monkeypatch) -> Counter:
+    """Patch `FreeOver.support` to count its calls per spec object (by id);
+    returns the live counter."""
+    calls: Counter = Counter()
+    alive = []  # keeps every counted spec, so that no id is reused
+    original = FreeOver.support
+
+    def counting(self):
+        calls[id(self)] += 1
+        alive.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FreeOver, "support", counting)
+    return calls
 
 
 def additive_instance(demands, priority=None, epsilon=Fraction(0)) -> Instance:

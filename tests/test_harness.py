@@ -9,6 +9,7 @@ from conftest import (
     MATROID_TAGS,
     VALUATION_KINDS,
     additive_instance,
+    count_free_supports,
     matroid_instance,
     rand_explicit_matroid,
     rand_matroid_of_tag,
@@ -291,11 +292,11 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
     import egalloc.mechanisms as mechanisms
 
     solves = []
-    original = mechanisms.compute_lorenz_dominating
+    original = mechanisms.solve_prepared
 
-    def counting(reports, m, sigma=None):
+    def counting(reports, supports, m, sigma):
         solves.append(sigma)
-        return original(reports, m, sigma)
+        return original(reports, supports, m, sigma)
 
     rng = random.Random(1414)
     cases = 0
@@ -308,9 +309,9 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
             demands = meps_demands(inst.valuations)
             demands[deviator] = report.demand
             solves.clear()
-            monkeypatch.setattr(mechanisms, "compute_lorenz_dominating", counting)
+            monkeypatch.setattr(mechanisms, "solve_prepared", counting)
             got = _meps_expected_value(demands, m, held_outs, deviator, value)
-            monkeypatch.setattr(mechanisms, "compute_lorenz_dominating", original)
+            monkeypatch.setattr(mechanisms, "solve_prepared", original)
             want = expected_utilities(run_meps(demands, m, inst.epsilon), inst.valuations)
             assert type(got) is Fraction and got == want[deviator], (inst, deviator, report)
             # one PE solve per (sigma, X ∩ ∪demands), as in run_meps
@@ -328,3 +329,13 @@ def test_merged_bundle_refuses_an_item_in_both_halves():
     assert _merged_bundle(pe, [set(), {2}], 1) == F({1, 2})
     with pytest.raises(ValidationError, match="item 1 allocated twice"):
         _merged_bundle(pe, [set(), {1, 2}], 1)
+
+
+def test_fuzz_pe_sets_up_the_other_reports_once(monkeypatch):
+    inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
+    calls = count_free_supports(monkeypatch)
+    result = fuzz_truthfulness("pe", inst, 1, all_demand_subsets)
+    assert result.truthful
+    # sanitize_reports' universe check and the set-up ask once each: the
+    # other agents' reports in all, and each of the 2^m candidates and the truth
+    assert sorted(calls.values()) == [2] * (inst.n - 1 + 2**inst.m + 1)

@@ -6,24 +6,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import nested_truncations, rand_matroid
+from conftest import nested_truncations, rand_matroid, rand_subset, rand_valuation
 from egalloc.errors import ParseError
 from egalloc.io import (
     MAX_MATROID_NESTING,
     allocation_document,
+    distribution_document,
     dumps_document,
     emit_instance,
     instance_document,
     parse_allocation,
     parse_instance,
 )
-from egalloc.model import Allocation, Instance
+from egalloc.mechanisms import floor_reports, meps_demands, run_meps, run_rpe
+from egalloc.model import Allocation, Atom, Instance, OutcomeDistribution
 from egalloc.valuation import (
     AdditiveDichotomous,
     EpsLeveled,
     MatroidValuation,
     XosFamily,
 )
+from io_reference import reference_distribution_document
 
 F = frozenset
 
@@ -322,3 +325,71 @@ def test_dumps_document_refuses_what_is_outside_its_grammar(doc):
 def test_emit_instance_is_json_dumps_indent_2():
     inst = _random_instance(7)
     assert emit_instance(inst) == json.dumps(instance_document(inst), indent=2) + "\n"
+
+
+#: Name stems the writer must quote as `json.dumps` does; a suffix keeps names unique.
+_NAME_STEMS = ['a"b', "c\\d", "é", "😀", "\u2028", "\x00", "\t", "名", "", "plain"]
+
+
+def _named_instance(rng, n, m, kind) -> Instance:
+    """n agents over m items with names from `_NAME_STEMS`; `kind` is a
+    `rand_valuation` kind, and additive demands are sometimes empty."""
+    valuations = []
+    for _ in range(n):
+        if kind == "additive":
+            valuations.append(AdditiveDichotomous(rand_subset(rng, m, rng.choice([0, 0.4, 1]))))
+        else:
+            valuations.append(rand_valuation(rng, kind, m))
+    return Instance(
+        item_names=tuple(f"{rng.choice(_NAME_STEMS)}{j}" for j in range(m)),
+        agent_names=tuple(f"{rng.choice(_NAME_STEMS)}{j}" for j in range(n)),
+        valuations=tuple(valuations),
+    )
+
+
+def _writer_cases(rng):
+    """(mechanism, distribution, instance): exact rpe distributions over
+    additive, ε-leveled and matroid reports (m = 0 and m = 1 among them),
+    exact meps distributions over additive and ε-leveled reports, and
+    hand-built mixtures of both with several distinct weights."""
+    for k in range(180):
+        kind = ("additive", "leveled", "matroid")[k % 3]
+        m = k % 7 if k < 120 else rng.randint(0, 5)
+        inst = _named_instance(rng, rng.randint(1, 4), m, kind)
+        yield "rpe", run_rpe(floor_reports(inst.valuations), m), inst
+    for k in range(120):
+        kind = ("additive", "leveled")[k % 2]
+        m = 1 + k % 4
+        inst = _named_instance(rng, rng.randint(1, 3), m, kind)
+        yield "meps", run_meps(meps_demands(inst.valuations), m, 0), inst
+    for _ in range(30):
+        m = rng.randint(1, 3)
+        inst = _named_instance(rng, rng.randint(1, 3), m, "additive")
+        rpe = run_rpe(inst.valuations, m).atoms
+        meps = run_meps(meps_demands(inst.valuations), m, 0).atoms
+        share = Fraction(1, rng.randint(2, 5))  # of the rpe atoms
+        atoms = [Atom(a.weight * share, a.allocation, a.priority) for a in rpe]
+        atoms += [Atom(a.weight * (1 - share), a.allocation, a.priority, a.held_out) for a in meps]
+        rng.shuffle(atoms)
+        yield 'mixed "rpe"\\meps', OutcomeDistribution(tuple(atoms)), inst
+
+
+def test_distribution_writer_matches_reference():
+    rng = random.Random(1818)
+    seen = {"cases": 0, "m=0": 0, "m=1": 0, "empty bundle": 0, "none unallocated": 0}
+    seen.update({"mixed": 0, "leveled": 0, "matroid": 0})
+    for mechanism, dist, inst in _writer_cases(rng):
+        want = json.dumps(
+            {"mechanism": mechanism, **reference_distribution_document(dist, inst)}, indent=2
+        )
+        assert distribution_document(dist, inst, mechanism) == want, (mechanism, dist, inst)
+        allocations = [atom.allocation for atom in dist.atoms]
+        seen["cases"] += 1
+        seen["m=0"] += inst.m == 0
+        seen["m=1"] += inst.m == 1
+        seen["empty bundle"] += any(F() in a.bundles for a in allocations)
+        seen["none unallocated"] += any(not a.unallocated for a in allocations)
+        seen["mixed"] += len({a.weight for a in dist.atoms}) > 1
+        seen["leveled"] += isinstance(inst.valuations[0], EpsLeveled)
+        seen["matroid"] += isinstance(inst.valuations[0], MatroidValuation)
+    assert seen["cases"] >= 300 and min(seen.values()) >= 10, seen

@@ -161,8 +161,8 @@ def test_engine_stops_searching_once_no_unowned_item_is_wanted(monkeypatch):
     searches = []  # (unowned support items left, path found) per search
     search = lorenz._transfer_path
 
-    def counting(i, matroids, supports, bundles, owner):
-        path = search(i, matroids, supports, bundles, owner)
+    def counting(i, matroids, supports, bundles, owner, *rest):
+        path = search(i, matroids, supports, bundles, owner, *rest)
         searches.append((len(set().union(*supports) - owner.keys()), path is not None))
         return path
 
@@ -361,3 +361,33 @@ def test_enumerate_leveled_instance_without_lorenz_dominating_allocation():
     res = enumerate_optimal(inst)
     assert res.max_welfare == 2 + 2 * eps
     assert res.lorenz_dominating == ()
+
+
+def test_failed_searches_are_not_repeated(monkeypatch):
+    # k agents share k items and an outsider demands k private items: after
+    # round one every group agent's search fails, while the outsider keeps
+    # unowned items wanted.  Repeating that failed search for each group
+    # agent expands every group holder each time, k^2 expansions of k-item
+    # supports; skipping dead items expands each holder about once
+    expansions = []
+    original = FreeOver.swap_filter
+
+    def counting(self, own, g):
+        expansions.append(g)
+        return original(self, own, g)
+
+    monkeypatch.setattr(FreeOver, "swap_filter", counting)
+    counts = {}
+    for k in (40, 80):
+        mats = [FreeOver(F(range(k)))] * k + [FreeOver(F(range(k, 2 * k)))]
+        for outsider_first in (False, True):
+            sigma = tuple(range(k + 1))[::-1] if outsider_first else None
+            expansions.clear()
+            got = compute_lorenz_dominating(mats, 2 * k, sigma)
+            counts[k, outsider_first] = len(expansions)
+            assert got.bundles == yankee_swap_reference(mats, 2 * k, sigma).bundles
+            assert got.profile() == (1,) * k + (k,)
+            # linear in the agents and items, k + 1 and 2k
+            assert counts[k, outsider_first] <= 3 * k + 1, (k, outsider_first, counts)
+    for outsider_first in (False, True):
+        assert counts[80, outsider_first] <= 2.2 * counts[40, outsider_first], counts

@@ -4,11 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MATROID_TAGS, VALUATION_KINDS, rand_subset, rand_valuation
+from conftest import (
+    MATROID_TAGS,
+    VALUATION_KINDS,
+    count_free_supports,
+    rand_subset,
+    rand_valuation,
+)
 from egalloc.errors import CapabilityError, ValidationError
-from egalloc.matroid import ZERO_MATROID, Explicit, Partition, Truncated, Uniform
+from egalloc.matroid import ZERO_MATROID, Explicit, FreeOver, Partition, Truncated, Uniform
 from egalloc.mechanisms import (
     MEPS_EXACT_MAX_ATOMS,
+    _rpe_expected_value,
     expected_utilities,
     held_out_outcomes,
     run_meps,
@@ -309,11 +316,11 @@ def test_meps_exact_matches_per_atom_reference(monkeypatch):
     import egalloc.mechanisms as mechanisms
 
     solves = []
-    original = mechanisms.compute_lorenz_dominating
+    original = mechanisms.solve_prepared
 
-    def counting(reports, m, sigma=None):
+    def counting(reports, supports, m, sigma):
         solves.append(sigma)
-        return original(reports, m, sigma)
+        return original(reports, supports, m, sigma)
 
     rng = random.Random(5150)
     undemanded = 0
@@ -322,9 +329,9 @@ def test_meps_exact_matches_per_atom_reference(monkeypatch):
         demanded = F().union(*demands)
         undemanded += len(demanded) < m
         solves.clear()
-        monkeypatch.setattr(mechanisms, "compute_lorenz_dominating", counting)
+        monkeypatch.setattr(mechanisms, "solve_prepared", counting)
         dist = run_meps(demands, m, 0)
-        monkeypatch.setattr(mechanisms, "compute_lorenz_dominating", original)
+        monkeypatch.setattr(mechanisms, "solve_prepared", original)
         want = reference_run_meps(demands, m)
         assert dist.atoms == want.atoms, (demands, m)
         # one PE solve per (sigma, X ∩ ∪demands)
@@ -388,3 +395,21 @@ def test_expected_utilities_match_per_atom_reference():
     assert kinds_seen == set(VALUATION_KINDS)
     assert len(tags_seen) == len(MATROID_TAGS)
     assert unequal >= 150
+
+
+def test_each_report_is_set_up_once_per_exact_distribution(monkeypatch):
+    # the supports are set up once for all n! orders (and, under meps, for
+    # all held-out lists), not once per solve
+    demands = [F({0, 1, 2}), F({1, 2}), F(), F({0, 3, 4})]
+    n, m = len(demands), 5
+    calls = count_free_supports(monkeypatch)
+    run_meps(demands, m, 0)
+    assert sorted(calls.values()) == [1] * n  # the reports' own FreeOver(d), once each
+    calls.clear()
+    reports = [FreeOver(d) for d in demands]
+    _rpe_expected_value(reports, m, 0, len)
+    assert [calls[id(r)] for r in reports] == [1] * n and len(calls) == n
+    calls.clear()
+    run_rpe([AdditiveDichotomous(d) for d in demands], m)
+    # sanitize_reports' universe check asks once more
+    assert sorted(calls.values()) == [2] * n
