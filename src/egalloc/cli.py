@@ -53,10 +53,11 @@ def _load_instance(path: str) -> Instance:
 def _parse_priority_flag(flag: str | None, inst: Instance):
     if flag is None:
         return inst.priority_or_default()
-    names = [x for x in flag.split(",") if x]
-    if sorted(names) != sorted(inst.agent_names):
+    agent_index = {name: i for i, name in enumerate(inst.agent_names)}
+    sigma = docio.priority_indices([x for x in flag.split(",") if x], agent_index)
+    if sigma is None:
         raise ValidationError("--priority must list every agent name exactly once")
-    return tuple(inst.agent_names.index(x) for x in names)
+    return sigma
 
 
 def _emit(doc) -> None:

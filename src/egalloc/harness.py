@@ -3,29 +3,36 @@
 Fixtures F1..F9 re-derive, in exact arithmetic, the concrete quantities
 behind the worked examples and impossibility gaps that motivate the
 mechanisms; each compares the recomputed quantity against its pinned claim
-and fails loudly on any drift.  `fuzz_truthfulness` enumerates deviation spaces against a chosen
-mechanism and reports the most profitable deviation, if any.
+and fails loudly on any drift.  `fuzz_truthfulness` enumerates deviation
+spaces against a chosen mechanism and reports the most profitable
+deviation, if any, with one tally: PE is the one-order case of RPE's walk,
+candidates are compared on native sums divided once, and each report is
+set up once per call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .audit import check_envy, maximin_share
 from .errors import CapabilityError, ValidationError
-from .lorenz import enumerate_optimal, potential, prepare_supports, solve_prepared
-from .matroid import FreeOver, ItemSet, MatroidSpec, Partition, Restricted, Truncated
+from .lorenz import enumerate_optimal, potential, prepare_supports
+from .matroid import FreeOver, ItemSet, Partition, Restricted, Truncated
 from .model import Allocation, Instance
 from .mechanisms import (
     MEPS_EXACT_MAX_ATOMS,
+    _all_orders,
     _check_meps_inputs,
-    _meps_expected_value,
-    _rpe_expected_value,
+    _checked_demand,
+    _merged_bundle,
+    _meps_outcomes,
+    _rpe_outcomes,
     floor_reports,
     held_out_outcomes,
     meps_demands,
@@ -119,98 +126,80 @@ def fuzz_truthfulness(
     Mechanisms: 'pe' (deterministic, ex-post utilities), 'rpe' and 'meps'
     (exact expected utilities).  On an ε-leveled instance 'pe' means
     floor-then-PE: reports are demand sets but utilities are measured by
-    the true leveled valuations.  For 'rpe' and 'meps' each candidate and
-    the truth walk the n! or m^2·n! realizations of `run_rpe` or
-    `run_meps`, tallying only the deviator's bundles (no atoms, no weights);
-    past MEPS_EXACT_MAX_ATOMS realizations in all, CapabilityError first.
-    For 'pe', (candidates + 1) · (n + m) past PE_FUZZ_MAX_SIZE is refused
-    the same way, before the first solve.
+    the true leveled valuations.  A report scores Σ count·f(B), in f's native
+    type, over the deviator's distinct bundles B in the realizations it
+    walks: the one order of 'pe', the n! of `run_rpe` or the m^2·n! of
+    `run_meps`; only the two utilities reported are divided, into Fractions.
+    Past MEPS_EXACT_MAX_ATOMS realizations ('rpe', 'meps') or PE_FUZZ_MAX_SIZE
+    agents and items over all solves ('pe'), CapabilityError before any solve.
     """
     n, m = instance.n, instance.m
     if not (0 <= deviator < n):
         raise ValidationError(f"deviator index {deviator} out of range")
-    sigma = instance.priority_or_default()
     truth = instance.valuations[deviator]
     value = value_functions(truth)[0]
 
-    if mechanism in ("pe", "rpe"):
-        # each report is sanitized (and for pe set up) once: the other
-        # agents' here, each candidate when its utility is computed
+    if mechanism in ("pe", "rpe"):  # each report is sanitized and set up once
         others = floor_reports(instance.valuations)
         del others[deviator]
         other_matroids = sanitize_reports(others, m)
+        other_supports = prepare_supports(other_matroids, m)
+        realizations = 1 if mechanism == "pe" else math.factorial(n)
 
-        def with_report(report: ValuationSpec) -> list[MatroidSpec]:
-            matroids = list(other_matroids)
-            matroids.insert(deviator, sanitize_reports([report], m)[0])
-            return matroids
-
-        if mechanism == "pe":
-            other_supports = prepare_supports(other_matroids, m)
-
-            def utility(report: ValuationSpec) -> Fraction:
-                matroids = with_report(report)
-                supports = list(other_supports)
-                supports[deviator:deviator] = prepare_supports([matroids[deviator]], m)
-                alloc = solve_prepared(matroids, supports, m, sigma)
-                return evaluate(truth, alloc.bundles[deviator], m)
-
-        else:
-
-            def utility(report: ValuationSpec) -> Fraction:
-                return _rpe_expected_value(with_report(report), m, deviator, value)
+        def bundles(report: ValuationSpec) -> Iterator[ItemSet]:
+            mine = sanitize_reports([report], m)
+            matroids = other_matroids[:deviator] + mine + other_matroids[deviator:]
+            supports = other_supports[:deviator] + prepare_supports(mine, m) + other_supports[deviator:]
+            orders = [instance.priority_or_default()] if mechanism == "pe" else _all_orders(n)
+            return (a.bundles[deviator] for _, a in _rpe_outcomes(matroids, supports, m, orders))
 
     elif mechanism == "meps":
         # ε and the demands are checked before the size cap below, as in run_meps
-        base_demands = _check_meps_inputs(meps_demands(instance.valuations), n, m, instance.epsilon)
-        # built at the first utility, once the size cap has passed
+        base_demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
+        realizations = math.factorial(n) * m * m
+        # built at the first score, once the size cap has passed
         held_outs = functools.cache(lambda: [x for x, _ in held_out_outcomes(m)])
 
-        def utility(report: ValuationSpec) -> Fraction:
+        def bundles(report: ValuationSpec) -> Iterator[ItemSet]:
             if not isinstance(report, AdditiveDichotomous):
                 raise ValidationError("held-out mechanism reports are demand sets")
             demands = list(base_demands)
-            demands[deviator] = report.demand
-            demands = _check_meps_inputs(demands, n, m, instance.epsilon)
-            return _meps_expected_value(demands, m, held_outs(), deviator, value)
+            demands[deviator] = _checked_demand(report.demand, m)
+            walk = _meps_outcomes(demands, m, held_outs(), permutations(range(n)))
+            return (_merged_bundle(pe, mx, deviator) for _, _, pe, mx in walk)
 
     else:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
 
+    def score(report: ValuationSpec):
+        return sum(c * value(b) for b, c in Counter(bundles(report)).items())
+
     reports = space(instance, deviator)
     solves = len(reports) + 1
-    if mechanism == "pe":
-        total = solves * (n + m)
-        if total > PE_FUZZ_MAX_SIZE:
-            raise CapabilityError(
-                f"fuzzing pe runs {solves} PE solves over {n + m} agents and items each "
-                f"({total} in all); the cap is {PE_FUZZ_MAX_SIZE}"
-            )
-    else:
+    if mechanism == "pe" and solves * (n + m) > PE_FUZZ_MAX_SIZE:
+        raise CapabilityError(
+            f"fuzzing pe runs {solves} PE solves over {n + m} agents and items each "
+            f"({solves * (n + m)} in all); the cap is {PE_FUZZ_MAX_SIZE}"
+        )
+    if mechanism != "pe" and solves * realizations > MEPS_EXACT_MAX_ATOMS:
         # the message counts realizations as the atoms of exact distributions
-        atoms = math.factorial(n) * (m * m if mechanism == "meps" else 1)
-        total = solves * atoms
-        if total > MEPS_EXACT_MAX_ATOMS:
-            raise CapabilityError(
-                f"fuzzing {mechanism} builds {solves} exact distributions of "
-                f"{atoms} atoms ({total} in all); the cap is {MEPS_EXACT_MAX_ATOMS}"
-            )
-    truthful_utility = utility(floor_reports([truth])[0])
-
+        raise CapabilityError(
+            f"fuzzing {mechanism} builds {solves} exact distributions of {realizations} "
+            f"atoms ({solves * realizations} in all); the cap is {MEPS_EXACT_MAX_ATOMS}"
+        )
+    truthful_score = best_score = score(floor_reports([truth])[0])
     best_report = None
-    best_utility = truthful_utility
     for report in reports:
-        val = utility(report)
-        if val > best_utility:
-            best_utility = val
-            best_report = report
+        got = score(report)
+        if got > best_score:
+            best_score, best_report = got, report
     return FuzzResult(
         mechanism=mechanism,
         deviator=deviator,
         truthful=best_report is None,
-        truthful_utility=truthful_utility,
+        truthful_utility=Fraction(truthful_score, realizations),
         best_report=best_report,
-        best_utility=best_utility,
+        best_utility=Fraction(best_score, realizations),
     )
 
 

@@ -25,7 +25,7 @@ from .matroid import (
     check_explicit_cap,
     validate_matroid,
 )
-from .model import Allocation, Instance, OutcomeDistribution
+from .model import Allocation, Instance, OutcomeDistribution, PriorityOrder
 from .valuation import (
     AdditiveDichotomous,
     EpsLeveled,
@@ -184,6 +184,13 @@ def parse_instance(text: str) -> Instance:
     return instance_from_document(_load_json(text))
 
 
+def priority_indices(order: Sequence[str], agent_index: dict[str, int]) -> PriorityOrder | None:
+    """The agents' indices in `order` through the name -> index map, or None
+    unless `order` names every agent exactly once."""
+    priority = tuple(agent_index.get(name, -1) for name in order)
+    return priority if sorted(priority) == list(range(len(agent_index))) else None
+
+
 def instance_from_document(doc) -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
@@ -203,7 +210,7 @@ def instance_from_document(doc) -> Instance:
     agents_raw = doc.get("agents")
     if not isinstance(agents_raw, list) or not agents_raw:
         raise ParseError("'agents' must be a nonempty list")
-    names = []
+    agent_index: dict[str, int] = {}  # name -> index, in document order
     specs = []
     for i, agent in enumerate(agents_raw):
         if not isinstance(agent, dict) or "name" not in agent or "valuation" not in agent:
@@ -211,9 +218,9 @@ def instance_from_document(doc) -> Instance:
         name = agent["name"]
         if not isinstance(name, str):
             raise ParseError(f"agents[{i}].name: expected a string")
-        if name in names:
+        if name in agent_index:
             raise ParseError(f"agents[{i}].name: duplicate agent name {name!r}")
-        names.append(name)
+        agent_index[name] = i
         specs.append(
             _parse_valuation(agent["valuation"], item_index, eps, f"agents[{i}].valuation")
         )
@@ -223,13 +230,13 @@ def instance_from_document(doc) -> Instance:
         pr = doc["priority"]
         if not isinstance(pr, list) or not all(isinstance(x, str) for x in pr):
             raise ParseError("'priority' must be a list of agent names")
-        if sorted(pr) != sorted(names):
+        priority = priority_indices(pr, agent_index)
+        if priority is None:
             raise ParseError("'priority' must be a permutation of the agent names")
-        priority = tuple(names.index(x) for x in pr)
 
     inst = Instance(
         item_names=tuple(items),
-        agent_names=tuple(names),
+        agent_names=tuple(agent_index),
         valuations=tuple(specs),
         epsilon=eps,
         priority=priority,
@@ -366,12 +373,12 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
     if not isinstance(body, dict):
         raise ParseError("'allocation' must map agent names to item lists")
     item_index = {name: i for i, name in enumerate(inst.item_names)}
+    agent_index = {name: i for i, name in enumerate(inst.agent_names)}
     bundles = [frozenset()] * inst.n
     for name, raw_items in body.items():
-        if name not in inst.agent_names:
+        if name not in agent_index:
             raise ParseError(f"allocation mentions unknown agent {name!r}")
-        idx = inst.agent_names.index(name)
-        bundles[idx] = _item_list(raw_items, item_index, f"allocation[{name!r}]")
+        bundles[agent_index[name]] = _item_list(raw_items, item_index, f"allocation[{name!r}]")
     return Allocation(tuple(bundles), inst.m)
 
 

@@ -28,13 +28,14 @@ truthful report outweigh any eps-scale composition gains from lying.
 Exact distributions set each report up once and solve PE per order; a
 held-out PE half runs on the reports' `FreeOver(d)` with supports clipped
 to M∖X, which is PE on M∖X, as the engine asks only about support items.
+`harness.fuzz_truthfulness` tallies one agent's bundles along the walks
+`_rpe_outcomes` (PE is its one-order case) and `_meps_outcomes`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
@@ -109,29 +110,27 @@ def run_pe(
 def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
     """PE under uniformly random priorities, as an exact distribution.
 
-    Sanitizes the reports once and returns all n! atoms of weight 1/n!,
-    raising CapabilityError past RPE_EXACT_MAX_AGENTS agents.
+    Sanitizes and sets up the reports once and returns all n! atoms of
+    weight 1/n!, raising CapabilityError past RPE_EXACT_MAX_AGENTS agents.
     """
-    return _rpe_distribution(sanitize_reports(reports, m), m)
-
-
-def _rpe_distribution(matroids: Sequence[MatroidSpec], m: int) -> OutcomeDistribution:
-    """All n! PE atoms of weight 1/n! for reports `sanitize_reports` already mapped."""
-    outcomes = _rpe_outcomes(matroids, m)  # the cap, before n! is computed
+    matroids = sanitize_reports(reports, m)
+    orders = _all_orders(len(matroids))  # the cap, before n! is computed
     weight = Fraction(1, math.factorial(len(matroids)))
+    outcomes = _rpe_outcomes(matroids, prepare_supports(matroids, m), m, orders)
     return OutcomeDistribution(tuple(Atom(weight, a, sigma) for sigma, a in outcomes))
 
 
-def _rpe_outcomes(matroids: Sequence[MatroidSpec], m: int) -> Iterator[tuple]:
-    """(sigma, PE allocation) for every priority order, the reports set up once;
-    past RPE_EXACT_MAX_AGENTS agents, CapabilityError at the call, before any solve."""
-    n = len(matroids)
+def _all_orders(n: int) -> Iterator[PriorityOrder]:
+    """The n! priority orders; past RPE_EXACT_MAX_AGENTS agents, CapabilityError."""
     if n > RPE_EXACT_MAX_AGENTS:
         raise CapabilityError(
             f"exact mode enumerates n! priority orders; n={n} exceeds cap {RPE_EXACT_MAX_AGENTS}"
         )
-    supports = prepare_supports(matroids, m)
-    orders = permutations(range(n))
+    return permutations(range(n))
+
+
+def _rpe_outcomes(matroids, supports, m: int, orders: Iterable) -> Iterator[tuple]:
+    """(sigma, PE allocation) per order in `orders`, on sanitized, set-up reports."""
     return ((sigma, solve_prepared(matroids, supports, m, sigma)) for sigma in orders)
 
 
@@ -234,23 +233,23 @@ def meps_demands(valuations: Sequence[ValuationSpec]) -> list[ItemSet]:
     return [support(v) for v in valuations]
 
 
-def _check_meps_inputs(demands, n, m, eps) -> list[ItemSet]:
+def _check_meps_inputs(demands, m, eps) -> list[ItemSet]:
     """The demands as frozensets, once eps, m and every item are checked."""
-    eps = as_value(eps)
+    n, eps = len(demands), as_value(eps)
     if n < 1 or m < 1:
         raise ValidationError("at least one agent and one item required")
     if eps >= Fraction(1, n * m**3):
-        raise ValidationError(
-            f"eps must be below 1/(n*m^3) = 1/{n * m**3}; got {eps}"
-        )
-    clean = []
-    for d in demands:
-        d = frozenset(d)
-        bad = [a for a in d if not (0 <= a < m)]
-        if bad:
-            raise ValidationError(f"demand report outside the item universe: {sorted(bad)}")
-        clean.append(d)
-    return clean
+        raise ValidationError(f"eps must be below 1/(n*m^3) = 1/{n * m**3}; got {eps}")
+    return [_checked_demand(d, m) for d in demands]
+
+
+def _checked_demand(demand, m: int) -> ItemSet:
+    """One demand report as a frozenset of items of 0..m-1."""
+    demand = frozenset(demand)
+    bad = [a for a in demand if not (0 <= a < m)]
+    if bad:
+        raise ValidationError(f"demand report outside the item universe: {sorted(bad)}")
+    return demand
 
 
 def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> Iterator[tuple]:
@@ -312,7 +311,7 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     under order k, so the atoms keep their outcome-major order.
     """
     n = len(demands)
-    demands = _check_meps_inputs(demands, n, m, eps)
+    demands = _check_meps_inputs(demands, m, eps)
     size = m * m * math.factorial(n)
     if size > MEPS_EXACT_MAX_ATOMS:
         raise CapabilityError(
@@ -339,8 +338,7 @@ def sample_meps(
     item, then the priority shuffle; identical seeds give identical traces.
     The two halves come from `_meps_outcomes`, as in `run_meps`.
     """
-    n = len(demands)
-    demands = _check_meps_inputs(demands, n, m, eps)
+    demands = _check_meps_inputs(demands, m, eps)
     rng = random.Random(seed)
     x = rng.randrange(m)
     if rng.randrange(m) > 0:  # probability (m-1)/m; never fires at m = 1
@@ -350,7 +348,7 @@ def sample_meps(
         held_out: tuple[int, ...] = (x, y)
     else:
         held_out = (x,)
-    order = list(range(n))
+    order = list(range(len(demands)))
     rng.shuffle(order)
     sigma = tuple(order)
     ((_, _, pe, mx),) = _meps_outcomes(demands, m, [held_out], [sigma])
@@ -386,23 +384,6 @@ def expected_utilities(
         for v in range(n):
             totals[v] += weight * sums[v]
     return tuple(totals)
-
-
-def _rpe_expected_value(matroids: Sequence[MatroidSpec], m: int, agent: int, value) -> Fraction:
-    """`agent`'s entry of `expected_utilities(_rpe_distribution(matroids, m), ...)`
-    for the value function `value`, with no atoms: the agent's bundle is
-    counted over the n! orders and each distinct bundle valued once."""
-    counts = Counter(alloc.bundles[agent] for _, alloc in _rpe_outcomes(matroids, m))
-    return Fraction(sum(c * value(b) for b, c in counts.items()), math.factorial(len(matroids)))
-
-
-def _meps_expected_value(demands, m: int, held_outs: Sequence, agent: int, value) -> Fraction:
-    """The same for `run_meps` on checked `demands` over the m^2·n! realizations
-    (`held_outs`: every held-out list), merging only the agent's two halves."""
-    realizations = _meps_outcomes(demands, m, held_outs, permutations(range(len(demands))))
-    counts = Counter(_merged_bundle(pe, mx, agent) for _, _, pe, mx in realizations)
-    atoms = m * m * math.factorial(len(demands))
-    return Fraction(sum(c * value(b) for b, c in counts.items()), atoms)
 
 
 def floor_reports(instance_valuations: Sequence[ValuationSpec]) -> list[ValuationSpec]:

@@ -70,19 +70,22 @@ class Atom:
     priority: PriorityOrder
     held_out: tuple[int, ...] | None = None
 
+    def __post_init__(self):  # the weight as an exact rational; a float raises
+        object.__setattr__(self, "weight", as_value(self.weight))
+
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
-        # Σ weight·count over the distinct weights: exact distributions
-        # repeat one or a few weights across all their atoms
-        counts = Counter(a.weight for a in self.atoms)
-        total = sum((w * c for w, c in counts.items()), Fraction(0))
+        # Σ weight·count over the distinct weights, keyed by (numerator,
+        # denominator), which hash faster than a Fraction
+        counts = Counter((a.weight.numerator, a.weight.denominator) for a in self.atoms)
+        total = sum((Fraction(p, q) * c for (p, q), c in counts.items()), Fraction(0))
         if total != 1:
             raise ValidationError(f"atom weights must sum to 1 exactly, got {total}")
-        if any(w <= 0 for w in counts):
+        if any(p <= 0 for p, _ in counts):
             raise ValidationError("atom weights must be positive")
 
 

@@ -1,13 +1,15 @@
-"""Reference route for `fuzz_truthfulness` on the randomized mechanisms.
+"""Reference route for `fuzz_truthfulness`.
 
 `reference_fuzz_truthfulness` scores each candidate report the way the
-harness once did: it builds the whole exact distribution (`run_rpe` or
-`run_meps`, every atom a validated `Allocation` with its `Fraction`
-weight) and reads the deviator's entry of `expected_utilities`.  The
-harness now tallies the deviator's bundles over the same realizations
-without building atoms, so agreement between the two is a differential
-check of the tally: its counts, its merge of the two held-out halves and
-its denominator.
+harness once did.  For 'pe' it runs `run_pe` under the instance's priority
+and values the deviator's bundle with `evaluate`.  For 'rpe' and 'meps' it
+builds the whole exact distribution (`run_rpe` or `run_meps`, every atom a
+validated `Allocation` with its `Fraction` weight) and reads the deviator's
+entry of `expected_utilities`.  The harness tallies the deviator's bundles
+over the same realizations as native sums, PE's one order included, and
+divides once, so agreement between the two is a differential check of the
+tally: its counts, its merge of the two held-out halves, its sums and its
+denominator.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from egalloc.mechanisms import (
     floor_reports,
     meps_demands,
     run_meps,
+    run_pe,
     run_rpe,
 )
 from egalloc.model import Instance
-from egalloc.valuation import AdditiveDichotomous, ValuationSpec
+from egalloc.valuation import AdditiveDichotomous, ValuationSpec, evaluate
 
 
 def reference_fuzz_truthfulness(
@@ -37,11 +40,19 @@ def reference_fuzz_truthfulness(
     deviator: int,
     space: Callable[[Instance, int], Sequence[ValuationSpec]],
 ) -> FuzzResult:
-    """`fuzz_truthfulness` for 'rpe' or 'meps', one exact distribution per candidate."""
+    """`fuzz_truthfulness`: one PE solve or one exact distribution per candidate."""
     n, m = instance.n, instance.m
     truth = instance.valuations[deviator]
 
-    if mechanism == "rpe":
+    if mechanism == "pe":
+
+        def utility(report: ValuationSpec) -> Fraction:
+            reports = floor_reports(instance.valuations)
+            reports[deviator] = report
+            alloc = run_pe(reports, m, instance.priority_or_default())
+            return evaluate(truth, alloc.bundles[deviator], m)
+
+    elif mechanism == "rpe":
 
         def utility(report: ValuationSpec) -> Fraction:
             reports = floor_reports(instance.valuations)
@@ -50,7 +61,7 @@ def reference_fuzz_truthfulness(
             return expected_utilities(dist, instance.valuations)[deviator]
 
     elif mechanism == "meps":
-        base_demands = _check_meps_inputs(meps_demands(instance.valuations), n, m, instance.epsilon)
+        base_demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
 
         def utility(report: ValuationSpec) -> Fraction:
             if not isinstance(report, AdditiveDichotomous):
@@ -64,13 +75,14 @@ def reference_fuzz_truthfulness(
         raise ValidationError(f"unknown mechanism {mechanism!r}")
 
     reports = space(instance, deviator)
-    atoms = math.factorial(n) * (m * m if mechanism == "meps" else 1)
-    total = (len(reports) + 1) * atoms
-    if total > MEPS_EXACT_MAX_ATOMS:
-        raise CapabilityError(
-            f"fuzzing {mechanism} builds {len(reports) + 1} exact distributions of "
-            f"{atoms} atoms ({total} in all); the cap is {MEPS_EXACT_MAX_ATOMS}"
-        )
+    if mechanism != "pe":  # pe's cap is left out: the comparisons stay far below it
+        atoms = math.factorial(n) * (m * m if mechanism == "meps" else 1)
+        total = (len(reports) + 1) * atoms
+        if total > MEPS_EXACT_MAX_ATOMS:
+            raise CapabilityError(
+                f"fuzzing {mechanism} builds {len(reports) + 1} exact distributions of "
+                f"{atoms} atoms ({total} in all); the cap is {MEPS_EXACT_MAX_ATOMS}"
+            )
     truthful_utility = utility(floor_reports([truth])[0])
 
     best_report = None

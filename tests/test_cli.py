@@ -657,6 +657,12 @@ TWO_AGENTS = {
     "agents": [{"name": n, "valuation": {"demand": ["x"]}} for n in ("p1", "p2")],
 }
 GOOD_ALLOCATION = _doc({"allocation": {"p1": ["x"]}})
+# agent names resolve through one map: a list search per name is quadratic
+MANY_NAMES = [f"p{i}" for i in range(20_000)]
+MANY_AGENTS = {
+    "items": ["x"],
+    "agents": [{"name": n, "valuation": {"demand": ["x"]}} for n in MANY_NAMES],
+}
 NOT_UTF8 = b'\xff\xfe{"items": []}'
 PARTITION_WITH_DICT = {"type": "partition", "blocks": [{"items": [{}], "cap": 1}]}
 
@@ -680,6 +686,16 @@ HOSTILE = {
     "alpha-zero-denominator": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "1/0")),
     "alpha-huge-exponent": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "1e-9999999999")),
     "alpha-empty": (_doc(TWO_AGENTS), GOOD_ALLOCATION, ("--alpha", "")),
+    "many-agents-last-name-repeated": (
+        _doc({**MANY_AGENTS, "agents": MANY_AGENTS["agents"][:-1] + MANY_AGENTS["agents"][:1]}),
+        None,
+        (),
+    ),
+    "many-agents-allocation-names-unknown-last": (
+        _doc(MANY_AGENTS),
+        _doc({"allocation": {**{n: [] for n in MANY_NAMES}, "stranger": []}}),
+        (),
+    ),
 }
 
 

@@ -1,7 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,11 +24,12 @@ from egalloc.harness import (
     restricted_mrf_library,
     run_fixture,
 )
+from egalloc.lorenz import prepare_supports
 from egalloc.matroid import Uniform
 from egalloc.mechanisms import (
     _merged_bundle,
-    _meps_expected_value,
-    _rpe_expected_value,
+    _meps_outcomes,
+    _rpe_outcomes,
     expected_utilities,
     floor_reports,
     held_out_outcomes,
@@ -222,6 +224,14 @@ def test_meps_fuzzing_checks_epsilon_before_the_size_cap():
         fuzz_truthfulness("meps", inst, 0, all_demand_subsets)
 
 
+def test_meps_fuzzing_checks_each_candidate_demand():
+    inst = additive_instance([F({0, 1}), F({1})], epsilon=Fraction(1, 100))
+    with pytest.raises(ValidationError, match=r"outside the item universe: \[2\]"):
+        fuzz_truthfulness("meps", inst, 0, lambda i, d: [AdditiveDichotomous(F({0, 2}))])
+    with pytest.raises(ValidationError, match="reports are demand sets"):
+        fuzz_truthfulness("meps", inst, 0, lambda i, d: [MatroidValuation(Uniform(F({0}), 1))])
+
+
 def _tally_instances(rng, mechanism):
     """Seeded (instance, deviator, spaces) cases for the tally tests.
 
@@ -265,11 +275,33 @@ def _tally_instances(rng, mechanism):
         yield inst, deviator, spaces
 
 
+def _walk_value(bundles, value, realizations: int) -> Fraction:
+    """Σ count·value(B) over the distinct bundles of a walk, divided once."""
+    return Fraction(sum(c * value(b) for b, c in Counter(bundles).items()), realizations)
+
+
+def test_pe_tally_matches_the_reference():
+    # pe is the one-order case of the rpe tally; compared against run_pe and
+    # evaluate on every seeded case of both mechanisms
+    rng = random.Random(1313)
+    cases = manipulable = 0
+    for inst, deviator, spaces in [*_tally_instances(rng, "rpe"), *_tally_instances(rng, "meps")]:
+        for space in spaces:
+            got = fuzz_truthfulness("pe", inst, deviator, space)
+            assert got == reference_fuzz_truthfulness("pe", inst, deviator, space)
+            cases += 1
+            leveled = isinstance(inst.valuations[deviator], EpsLeveled)
+            manipulable += leveled and not got.truthful
+    assert cases >= 40
+    assert manipulable >= 1  # floor-then-PE on an ε-leveled truth: a witness is compared
+
+
 def test_rpe_tally_matches_the_full_distribution():
     rng = random.Random(1313)
     cases = manipulable = 0
     for inst, deviator, spaces in _tally_instances(rng, "rpe"):
         value = value_functions(inst.valuations[deviator])[0]
+        orders = list(permutations(range(inst.n)))
         for space in spaces:
             candidates = [floor_reports([inst.valuations[deviator]])[0]]
             candidates += space(inst, deviator)
@@ -277,7 +309,8 @@ def test_rpe_tally_matches_the_full_distribution():
                 reports = floor_reports(inst.valuations)
                 reports[deviator] = report
                 matroids = sanitize_reports(reports, inst.m)
-                got = _rpe_expected_value(matroids, inst.m, deviator, value)
+                walk = _rpe_outcomes(matroids, prepare_supports(matroids, inst.m), inst.m, orders)
+                got = _walk_value((a.bundles[deviator] for _, a in walk), value, len(orders))
                 want = expected_utilities(run_rpe(reports, inst.m), inst.valuations)[deviator]
                 assert type(got) is Fraction and got == want, (inst, deviator, report)
                 cases += 1
@@ -310,7 +343,12 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
             demands[deviator] = report.demand
             solves.clear()
             monkeypatch.setattr(mechanisms, "solve_prepared", counting)
-            got = _meps_expected_value(demands, m, held_outs, deviator, value)
+            walk = _meps_outcomes(demands, m, held_outs, permutations(range(n)))
+            got = _walk_value(
+                (_merged_bundle(pe, mx, deviator) for _, _, pe, mx in walk),
+                value,
+                m * m * math.factorial(n),
+            )
             monkeypatch.setattr(mechanisms, "solve_prepared", original)
             want = expected_utilities(run_meps(demands, m, inst.epsilon), inst.valuations)
             assert type(got) is Fraction and got == want[deviator], (inst, deviator, report)
@@ -332,10 +370,13 @@ def test_merged_bundle_refuses_an_item_in_both_halves():
 
 
 def test_fuzz_pe_sets_up_the_other_reports_once(monkeypatch):
+    # pe and rpe share one set-up: for rpe it is not repeated per candidate
     inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
     calls = count_free_supports(monkeypatch)
-    result = fuzz_truthfulness("pe", inst, 1, all_demand_subsets)
-    assert result.truthful
-    # sanitize_reports' universe check and the set-up ask once each: the
-    # other agents' reports in all, and each of the 2^m candidates and the truth
-    assert sorted(calls.values()) == [2] * (inst.n - 1 + 2**inst.m + 1)
+    for mechanism in ("pe", "rpe"):
+        calls.clear()
+        result = fuzz_truthfulness(mechanism, inst, 1, all_demand_subsets)
+        assert result.truthful
+        # sanitize_reports' universe check and the set-up ask once each: the
+        # other agents' reports in all, and each of the 2^m candidates and the truth
+        assert sorted(calls.values()) == [2] * (inst.n - 1 + 2**inst.m + 1), mechanism

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -15,7 +16,7 @@ from egalloc.errors import CapabilityError, ValidationError
 from egalloc.matroid import ZERO_MATROID, Explicit, FreeOver, Partition, Truncated, Uniform
 from egalloc.mechanisms import (
     MEPS_EXACT_MAX_ATOMS,
-    _rpe_expected_value,
+    _rpe_outcomes,
     expected_utilities,
     held_out_outcomes,
     run_meps,
@@ -26,6 +27,7 @@ from egalloc.mechanisms import (
     sample_rpe,
     sanitize_reports,
 )
+from egalloc.lorenz import prepare_supports
 from egalloc.model import Allocation, Atom, OutcomeDistribution
 from egalloc.valuation import AdditiveDichotomous, MatroidValuation, XosFamily
 from meps_reference import reference_expected_utilities, reference_run_meps
@@ -241,6 +243,19 @@ def test_distribution_weights_must_sum_to_one():
         OutcomeDistribution((atom,))
 
 
+def test_distribution_weights_must_be_exact():
+    # two float halves sum to 1.0; a float weight is refused all the same
+    pe = run_pe([AdditiveDichotomous(F({0}))], 1)
+    with pytest.raises(ValidationError, match="floats are rejected"):
+        OutcomeDistribution((Atom(0.5, pe, (0,)), Atom(0.5, pe, (0,))))
+    # a weight of another exact type is stored as its Fraction
+    assert type(Atom(1, pe, (0,)).weight) is Fraction
+    halves = (Atom("1/2", pe, (0,)), Atom(Fraction(2, 4), pe, (0,)))
+    assert expected_utilities(OutcomeDistribution(halves), [AdditiveDichotomous(F({0}))]) == (1,)
+    with pytest.raises(ValidationError, match="positive"):
+        OutcomeDistribution((Atom(2, pe, (0,)), Atom(-1, pe, (0,))))
+
+
 def _mx_cases():
     """All held-out lists of size 1-2, demand profiles, and priorities."""
     import itertools
@@ -407,7 +422,7 @@ def test_each_report_is_set_up_once_per_exact_distribution(monkeypatch):
     assert sorted(calls.values()) == [1] * n  # the reports' own FreeOver(d), once each
     calls.clear()
     reports = [FreeOver(d) for d in demands]
-    _rpe_expected_value(reports, m, 0, len)
+    list(_rpe_outcomes(reports, prepare_supports(reports, m), m, permutations(range(n))))
     assert [calls[id(r)] for r in reports] == [1] * n and len(calls) == n
     calls.clear()
     run_rpe([AdditiveDichotomous(d) for d in demands], m)
