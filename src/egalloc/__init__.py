@@ -9,9 +9,7 @@ from types import ModuleType as _ModuleType
 
 from .audit import (
     check_envy,
-    check_lorenz_dominating,
     check_maximin_fair,
-    check_stochastic_ef,
     efficiency_metrics,
     maximin_share,
 )

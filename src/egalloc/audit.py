@@ -1,8 +1,7 @@
-"""Fairness and efficiency auditors over concrete allocations and exact
-outcome distributions.
-
-Every verdict is computed in exact arithmetic and every failing verdict
-carries a checkable witness.
+"""Fairness and efficiency auditors over one allocation: envy (EF, EF1,
+EFX), maximin share and the efficiency metrics, all exact, each failing
+verdict with a checkable witness.  Stochastic envy-freeness and Lorenz
+dominance have one route, the tests' (`tests/audit_reference.py`).
 """
 
 from __future__ import annotations
@@ -11,12 +10,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from typing import Sequence
 
 from .errors import CapabilityError, PreconditionError, ValidationError
-from .lorenz import enumerate_optimal, potential
-from .model import Allocation, Instance, OutcomeDistribution, PriorityOrder
+from .lorenz import potential
+from .model import Allocation, PriorityOrder
 from .valuation import (
     AdditiveDichotomous, ValuationSpec, as_value, evaluate, support, value_functions
 )
@@ -39,15 +38,6 @@ class BoundWitness:
     agent: int
     bound: Fraction
     actual: Fraction
-
-
-@dataclass(frozen=True)
-class TailWitness:
-    envier: int
-    envied: int
-    threshold: Fraction
-    own_tail: Fraction
-    other_tail: Fraction
 
 
 @dataclass(frozen=True)
@@ -244,107 +234,6 @@ def efficiency_metrics(
         sum_squares=Fraction(sum(u * u for u in utils)),
         sorted_vector=tuple(map(Fraction, sorted(utils))),
         potential=potential(allocation.profile(), sigma),
-    )
-
-
-def check_lorenz_dominating(allocation: Allocation, instance: Instance) -> FairnessReport:
-    """Does the allocation Lorenz-dominate every allocation of the instance?
-
-    No enumerated utility vector, sorted ascending, may have a larger prefix
-    sum (the rule of `enumerate_optimal`); the witness is the first that
-    does.  Capability-capped like `enumerate_optimal`.
-    """
-    result = enumerate_optimal(instance)
-    own = tuple(accumulate(sorted(allocation.utilities(instance.valuations))))
-    for other, vec in zip(result.allocations, result.vectors):
-        ranked = tuple(sorted(vec))
-        if any(p > q for p, q in zip(accumulate(ranked), own)):
-            witness = (other.bundles, ranked)
-            return FairnessReport((("lorenz_dominating", Verdict(False, witness)),))
-    return FairnessReport((("lorenz_dominating", Verdict(True)),))
-
-
-def check_stochastic_ef(
-    dist: OutcomeDistribution, valuations: Sequence[ValuationSpec]
-) -> FairnessReport:
-    """Stochastic envy-freeness plus the ex-ante EF and proportionality checks.
-
-    For each agent pair (i, j) and every achievable value t of f_i over the
-    atoms (tails are step functions, so these thresholds are complete):
-    Pr[f_i(A_i) >= t] must weakly exceed Pr[f_i(A_j) >= t], exactly.
-    """
-    n = len(valuations)
-    if not dist.atoms:
-        raise ValidationError("empty distribution")
-    m = dist.atoms[0].allocation.m
-
-    # table[i][j]: f_i(A_j) per atom, in the valuation's native type; every
-    # bundle was checked against its universe by Allocation
-    weights = [atom.weight for atom in dist.atoms]
-    table = []
-    for spec in valuations:
-        value = value_functions(spec)[0]
-        table.append(
-            [[value(atom.allocation.bundles[j]) for atom in dist.atoms] for j in range(n)]
-        )
-
-    stochastic = Verdict(True)
-    for i in range(n):
-        if not stochastic.holds:
-            break
-        own = table[i][i]
-        for j in range(n):
-            if i == j:
-                continue
-            other = table[i][j]
-            thresholds = sorted(set(own) | set(other))
-            for t in thresholds:
-                if t <= 0:
-                    continue
-                own_tail = sum(
-                    (w for w, val in zip(weights, own) if val >= t), Fraction(0)
-                )
-                other_tail = sum(
-                    (w for w, val in zip(weights, other) if val >= t), Fraction(0)
-                )
-                if own_tail < other_tail:
-                    witness = TailWitness(i, j, Fraction(t), own_tail, other_tail)
-                    stochastic = Verdict(False, witness)
-                    break
-            if not stochastic.holds:
-                break
-
-    expectations = [
-        sum((w * val for w, val in zip(weights, table[i][i])), Fraction(0))
-        for i in range(n)
-    ]
-    ex_ante_ef = Verdict(True)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            cross_exp = sum(
-                (w * val for w, val in zip(weights, table[i][j])), Fraction(0)
-            )
-            if expectations[i] < cross_exp:
-                ex_ante_ef = Verdict(False, BoundWitness(i, cross_exp, expectations[i]))
-                break
-        if not ex_ante_ef.holds:
-            break
-
-    ex_ante_prop = Verdict(True)
-    for i in range(n):
-        share = evaluate(valuations[i], frozenset(range(m)), m) / n
-        if expectations[i] < share:
-            ex_ante_prop = Verdict(False, BoundWitness(i, share, expectations[i]))
-            break
-
-    return FairnessReport(
-        (
-            ("stochastic_ef", stochastic),
-            ("ex_ante_ef", ex_ante_ef),
-            ("ex_ante_proportional", ex_ante_prop),
-        )
     )
 
 

@@ -13,7 +13,6 @@ set up once per call.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +29,7 @@ from .mechanisms import (
     _all_orders,
     _check_meps_inputs,
     _checked_demand,
+    _exact_atoms,
     _merged_bundle,
     _meps_outcomes,
     _rpe_outcomes,
@@ -130,8 +130,9 @@ def fuzz_truthfulness(
     type, over the deviator's distinct bundles B in the realizations it
     walks: the one order of 'pe', the n! of `run_rpe` or the m^2·n! of
     `run_meps`; only the two utilities reported are divided, into Fractions.
-    Past MEPS_EXACT_MAX_ATOMS realizations ('rpe', 'meps') or PE_FUZZ_MAX_SIZE
-    agents and items over all solves ('pe'), CapabilityError before any solve.
+    Past MEPS_EXACT_MAX_ATOMS realizations or MEPS_EXACT_MAX_AGENTS agents
+    ('rpe', 'meps') or PE_FUZZ_MAX_SIZE agents and items over all solves
+    ('pe'), CapabilityError before any solve.
     """
     n, m = instance.n, instance.m
     if not (0 <= deviator < n):
@@ -144,7 +145,6 @@ def fuzz_truthfulness(
         del others[deviator]
         other_matroids = sanitize_reports(others, m)
         other_supports = prepare_supports(other_matroids, m)
-        realizations = 1 if mechanism == "pe" else math.factorial(n)
 
         def bundles(report: ValuationSpec) -> Iterator[ItemSet]:
             mine = sanitize_reports([report], m)
@@ -156,7 +156,6 @@ def fuzz_truthfulness(
     elif mechanism == "meps":
         # ε and the demands are checked before the size cap below, as in run_meps
         base_demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
-        realizations = math.factorial(n) * m * m
         # built at the first score, once the size cap has passed
         held_outs = functools.cache(lambda: [x for x, _ in held_out_outcomes(m)])
 
@@ -176,6 +175,7 @@ def fuzz_truthfulness(
 
     reports = space(instance, deviator)
     solves = len(reports) + 1
+    realizations = 1 if mechanism == "pe" else _exact_atoms(n, m * m if mechanism == "meps" else 1)
     if mechanism == "pe" and solves * (n + m) > PE_FUZZ_MAX_SIZE:
         raise CapabilityError(
             f"fuzzing pe runs {solves} PE solves over {n + m} agents and items each "

@@ -102,7 +102,7 @@ def _parse_matroid(raw, item_index, where: str, depth: int = 0) -> MatroidSpec:
             parsed.append((items, cap))
         try:
             return Partition(tuple(parsed))
-        except Exception as exc:
+        except ValidationError as exc:
             raise ParseError(f"{where}: {exc}") from None
     if kind == "explicit":
         fam = raw.get("independent")

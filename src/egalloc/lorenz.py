@@ -236,9 +236,6 @@ class EnumerationResult:
     min_potential: tuple[int, ...]
     min_potential_value: int
 
-    def min_potential_vectors(self) -> set[tuple[Fraction, ...]]:
-        return {self.vectors[i] for i in self.min_potential}
-
 
 def enumerate_optimal(instance: Instance) -> EnumerationResult:
     """Enumerate every non-redundant allocation and its utility vector.

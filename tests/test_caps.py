@@ -15,7 +15,7 @@ from egalloc.harness import fuzz_truthfulness
 from egalloc.io import parse_instance
 from egalloc.lorenz import enumerate_optimal
 from egalloc.matroid import Explicit, FreeOver, validate_matroid
-from egalloc.mechanisms import run_rpe
+from egalloc.mechanisms import run_meps, run_rpe
 from egalloc.valuation import AdditiveDichotomous, MatroidValuation
 
 F = frozenset
@@ -47,6 +47,8 @@ CAPS = {
         6,
         lambda n: run_rpe([AdditiveDichotomous(F({0}))] * n, 1),
     ),
+    # one item: m^2 * n! = 5,040 atoms for 7 agents; 8 are refused before n!
+    "exact-meps-agents": (7, lambda n: run_meps([F({0})] * n, 1, 0)),
     "maximin-items": (10, lambda m: maximin_share(SMALL_SUPPORT, 2, m)),
     "maximin-agents": (4, lambda n: maximin_share(SMALL_SUPPORT, n, 2)),
     "explicit-validation-items": (12, lambda k: validate_matroid(Explicit(F({F(range(k))})))),

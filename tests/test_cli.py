@@ -491,6 +491,32 @@ def test_oversized_fuzz_is_capped_quickly(mech, n, m, total, cap, tmp_path):
     assert f"({total} in all); the cap is {cap}" in proc.stderr
 
 
+# 2,000! has 5,736 digits, past the interpreter's 4,300-digit limit on
+# printing ints: a cap message that formats n! or m^2 * n! crashes
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("distribution", "--mech", "meps"),
+        ("fuzz", "--mech", "rpe", "--expectation", "--deviator", "a0"),
+        ("fuzz", "--mech", "meps", "--expectation", "--deviator", "a0"),
+    ],
+    ids=["distribution-meps", "fuzz-rpe", "fuzz-meps"],
+)
+def test_exact_modes_refuse_many_agents_before_n_factorial(argv, tmp_path):
+    (tmp_path / "inst.json").write_text(json.dumps(_additive_document(2000, 2)))
+    env = {**os.environ, "PYTHONPATH": str(Path(egalloc.__file__).parents[1])}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "egalloc", *argv, "--in", "inst.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "n=2000 exceeds 7" in proc.stderr
+
+
 # EF fails first at (p1, p2), EFX at (p2, p3) on item g, EF1 at (p3, p2).
 STAGGERED = {
     "items": ["a", "b", "c", "d", "e", "f", "g"],

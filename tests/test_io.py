@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import egalloc.io
 from conftest import nested_truncations, rand_matroid, rand_subset, rand_valuation
 from egalloc.errors import ParseError
 from egalloc.io import (
@@ -98,6 +99,34 @@ def test_duplicate_ids_rejected():
 def test_unknown_item_rejected():
     doc = {"items": ["a"], "agents": [{"name": "x", "valuation": {"demand": ["zz"]}}]}
     with pytest.raises(ParseError, match="zz"):
+        parse_instance(json.dumps(doc))
+
+
+def test_overlapping_partition_blocks_are_a_parse_error():
+    doc = {
+        "items": ["a", "b"],
+        "agents": [{"name": "x", "valuation": {"matroid": {
+            "type": "partition",
+            "blocks": [{"items": ["a", "b"], "cap": 1}, {"items": ["b"], "cap": 1}],
+        }}}],
+    }
+    with pytest.raises(ParseError, match=r"agents\[0\]\.valuation\.matroid: .*overlap on items \[1\]"):
+        parse_instance(json.dumps(doc))
+
+
+def test_partition_programming_errors_propagate(monkeypatch):
+    # only Partition's ValidationError is the document's fault
+    def broken(blocks):
+        raise RuntimeError("broken Partition")
+
+    monkeypatch.setattr(egalloc.io, "Partition", broken)
+    doc = {
+        "items": ["a"],
+        "agents": [{"name": "x", "valuation": {"matroid": {
+            "type": "partition", "blocks": [{"items": ["a"], "cap": 1}],
+        }}}],
+    }
+    with pytest.raises(RuntimeError, match="broken Partition"):
         parse_instance(json.dumps(doc))
 
 

@@ -21,6 +21,7 @@ def test_deleted_oracles_are_gone():
     for module in (egalloc, egalloc.lorenz, egalloc.intersection):
         assert [name for name in deleted if hasattr(module, name)] == [], module.__name__
     assert not hasattr(egalloc.lorenz, "max_common_independent")
+    assert not hasattr(egalloc.lorenz.EnumerationResult, "min_potential_vectors")
     # the validators return their first Violation, or None
     assert not hasattr(egalloc.matroid, "ValidationReport")
     # second routes to one job: parsing validates, floor_reports floors, and
@@ -31,9 +32,10 @@ def test_deleted_oracles_are_gone():
             "DeviationSpace", "AllDemandSubsets", "RestrictedMrfLibrary", "ExplicitDeviations",
             "_deviation_reports",
         ),
-        # test-only oracles, now in tests/matroid_reference.py and audit_reference.py
+        # test-only oracles, now in tests/matroid_reference.py and audit_reference.py,
+        # or checked there against enumerate_optimal(inst).lorenz_dominating
         egalloc.matroid: ("brute_force_rank",),
-        egalloc.audit: ("nsw_key",),
+        egalloc.audit: ("nsw_key", "check_stochastic_ef", "check_lorenz_dominating", "TailWitness"),
     }
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
