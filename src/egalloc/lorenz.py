@@ -30,7 +30,9 @@ skips the holder's later items with that key: the first expansion already
 discovered everything they would.  Structured tags answer in constant or
 bundle-size time with shared keys (one key per agent for free and uniform
 specs, one per block for partitions); explicit families fall back to
-`is_independent` and give every item its own key.
+`is_independent` and give every item its own key.  Most turns need no
+search: a turn first scans its start items, takes the first unowned one
+at once, and only otherwise searches from the start items it collected.
 
 Item tie-break: the path search scans items in descending id and stops at
 the first unowned item it discovers.  Skipping an expansion that would
@@ -50,9 +52,11 @@ so paths and bundles are unchanged.
 
 `additive_balanced` is the same engine on additive demand-set reports.
 Two oracles check it: `enumerate_optimal` (every non-redundant allocation
-of a desk-scale instance, in one pass over per-agent value tables that
+of a desk-scale instance, found by a walk over the items that cuts a
+branch once some agent's partial bundle extends to none of its
+non-redundant bundles; values come from per-agent tables that
 `value_functions` fills with ints, or `Fraction` sums for ε-leveled
-valuations; values become `Fraction`s only in its result) and, past the
+valuations, and become `Fraction`s only in its result) and, past the
 enumeration caps, the potential descent in `tests/lorenz_reference.py`.
 All are pure functions of immutable inputs.
 """
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import CapabilityError, ValidationError
@@ -112,59 +116,43 @@ def prepare_supports(reports: Sequence[MatroidSpec], m: int) -> list[list[int]]:
 
 def solve_prepared(reports, supports, m: int, sigma: PriorityOrder) -> Allocation:
     """The per-order solve: Yankee Swap under the permutation `sigma` on
-    `prepare_supports`' lists, or on sublists of them (see the module)."""
-    by_rank = _yankee_swap([reports[a] for a in sigma], [supports[a] for a in sigma])
-    bundles = [frozenset()] * len(reports)
-    for rank0, agent in enumerate(sigma):  # position k is agent sigma[k]'s
-        bundles[agent] = by_rank[rank0]
-    return Allocation(tuple(bundles), m)
+    `prepare_supports`' lists, or on sublists of them (see the module).
 
-
-def _yankee_swap(matroids: Sequence[MatroidSpec], supports: Sequence[list[int]]) -> list[ItemSet]:
-    """Yankee Swap bundles for agents and supports already in rank order.
-    A search discovers only support items and ends only at an unowned one,
-    so once `wanted` (the unowned support items) is empty every playing
-    agent leaves.  `dead` holds the items failed searches discovered since
-    the last applied path (see `_transfer_path`)."""
-    bundles: list[ItemSet] = [frozenset()] * len(matroids)
-    owner: dict[int, int] = {}  # item -> rank of its holder; unowned items absent
-    wanted = set().union(*supports)  # unowned items in some agent's support
+    Turns run in `sigma` order on state indexed by report; bundles are sets
+    while the game runs and are frozen once, into the `Allocation`.  A
+    search discovers only support items and ends only at an unowned one, so
+    once `wanted` (the unowned support items) is empty every playing agent
+    leaves.  `dead` holds the items failed searches discovered since the
+    last turn that took an item (see `_turn`)."""
+    bundles: list[set[int]] = [set() for _ in reports]
+    owner: dict[int, int] = {}  # item -> its holder; unowned items absent
+    wanted = set().union(*supports)
     dead: set[int] = set()
-    playing = [i for i, supp in enumerate(supports) if supp]
+    playing = [i for i in sigma if supports[i]]
     while playing and wanted:
         still = []
         for i in playing:
             if not wanted:  # no path can end at an unowned item: all leave
                 break
-            path = _transfer_path(i, matroids, supports, bundles, owner, dead)
-            if path is None:
-                continue
-            still.append(i)
-            wanted.discard(path[-1])
-            if dead:
-                dead.clear()
-            # i takes path[0]; the holder of path[t] takes path[t+1] in its place
-            taker = i
-            for item in path:
-                holder = owner.get(item)
-                if holder is not None:
-                    bundles[holder] = bundles[holder] - {item}
-                bundles[taker] = bundles[taker] | {item}
-                owner[item] = taker
-                taker = holder
+            taken = _turn(i, reports, supports, bundles, owner, dead)
+            if taken is not None:
+                still.append(i)
+                wanted.discard(taken)
         playing = still
-    return bundles
+    return Allocation(tuple(bundles), m)
 
 
-def _transfer_path(i, matroids, supports, bundles, owner, dead) -> list[int] | None:
-    """A shortest transfer path for agent i ending at an unowned item.
+def _turn(i, reports, supports, bundles, owner, dead) -> int | None:
+    """Agent i's turn: apply a shortest transfer path for i ending at an
+    unowned item and return that item, or return None if there is none.
 
-    Breadth-first search over items: the start items are those i can add
-    to its bundle (`can_add`), and item g, held by j, leads to every item
-    h that j can take in exchange for g (`swap_filter`).  Items are
-    scanned in descending id, and the first unowned item discovered ends
-    the search, so among shortest paths the one found first in that scan
-    is taken.
+    The start items are those i can add to its bundle (`can_add`), scanned
+    in descending id; the first unowned one is the whole path and is taken
+    at once.  Otherwise a breadth-first search runs from the start items:
+    item g, held by j, leads to every item h that j can take in exchange
+    for g (`swap_filter`).  Items are scanned in descending id, and the
+    first unowned item discovered ends the search, so among shortest paths
+    the one found first in that scan is taken.
 
     Each holder is expanded at most once per swap key: an item g of j is
     skipped when an earlier item of j with the same `swap_key` was
@@ -174,23 +162,25 @@ def _transfer_path(i, matroids, supports, bundles, owner, dead) -> list[int] | N
     nothing: the discovery order, and hence the path, is the one the
     per-item search finds.  The `dead` items are skipped as start items
     and, seeding `parent`, as discovered items; a failed search adds every
-    item it discovered to them (see the module).  Returns the items
-    [g_1, ..., g_k] with g_k unowned, or None.
+    item it discovered to them (see the module).
     """
-    spec, own = matroids[i], bundles[i]
-    parent: dict[int, int | None] = dict.fromkeys(dead) if dead else {}
-    skip = own | dead if dead else own
-    queue = []
+    spec, own = reports[i], bundles[i]
+    queue = []  # the start items, then the items the search discovers
     for g in supports[i]:
-        if g not in skip and spec.can_add(own, g):
-            if g not in owner:
-                return [g]
-            parent[g] = None
-            queue.append(g)
+        if g in own or g in dead or not spec.can_add(own, g):
+            continue
+        if g not in owner:
+            own.add(g)
+            owner[g] = i
+            dead.clear()
+            return g
+        queue.append(g)
+    parent: dict[int, int | None] = dict.fromkeys(dead)
+    parent.update(dict.fromkeys(queue))
     expanded = set()  # (holder, swap key) pairs already expanded
     for g in queue:  # the queue grows while it is scanned
         j = owner[g]
-        spec, own = matroids[j], bundles[j]
+        spec, own = reports[j], bundles[j]
         key = (j, spec.swap_key(own, g))
         if key in expanded:
             continue
@@ -200,12 +190,22 @@ def _transfer_path(i, matroids, supports, bundles, owner, dead) -> list[int] | N
             if h in parent or h in own or (allowed is not None and not allowed(h)):
                 continue
             parent[h] = g
-            if h not in owner:
-                path = [h]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            queue.append(h)
+            if h in owner:
+                queue.append(h)
+                continue
+            # back from h: each item goes to the holder of the item before it
+            # on the path (i for the first), and leaves its own holder
+            item = h
+            while item is not None:
+                before = parent[item]
+                if item in owner:
+                    bundles[owner[item]].remove(item)
+                taker = i if before is None else owner[before]
+                bundles[taker].add(item)
+                owner[item] = taker
+                item = before
+            dead.clear()
+            return h
     dead.update(parent)
     return None
 
@@ -244,9 +244,16 @@ def enumerate_optimal(instance: Instance) -> EnumerationResult:
     the minimum-potential set among welfare-maximizing allocations, with
     potential taken under `instance.priority_or_default()`.  An
     allocation is Lorenz dominating iff its prefix-sum vector equals the
-    pointwise maximum over all allocations.  Allocations are listed in
-    `product(range(n + 1), repeat=m)` order, the order every index refers
-    to.  Bundle values come from `value_functions` (ints, or `Fraction`
+    pointwise maximum over all allocations.
+
+    Allocations are listed in `product(range(n + 1), repeat=m)` order, the
+    order every index refers to: a walk gives item 0, then item 1, ..., to
+    agent 0, ..., n-1 and then leaves it unallocated.  In a listed
+    allocation every bundle is non-redundant, so each agent's items among
+    0..k are the restriction of a non-redundant bundle.  A branch where
+    some agent's are not holds no listed allocation; cutting it leaves the
+    others in their order.
+    Bundle values come from `value_functions` (ints, or `Fraction`
     sums for ε-leveled valuations) and become `Fraction`s only in the
     result.  Capped at ENUMERATION_MAX_AGENTS agents and
     ENUMERATION_MAX_ITEMS items.
@@ -273,14 +280,31 @@ def enumerate_optimal(instance: Instance) -> EnumerationResult:
             }
         )
 
+    # prefixes[k][v]: the restrictions to items 0..k of agent v's table masks
+    prefixes = [
+        [{mask & ((2 << k) - 1) for mask in table} for table in tables] for k in range(m)
+    ]
     allocations, vectors = [], []
-    for assignment in product(range(n + 1), repeat=m):
-        masks = [0] * (n + 1)  # masks[n]: the unallocated items
-        for item, owner in enumerate(assignment):
-            masks[owner] |= 1 << item
-        if all(masks[v] in tables[v] for v in range(n)):
-            allocations.append(Allocation(tuple(subsets[masks[v]] for v in range(n)), m))
-            vectors.append(tuple(tables[v][masks[v]] for v in range(n)))
+    masks = [0] * n
+
+    def walk(k: int) -> None:  # items k..m-1, in `product` order
+        if k == m:
+            allocations.append(Allocation(tuple(subsets[mask] for mask in masks), m))
+            vectors.append(tuple(table[mask] for table, mask in zip(tables, masks)))
+            return
+        bit, level = 1 << k, prefixes[k]
+        # an agent without item k keeps its mask: one test per agent serves
+        # every choice of whom item k goes to
+        failing = [v for v in range(n) if masks[v] not in level[v]]
+        for v in range(n):
+            if masks[v] | bit in level[v] and failing in ([], [v]):
+                masks[v] |= bit
+                walk(k + 1)
+                masks[v] ^= bit
+        if not failing:
+            walk(k + 1)
+
+    walk(0)
 
     # u Pareto-dominates v only if sum(u) > sum(v), so in descending welfare
     # a vector is dominated iff some frontier vector found before it is

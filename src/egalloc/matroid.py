@@ -55,7 +55,8 @@ class MatroidSpec:
 
     Three exchange questions serve the transfer-path search of
     `lorenz.compute_lorenz_dominating`.  Each takes an independent bundle
-    `own`; none builds a set from `own` and the item asked about.
+    `own`, which the engine passes as its live `set`, so none may hash it;
+    none builds a set from `own` and the item asked about.
 
     - `can_add(own, g)`, for g in support() outside own: is own + g
       independent?

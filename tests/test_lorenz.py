@@ -27,7 +27,7 @@ from egalloc.lorenz import (
 from egalloc.matroid import FreeOver, Partition, Restricted, Truncated, Uniform
 from egalloc.mechanisms import run_pe
 from egalloc.model import Instance
-from egalloc.valuation import AdditiveDichotomous, MatroidValuation
+from egalloc.valuation import AdditiveDichotomous, MatroidValuation, XosFamily
 from enumeration_reference import reference_enumerate_optimal
 from lorenz_reference import descent_lorenz, yankee_swap_reference
 
@@ -153,20 +153,22 @@ def test_engine_asks_free_and_uniform_specs_no_independence_oracle(monkeypatch):
 def test_engine_stops_searching_once_no_unowned_item_is_wanted(monkeypatch):
     # Every path ends at an unowned item of some agent's support, so once
     # all such items are owned no search can succeed and none may start.
-    # Shapes of the benchmark (additive 24x120 at density 0.15, mixed
-    # matroids 8x24) plus agents capped by a uniform cap or full partition
-    # blocks, who leave while wanted items remain: their failed searches
-    # still run, and bundles equal the per-item search, which has no stop
-    # rule.
-    searches = []  # (unowned support items left, path found) per search
-    search = lorenz._transfer_path
+    # Every turn is counted, a start item taken at once included: the turns
+    # that took an item must add up to the items allocated.  Shapes of the
+    # benchmark (additive 24x120 at density 0.15, mixed matroids 8x24) plus
+    # agents capped by a uniform cap or full partition blocks, who leave
+    # while wanted items remain: their failed searches still run, and
+    # bundles equal the per-item search, which has no stop rule.
+    searches = []  # (unowned support items left, item taken) per turn
+    turn = lorenz._turn
 
-    def counting(i, matroids, supports, bundles, owner, *rest):
-        path = search(i, matroids, supports, bundles, owner, *rest)
-        searches.append((len(set().union(*supports) - owner.keys()), path is not None))
-        return path
+    def counting(i, reports, supports, bundles, owner, *rest):
+        left = len(set().union(*supports) - owner.keys())
+        taken = turn(i, reports, supports, bundles, owner, *rest)
+        searches.append((left, taken is not None))
+        return taken
 
-    monkeypatch.setattr(lorenz, "_transfer_path", counting)
+    monkeypatch.setattr(lorenz, "_turn", counting)
     rng = random.Random(1515)
     cases = []
     for _ in range(12):
@@ -179,12 +181,15 @@ def test_engine_stops_searching_once_no_unowned_item_is_wanted(monkeypatch):
         capped = [Uniform(rand_subset(rng, 24, 0.5), rng.randint(1, 3)) for _ in range(4)]
         blocks = [Partition(((pool, rng.randint(1, 2)), (F(range(24)) - pool, 1)))] * 4
         cases.append((capped + blocks, 24))
+    allocated = 0
     for mats, m in cases:
         n = len(mats)
         sigma = tuple(rng.sample(range(n), n))
         got = compute_lorenz_dominating(mats, m, sigma)
         assert got.bundles == yankee_swap_reference(mats, m, sigma).bundles
+        allocated += got.total_items()
     assert searches and all(left for left, _ in searches)
+    assert sum(1 for _, found in searches if found) == allocated
     assert sum(1 for left, found in searches if left and not found) >= 50
 
 
@@ -258,6 +263,27 @@ def test_enumerate_matches_reference():
     assert proper_pareto >= 50 and no_lorenz >= 20
 
 
+def test_pruned_walk_matches_reference_at_the_caps():
+    # At both caps (4 agents, 6 items): dense cases, where the walk cuts few
+    # or no branches, list as many allocations as the reference's scan of
+    # all 5^6 assignments keeps; disjoint singletons, where it cuts almost
+    # every branch, leave only the 2^4 choices of who takes their own item.
+    whole = F(range(6))
+    names = (tuple(f"i{j}" for j in range(6)), ("a0", "a1", "a2", "a3"))
+    dense = [
+        (AdditiveDichotomous(whole),) * 4,
+        (MatroidValuation(Uniform(whole, 2)),) * 4,
+        (XosFamily((F({0, 1, 2}), F({3, 4, 5}))),) * 4,
+    ]
+    sizes = []
+    for valuations in dense + [tuple(AdditiveDichotomous(F({v})) for v in range(4))]:
+        inst = Instance(*names, valuations, priority=(2, 0, 3, 1))
+        res = enumerate_optimal(inst)
+        assert res == reference_enumerate_optimal(inst)
+        sizes.append(len(res.allocations))
+    assert sizes[0] == 5**6 and sizes[-1] == 2**4
+
+
 def test_matroid_path_matches_enumeration():
     rng = random.Random(2025)
     for _ in range(60):
@@ -323,8 +349,6 @@ def test_non_additive_report_error():
 
 
 def test_enumerate_xos_instance():
-    from egalloc.valuation import XosFamily
-
     t = F({1, 2, 3})
     inst = Instance(
         item_names=("i0", "i1", "i2", "i3"),
@@ -387,7 +411,8 @@ def test_failed_searches_are_not_repeated(monkeypatch):
             counts[k, outsider_first] = len(expansions)
             assert got.bundles == yankee_swap_reference(mats, 2 * k, sigma).bundles
             assert got.profile() == (1,) * k + (k,)
-            # linear in the agents and items, k + 1 and 2k
-            assert counts[k, outsider_first] <= 3 * k + 1, (k, outsider_first, counts)
+            # linear in the agents and items, k + 1 and 2k; the first failed
+            # search of a group agent expands each other group holder
+            assert k - 1 <= counts[k, outsider_first] <= 3 * k + 1, (k, outsider_first, counts)
     for outsider_first in (False, True):
         assert counts[80, outsider_first] <= 2.2 * counts[40, outsider_first], counts
