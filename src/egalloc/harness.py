@@ -23,7 +23,7 @@ from .audit import check_envy, maximin_share
 from .errors import CapabilityError, ValidationError
 from .lorenz import enumerate_optimal, potential, prepare_supports
 from .matroid import FreeOver, ItemSet, Partition, Restricted, Truncated
-from .model import Allocation, Instance
+from .model import Allocation, Instance, check_bundles
 from .mechanisms import (
     MEPS_EXACT_MAX_ATOMS,
     _all_orders,
@@ -130,6 +130,8 @@ def fuzz_truthfulness(
     type, over the deviator's distinct bundles B in the realizations it
     walks: the one order of 'pe', the n! of `run_rpe` or the m^2·n! of
     `run_meps`; only the two utilities reported are divided, into Fractions.
+    Every solve's bundles pass `model.check_bundles`, and only the
+    deviator's bundle is frozen.
     Past MEPS_EXACT_MAX_ATOMS realizations or MEPS_EXACT_MAX_AGENTS agents
     ('rpe', 'meps') or PE_FUZZ_MAX_SIZE agents and items over all solves
     ('pe'), CapabilityError before any solve.
@@ -151,7 +153,9 @@ def fuzz_truthfulness(
             matroids = other_matroids[:deviator] + mine + other_matroids[deviator:]
             supports = other_supports[:deviator] + prepare_supports(mine, m) + other_supports[deviator:]
             orders = [instance.priority_or_default()] if mechanism == "pe" else _all_orders(n)
-            return (a.bundles[deviator] for _, a in _rpe_outcomes(matroids, supports, m, orders))
+            for _, pe in _rpe_outcomes(matroids, supports, m, orders):
+                check_bundles(pe, m)
+                yield frozenset(pe[deviator])
 
     elif mechanism == "meps":
         # ε and the demands are checked before the size cap below, as in run_meps

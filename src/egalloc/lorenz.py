@@ -44,11 +44,15 @@ A solve has two steps: `prepare_supports` sets up each report's support,
 clipped to the universe and in descending id, and `solve_prepared` runs
 Yankee Swap under one order on those lists, so an exact distribution sets
 up once for all n! orders.  A search asks only about items on the lists,
-so lists clipped to a set S give PE on the reports restricted to S.  A
-failed search is not repeated: the graph changes only when a path is
-applied, and the items it discovered (none unowned, nor leading to one)
-stay dead until then and are skipped; dead items lead only to dead items,
-so paths and bundles are unchanged.
+so lists clipped to a set S give PE on the reports restricted to S.
+`solve_prepared` returns the engine's bundles, one set per report, and
+checks nothing; `model.check_bundles` is the one partition check, run on
+every solve's bundles either directly or by the `Allocation` built where
+one is returned: here, by `compute_lorenz_dominating`.  A failed search
+is not repeated: the graph changes only when a path is applied, and the
+items it discovered (none unowned, nor leading to one) stay dead until
+then and are skipped; dead items lead only to dead items, so paths and
+bundles are unchanged.
 
 `additive_balanced` is the same engine on additive demand-set reports.
 Two oracles check it: `enumerate_optimal` (every non-redundant allocation
@@ -104,24 +108,25 @@ def compute_lorenz_dominating(
     """
     n = len(reports)
     sigma = identity_priority(n) if sigma is None else check_priority(sigma, n)
-    return solve_prepared(reports, prepare_supports(reports, m), m, sigma)
+    return Allocation(tuple(solve_prepared(reports, prepare_supports(reports, m), m, sigma)), m)
 
 
 def prepare_supports(reports: Sequence[MatroidSpec], m: int) -> list[list[int]]:
     """The set-up: each report's support, clipped to the universe 0..m-1, in
-    descending id (the documented tie-break among shortest paths)."""
-    universe = frozenset(range(m))
-    return [sorted(spec.support() & universe, reverse=True) for spec in reports]
+    descending id (the documented tie-break among shortest paths).  Item
+    ids are non-negative, so clipping keeps the ids below m."""
+    return [sorted((a for a in spec.support() if a < m), reverse=True) for spec in reports]
 
 
-def solve_prepared(reports, supports, m: int, sigma: PriorityOrder) -> Allocation:
+def solve_prepared(reports, supports, m: int, sigma: PriorityOrder) -> list[set[int]]:
     """The per-order solve: Yankee Swap under the permutation `sigma` on
     `prepare_supports`' lists, or on sublists of them (see the module).
+    Returns the engine's bundles, one set per report, unchecked: callers
+    run `model.check_bundles` on them or build an `Allocation`, which does.
 
-    Turns run in `sigma` order on state indexed by report; bundles are sets
-    while the game runs and are frozen once, into the `Allocation`.  A
-    search discovers only support items and ends only at an unowned one, so
-    once `wanted` (the unowned support items) is empty every playing agent
+    Turns run in `sigma` order on state indexed by report.  A search
+    discovers only support items and ends only at an unowned one, so once
+    `wanted` (the unowned support items) is empty every playing agent
     leaves.  `dead` holds the items failed searches discovered since the
     last turn that took an item (see `_turn`)."""
     bundles: list[set[int]] = [set() for _ in reports]
@@ -139,7 +144,7 @@ def solve_prepared(reports, supports, m: int, sigma: PriorityOrder) -> Allocatio
                 still.append(i)
                 wanted.discard(taken)
         playing = still
-    return Allocation(tuple(bundles), m)
+    return bundles
 
 
 def _turn(i, reports, supports, bundles, owner, dead) -> int | None:

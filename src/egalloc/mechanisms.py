@@ -28,8 +28,15 @@ truthful report outweigh any eps-scale composition gains from lying.
 Exact distributions set each report up once and solve PE per order; a
 held-out PE half runs on the reports' `FreeOver(d)` with supports clipped
 to M∖X, which is PE on M∖X, as the engine asks only about support items.
-`harness.fuzz_truthfulness` tallies one agent's bundles along the walks
-`_rpe_outcomes` (PE is its one-order case) and `_meps_outcomes`.
+The walks `_rpe_outcomes` and `_meps_outcomes` yield the engine's bundles
+(`lorenz.solve_prepared`), and every solve's bundles pass
+`model.check_bundles` once.  `_meps_outcomes` checks each PE half.  An
+`Allocation`, which runs the check when built, is built only where one is
+returned: per `run_rpe` atom, and per `run_meps` or `sample_meps`
+realization, from its two halves.  `harness.fuzz_truthfulness` tallies
+one agent's bundles along the same walks (PE is the one-order case of
+`_rpe_outcomes`); it checks each order's bundles and freezes only that
+agent's bundle.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .model import (
     Atom,
     OutcomeDistribution,
     PriorityOrder,
+    check_bundles,
     check_priority,
 )
 from .valuation import (
@@ -122,7 +130,9 @@ def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
     orders = _all_orders(len(matroids))  # the cap, before n! is computed
     weight = Fraction(1, math.factorial(len(matroids)))
     outcomes = _rpe_outcomes(matroids, prepare_supports(matroids, m), m, orders)
-    return OutcomeDistribution(tuple(Atom(weight, a, sigma) for sigma, a in outcomes))
+    return OutcomeDistribution(
+        tuple(Atom(weight, Allocation(tuple(b), m), sigma) for sigma, b in outcomes)
+    )
 
 
 def _all_orders(n: int) -> Iterator[PriorityOrder]:
@@ -135,7 +145,8 @@ def _all_orders(n: int) -> Iterator[PriorityOrder]:
 
 
 def _rpe_outcomes(matroids, supports, m: int, orders: Iterable) -> Iterator[tuple]:
-    """(sigma, PE allocation) per order in `orders`, on sanitized, set-up reports."""
+    """(sigma, PE bundles) per order in `orders`, on sanitized, set-up
+    reports; the bundles are the engine's, unchecked (see `solve_prepared`)."""
     return ((sigma, solve_prepared(matroids, supports, m, sigma)) for sigma in orders)
 
 
@@ -270,7 +281,10 @@ def _exact_atoms(n: int, per_order: int) -> int:
 
 def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> Iterator[tuple]:
     """(sigma, X, PE half, M^X grants) for every realization, the priority
-    orders `orders` outside and the held-out lists `held_outs` inside.
+    orders `orders` outside and the held-out lists `held_outs` inside.  Both
+    halves are lists of per-agent item sets; each PE half passed
+    `check_bundles` once, when it was solved, and is shared by the
+    realizations of its (sigma, Y), so callers must not change it.
 
     The PE half, PE on demands∖X under sigma, depends on X only through
     Y = X ∩ ∪demands (d − X = d − Y for each report d), so it is solved once
@@ -293,25 +307,27 @@ def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> It
         parts.append((held_out, on_x, demanded))
     for sigma in orders:
         reverse = sigma[::-1]
-        pe_halves: dict[ItemSet, Allocation] = {}
+        pe_halves: dict[ItemSet, list[set[int]]] = {}
         for held_out, on_x, demanded in parts:
             pe = pe_halves.get(demanded)
             if pe is None:
                 pe = pe_halves[demanded] = solve_prepared(reports, supports[demanded], m, sigma)
+                check_bundles(pe, m)
             yield sigma, held_out, pe, _mx_bundles(held_out, reverse, on_x)
 
 
-def _merged(pe: Allocation, mx: Sequence[set[int]], m: int) -> Allocation:
+def _merged(pe: Sequence[set[int]], mx: Sequence[set[int]], m: int) -> Allocation:
     """A realization's allocation; an overlap between the halves raises."""
-    return Allocation(tuple(b | x for b, x in zip(pe.bundles, mx)), m)
+    return Allocation(tuple(b | x for b, x in zip(pe, mx)), m)
 
 
-def _merged_bundle(pe: Allocation, mx: Sequence[set[int]], agent: int) -> ItemSet:
-    """One agent's bundle of `_merged(pe, mx, m)`; an item in both halves raises."""
-    bundle, grants = pe.bundles[agent], mx[agent]
+def _merged_bundle(pe: Sequence[set[int]], mx: Sequence[set[int]], agent: int) -> ItemSet:
+    """One agent's bundle of `_merged(pe, mx, m)`, frozen; an item in both
+    halves raises."""
+    bundle, grants = pe[agent], mx[agent]
     if not bundle.isdisjoint(grants):
         raise ValidationError(f"item {min(bundle & grants)} allocated twice")
-    return bundle | grants
+    return frozenset(bundle).union(grants)
 
 
 def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .matroid import ItemSet
@@ -25,6 +25,21 @@ def check_priority(sigma: Sequence[int], n: int) -> PriorityOrder:
     return sigma
 
 
+def check_bundles(bundles: Sequence[Iterable[int]], m: int) -> None:
+    """Raise ValidationError unless `bundles` are disjoint sets of items of
+    0..m-1: the one partition check, run by `Allocation` and on every
+    engine solve's bundles.  Bundles are scanned in order, each in its
+    iteration order, and the first offending item is named."""
+    seen: set[int] = set()
+    for b in bundles:
+        for a in b:
+            if not (0 <= a < m):
+                raise ValidationError(f"item {a} outside universe 0..{m - 1}")
+            if a in seen:
+                raise ValidationError(f"item {a} allocated twice")
+            seen.add(a)
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Per-agent bundles over universe 0..m-1; items may stay unallocated."""
@@ -33,15 +48,9 @@ class Allocation:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "bundles", tuple(frozenset(b) for b in self.bundles))
-        seen: set[int] = set()
-        for b in self.bundles:
-            for a in b:
-                if not (0 <= a < self.m):
-                    raise ValidationError(f"item {a} outside universe 0..{self.m - 1}")
-                if a in seen:
-                    raise ValidationError(f"item {a} allocated twice")
-                seen.add(a)
+        bundles = tuple(map(frozenset, self.bundles))
+        object.__setattr__(self, "bundles", bundles)
+        check_bundles(bundles, self.m)
 
     @property
     def n(self) -> int:

@@ -25,7 +25,7 @@ from egalloc.harness import (
     run_fixture,
 )
 from egalloc.lorenz import prepare_supports
-from egalloc.matroid import Uniform
+from egalloc.matroid import FreeOver, Uniform
 from egalloc.mechanisms import (
     _merged_bundle,
     _meps_outcomes,
@@ -36,9 +36,10 @@ from egalloc.mechanisms import (
     meps_demands,
     run_meps,
     run_rpe,
+    sample_meps,
     sanitize_reports,
 )
-from egalloc.model import Allocation, Instance
+from egalloc.model import Allocation, Instance, check_bundles
 from egalloc.valuation import AdditiveDichotomous, EpsLeveled, MatroidValuation, value_functions
 from fuzz_reference import reference_fuzz_truthfulness
 
@@ -310,7 +311,7 @@ def test_rpe_tally_matches_the_full_distribution():
                 reports[deviator] = report
                 matroids = sanitize_reports(reports, inst.m)
                 walk = _rpe_outcomes(matroids, prepare_supports(matroids, inst.m), inst.m, orders)
-                got = _walk_value((a.bundles[deviator] for _, a in walk), value, len(orders))
+                got = _walk_value((F(b[deviator]) for _, b in walk), value, len(orders))
                 want = expected_utilities(run_rpe(reports, inst.m), inst.valuations)[deviator]
                 assert type(got) is Fraction and got == want, (inst, deviator, report)
                 cases += 1
@@ -363,10 +364,68 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
 
 
 def test_merged_bundle_refuses_an_item_in_both_halves():
-    pe = Allocation((F({0}), F({1})), 3)
+    pe = [{0}, {1}]  # the engine's bundles, as `_meps_outcomes` yields them
     assert _merged_bundle(pe, [set(), {2}], 1) == F({1, 2})
     with pytest.raises(ValidationError, match="item 1 allocated twice"):
         _merged_bundle(pe, [set(), {1, 2}], 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda bundles, m: [{0} for _ in bundles], "item 0 allocated twice"),
+        (lambda bundles, m: [{m}] + bundles[1:], "item 3 outside universe 0..2"),
+    ],
+    ids=["twice", "outside"],
+)
+def test_every_route_checks_the_engines_bundles(monkeypatch, corrupt, message):
+    # the engine's bundles are checked once per solve, by `check_bundles` or
+    # by the `Allocation` that wraps them: a broken engine cannot go unseen
+    import egalloc.lorenz as lorenz
+    import egalloc.mechanisms as mechanisms
+
+    original = lorenz.solve_prepared
+
+    def broken(reports, supports, m, sigma):
+        return corrupt(original(reports, supports, m, sigma), m)
+
+    monkeypatch.setattr(lorenz, "solve_prepared", broken)
+    monkeypatch.setattr(mechanisms, "solve_prepared", broken)
+    demands = [F({0, 1}), F({1, 2})]
+    inst = additive_instance(demands)
+    m = inst.m
+    routes = {
+        "compute_lorenz_dominating": lambda: lorenz.compute_lorenz_dominating(
+            [FreeOver(d) for d in demands], m
+        ),
+        "run_rpe": lambda: run_rpe(inst.valuations, m),
+        "run_meps": lambda: run_meps(demands, m, 0),
+        "sample_meps": lambda: sample_meps(demands, m, 0, seed=1),
+        **{
+            f"fuzz {mech}": lambda mech=mech: fuzz_truthfulness(mech, inst, 0, all_demand_subsets)
+            for mech in ("pe", "rpe", "meps")
+        },
+    }
+    for name, route in routes.items():
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            route()
+            pytest.fail(name)
+
+
+def test_check_bundles_names_the_item_allocation_names():
+    for bundles, m in [
+        ((F({0, 1}), F({1, 5})), 3),  # twice before outside
+        ((F({0, 5}), F({0})), 3),  # outside before twice
+        ((F({2}), F(), F({2, 4, 9})), 4),
+        ((F({-1}), F({-1})), 2),
+        ((F({1, 2}), F({3}), F({1, 3})), 4),
+    ]:
+        with pytest.raises(ValidationError) as direct:
+            check_bundles(bundles, m)
+        with pytest.raises(ValidationError) as wrapped:
+            Allocation(bundles, m)
+        assert str(direct.value) == str(wrapped.value), bundles
+    check_bundles([{0}, set(), {1, 2}], 3)  # a partition of part of 0..2 passes
 
 
 def test_fuzz_pe_sets_up_the_other_reports_once(monkeypatch):

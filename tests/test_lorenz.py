@@ -23,6 +23,7 @@ from egalloc.lorenz import (
     compute_lorenz_dominating,
     enumerate_optimal,
     potential,
+    prepare_supports,
 )
 from egalloc.matroid import FreeOver, Partition, Restricted, Truncated, Uniform
 from egalloc.mechanisms import run_pe
@@ -127,6 +128,19 @@ def test_engine_bundles_match_per_item_search():
         want = yankee_swap_reference([FreeOver(d) for d in demands], m, sigma)
         assert got.bundles == want.bundles, trial
     assert tags_seen == set(MATROID_TAGS)
+
+
+def test_supports_are_clipped_to_the_universe_in_descending_id():
+    # specs built in code may name items past m; the set-up drops them and
+    # lists the rest in descending id, the path search's scan order
+    assert prepare_supports([FreeOver(F({7, 0, 3, 12})), FreeOver(F({8}))], 8) == [[7, 3, 0], []]
+    rng = random.Random(2323)
+    for _ in range(60):
+        m = rng.randint(1, 16)
+        specs = [rand_matroid_of_tag(rng, tag, 2 * m + 3) for tag in MATROID_TAGS]
+        for spec, support in zip(specs, prepare_supports(specs, m)):
+            assert set(support) == spec.support() & F(range(m))
+            assert support == sorted(set(support), reverse=True)
 
 
 def test_engine_asks_free_and_uniform_specs_no_independence_oracle(monkeypatch):
