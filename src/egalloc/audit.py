@@ -7,7 +7,6 @@ dominance have one route, the tests' (`tests/audit_reference.py`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -105,13 +104,10 @@ def check_envy(
         if name not in ("EF", "EF1", "EFX"):
             raise ValidationError(f"unknown envy mode {name!r}")
     alpha = _alpha_value(alpha)
-    if alpha == 1:
-        below = operator.lt
-    else:
-        num, den = alpha.numerator, alpha.denominator
+    num, den = alpha.numerator, alpha.denominator
 
-        def below(own, value):  # own < alpha * value
-            return own * den < value * num
+    def below(own, value):  # own < alpha * value
+        return own * den < value * num
 
     witnesses: dict[str, EnvyWitness] = {}
     open_modes = set(modes)

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 from .audit import check_envy, maximin_share
 from .errors import CapabilityError, ValidationError
-from .lorenz import enumerate_optimal, potential, prepare_supports
+from .lorenz import enumerate_optimal, potential, prepare_supports, solve_prepared
 from .matroid import FreeOver, ItemSet, Partition, Restricted, Truncated
 from .model import Allocation, Instance, check_bundles
 from .mechanisms import (
@@ -32,7 +32,6 @@ from .mechanisms import (
     _exact_atoms,
     _merged_bundle,
     _meps_outcomes,
-    _rpe_outcomes,
     floor_reports,
     held_out_outcomes,
     meps_demands,
@@ -153,7 +152,8 @@ def fuzz_truthfulness(
             matroids = other_matroids[:deviator] + mine + other_matroids[deviator:]
             supports = other_supports[:deviator] + prepare_supports(mine, m) + other_supports[deviator:]
             orders = [instance.priority_or_default()] if mechanism == "pe" else _all_orders(n)
-            for _, pe in _rpe_outcomes(matroids, supports, m, orders):
+            for sigma in orders:
+                pe = solve_prepared(matroids, supports, sigma)
                 check_bundles(pe, m)
                 yield frozenset(pe[deviator])
 

@@ -73,7 +73,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import CapabilityError, ValidationError
-from .matroid import FreeOver, ItemSet, MatroidSpec
+from .matroid import FreeOver, ItemSet, MatroidSpec, check_universe
 from .model import Allocation, Instance, PriorityOrder, check_priority, identity_priority
 from .valuation import value_functions
 
@@ -108,7 +108,7 @@ def compute_lorenz_dominating(
     """
     n = len(reports)
     sigma = identity_priority(n) if sigma is None else check_priority(sigma, n)
-    return Allocation(tuple(solve_prepared(reports, prepare_supports(reports, m), m, sigma)), m)
+    return Allocation(tuple(solve_prepared(reports, prepare_supports(reports, m), sigma)), m)
 
 
 def prepare_supports(reports: Sequence[MatroidSpec], m: int) -> list[list[int]]:
@@ -118,11 +118,13 @@ def prepare_supports(reports: Sequence[MatroidSpec], m: int) -> list[list[int]]:
     return [sorted((a for a in spec.support() if a < m), reverse=True) for spec in reports]
 
 
-def solve_prepared(reports, supports, m: int, sigma: PriorityOrder) -> list[set[int]]:
+def solve_prepared(reports, supports, sigma: PriorityOrder) -> list[set[int]]:
     """The per-order solve: Yankee Swap under the permutation `sigma` on
-    `prepare_supports`' lists, or on sublists of them (see the module).
-    Returns the engine's bundles, one set per report, unchecked: callers
-    run `model.check_bundles` on them or build an `Allocation`, which does.
+    `prepare_supports`' lists, or on sublists of them (see the module); it
+    takes no m, as those lists are already clipped to the universe.
+    Returns the engine's bundles, one set per report, unchecked: each
+    caller, the exact walks included, runs `model.check_bundles` on them
+    or builds an `Allocation`, which does.
 
     Turns run in `sigma` order on state indexed by report.  A search
     discovers only support items and ends only at an unowned one, so once
@@ -224,8 +226,8 @@ def additive_balanced(
     it up by name.
     """
     specs = [FreeOver(d) for d in demands]
-    if any(a >= m for spec in specs for a in spec.demand):
-        raise ValidationError("demand outside item universe")
+    for spec in specs:
+        check_universe(spec.demand, m, "demand")
     return compute_lorenz_dominating(specs, m, sigma)
 
 

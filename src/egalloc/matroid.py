@@ -28,11 +28,21 @@ EXPLICIT_VALIDATION_CAP = 12
 
 
 def _freeze(items: Iterable[int]) -> ItemSet:
+    """The items as a frozenset, each an int >= 0 (not a bool): with
+    `check_universe`, the one item-id rule of every caller-supplied set."""
     out = frozenset(items)
     for a in out:
         if not isinstance(a, int) or isinstance(a, bool) or a < 0:
             raise ValidationError(f"item ids must be non-negative integers, got {a!r}")
     return out
+
+
+def check_universe(items: ItemSet, m: int, what: str) -> None:
+    """Raise ValidationError naming the ids of `items` at or past m; the ids
+    are `_freeze`d ones, so the rest lie in the universe 0..m-1."""
+    bad = [a for a in items if a >= m]
+    if bad:
+        raise ValidationError(f"{what} outside the item universe: {sorted(bad)}")
 
 
 def _count(x, what: str) -> int:

@@ -28,15 +28,19 @@ truthful report outweigh any eps-scale composition gains from lying.
 Exact distributions set each report up once and solve PE per order; a
 held-out PE half runs on the reports' `FreeOver(d)` with supports clipped
 to M∖X, which is PE on M∖X, as the engine asks only about support items.
-The walks `_rpe_outcomes` and `_meps_outcomes` yield the engine's bundles
-(`lorenz.solve_prepared`), and every solve's bundles pass
+`run_rpe` calls the engine, `lorenz.solve_prepared`, once per order, and
+the walk `_meps_outcomes` once per PE half; every solve's bundles pass
 `model.check_bundles` once.  `_meps_outcomes` checks each PE half.  An
 `Allocation`, which runs the check when built, is built only where one is
 returned: per `run_rpe` atom, and per `run_meps` or `sample_meps`
 realization, from its two halves.  `harness.fuzz_truthfulness` tallies
 one agent's bundles along the same walks (PE is the one-order case of
-`_rpe_outcomes`); it checks each order's bundles and freezes only that
-agent's bundle.
+RPE's loop over the orders); it checks each order's bundles and freezes
+only that agent's bundle.
+
+Caller-supplied items pass the one id rule, `matroid._freeze` and
+`matroid.check_universe`: in `sanitize_reports`, `run_mx` and each
+held-out demand report.
 """
 
 from __future__ import annotations
@@ -49,7 +53,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CapabilityError, ValidationError
 from .lorenz import compute_lorenz_dominating, prepare_supports, solve_prepared
-from .matroid import ZERO_MATROID, FreeOver, ItemSet, MatroidSpec, validate_matroid
+from .matroid import (
+    ZERO_MATROID, FreeOver, ItemSet, MatroidSpec, _freeze, check_universe, validate_matroid
+)
 from .model import (
     Allocation,
     Atom,
@@ -106,10 +112,8 @@ def sanitize_reports(reports: Sequence[ValuationSpec], m: int) -> list[MatroidSp
             matroids.append(rep.matroid)
         else:
             matroids.append(ZERO_MATROID)
-    for spec in matroids:
-        bad = [a for a in spec.support() if a >= m]
-        if bad:
-            raise ValidationError(f"report mentions items outside the universe: {sorted(bad)}")
+    for spec in matroids:  # every spec's ids were checked when it was built
+        check_universe(spec.support(), m, "report")
     return matroids
 
 
@@ -129,9 +133,12 @@ def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
     matroids = sanitize_reports(reports, m)
     orders = _all_orders(len(matroids))  # the cap, before n! is computed
     weight = Fraction(1, math.factorial(len(matroids)))
-    outcomes = _rpe_outcomes(matroids, prepare_supports(matroids, m), m, orders)
+    supports = prepare_supports(matroids, m)
     return OutcomeDistribution(
-        tuple(Atom(weight, Allocation(tuple(b), m), sigma) for sigma, b in outcomes)
+        tuple(
+            Atom(weight, Allocation(tuple(solve_prepared(matroids, supports, sigma)), m), sigma)
+            for sigma in orders
+        )
     )
 
 
@@ -142,12 +149,6 @@ def _all_orders(n: int) -> Iterator[PriorityOrder]:
             f"exact mode enumerates n! priority orders; n={n} exceeds cap {RPE_EXACT_MAX_AGENTS}"
         )
     return permutations(range(n))
-
-
-def _rpe_outcomes(matroids, supports, m: int, orders: Iterable) -> Iterator[tuple]:
-    """(sigma, PE bundles) per order in `orders`, on sanitized, set-up
-    reports; the bundles are the engine's, unchecked (see `solve_prepared`)."""
-    return ((sigma, solve_prepared(matroids, supports, m, sigma)) for sigma in orders)
 
 
 def sample_rpe(
@@ -175,11 +176,12 @@ def run_mx(
     nobody stay unallocated.
     """
     held_out = tuple(held_out)
-    if len(held_out) not in (1, 2) or len(set(held_out)) != len(held_out):
+    xset = _freeze(held_out)
+    if len(held_out) not in (1, 2) or len(xset) != len(held_out):
         raise ValidationError("held-out list must hold 1 or 2 distinct items")
+    check_universe(xset, m, "held-out list")
     n = len(reports_on_x)
     sigma = check_priority(sigma, n)
-    xset = frozenset(held_out)
     reports = [frozenset(r) for r in reports_on_x]
     for r in reports:
         if not r <= xset:
@@ -261,10 +263,8 @@ def _check_meps_inputs(demands, m, eps) -> list[ItemSet]:
 
 def _checked_demand(demand, m: int) -> ItemSet:
     """One demand report as a frozenset of items of 0..m-1."""
-    demand = frozenset(demand)
-    bad = [a for a in demand if not (0 <= a < m)]
-    if bad:
-        raise ValidationError(f"demand report outside the item universe: {sorted(bad)}")
+    demand = _freeze(demand)
+    check_universe(demand, m, "demand report")
     return demand
 
 
@@ -311,7 +311,7 @@ def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> It
         for held_out, on_x, demanded in parts:
             pe = pe_halves.get(demanded)
             if pe is None:
-                pe = pe_halves[demanded] = solve_prepared(reports, supports[demanded], m, sigma)
+                pe = pe_halves[demanded] = solve_prepared(reports, supports[demanded], sigma)
                 check_bundles(pe, m)
             yield sigma, held_out, pe, _mx_bundles(held_out, reverse, on_x)
 

@@ -15,7 +15,7 @@ from numbers import Rational
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .matroid import ItemSet, MatroidSpec, _freeze
+from .matroid import ItemSet, MatroidSpec, _freeze, check_universe
 
 
 #: Largest decimal exponent, in magnitude, of a rational literal ("1e4300").
@@ -79,11 +79,10 @@ class EpsLeveled(ValuationSpec):
     values: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, values: Mapping[int, object] | Iterable[tuple[int, object]]):
-        pairs = sorted(dict(values).items())
+        values = dict(values)
+        _freeze(values)  # every id checked before they are sorted
         norm = []
-        for item, raw in pairs:
-            if not isinstance(item, int) or isinstance(item, bool) or item < 0:
-                raise ValidationError(f"item ids must be non-negative integers, got {item!r}")
+        for item, raw in sorted(values.items()):
             val = as_value(raw)
             if val < 0:
                 raise ValidationError(
@@ -128,17 +127,12 @@ def support(spec: ValuationSpec) -> ItemSet:
     raise ValidationError(f"unknown valuation tag {type(spec).__name__}")
 
 
-def _check_universe(s: ItemSet, m: int | None) -> None:
-    if m is not None:
-        bad = [a for a in s if a >= m]
-        if bad:
-            raise ValidationError(f"item index out of range: {sorted(bad)} (universe size {m})")
-
-
 def evaluate(spec: ValuationSpec, s: ItemSet, m: int | None = None) -> Fraction:
-    """f(S) as a `Fraction`, with S checked against the universe 0..m-1 if m is given."""
-    s = frozenset(s)
-    _check_universe(s, m)
+    """f(S) as a `Fraction`, with S's ids checked, and checked against the
+    universe 0..m-1 if m is given."""
+    s = _freeze(s)
+    if m is not None:
+        check_universe(s, m, "bundle")
     return Fraction(value_functions(spec)[0](s))
 
 

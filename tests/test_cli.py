@@ -76,6 +76,15 @@ def test_solve_priority_flag(write_doc, capsys):
     assert doc["utilities"] == {"p1": "0", "p2": "1", "p3": "1"}
 
 
+def test_priority_flag_must_name_each_agent_once(write_doc, capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--mech", "pe", "--in", write_doc(EX_LORENZ), "--priority", "p1,p1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--priority must list every agent name exactly once" in err
+
+
 def test_distribution_meps_atoms(write_doc, capsys):
     code, out, _ = run_cli(capsys, "distribution", "--mech", "meps", "--in", write_doc(MEPS3))
     assert code == 0
@@ -130,10 +139,39 @@ def test_audit_alpha_flag(write_doc, capsys, tmp_path):
     inst_path = write_doc(EX_LORENZ)
     skew = tmp_path / "skew.json"
     skew.write_text(json.dumps({"allocation": {"p1": ["x", "y"]}}))
-    code, _, _ = run_cli(
+    code, out, _ = run_cli(
         capsys, "audit", "--in", inst_path, "--alloc", str(skew), "--alpha", "1/3"
     )
-    assert code == 1  # maximin still fails for the other agents
+    # p2 and p3 still envy p1 past one item at α = 1/3; maximin holds, as
+    # 3 agents over 2 items have a share of 0
+    assert code == 1
+    props = json.loads(out)["properties"]
+    assert props["EF1"]["holds"] is False and props["EFX"]["holds"] is False
+    assert props["maximin"]["holds"] is True
+
+
+def test_audit_exits_1_when_only_maximin_fails(write_doc, capsys, tmp_path):
+    # two agents demand a-d, so each has a maximin share of 2; p1 gets 1,
+    # and p1's envy of {b, c} goes once either item is dropped
+    inst_path = write_doc(
+        {
+            "items": ["a", "b", "c", "d"],
+            "agents": [
+                {"name": "p1", "valuation": {"demand": ["a", "b", "c", "d"]}},
+                {"name": "p2", "valuation": {"demand": ["a", "b", "c", "d"]}},
+            ],
+        }
+    )
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"allocation": {"p1": ["a"], "p2": ["b", "c"]}}))
+    code, out, _ = run_cli(capsys, "audit", "--in", inst_path, "--alloc", str(alloc))
+    assert code == 1
+    props = json.loads(out)["properties"]
+    assert props["EF1"]["holds"] is True and props["EFX"]["holds"] is True
+    assert props["maximin"] == {
+        "holds": False,
+        "witness": {"agent": 0, "bound": "2", "actual": "1"},
+    }
 
 
 def test_fuzz_floor_pe_witness(write_doc, capsys):

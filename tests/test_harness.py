@@ -24,12 +24,11 @@ from egalloc.harness import (
     restricted_mrf_library,
     run_fixture,
 )
-from egalloc.lorenz import prepare_supports
+from egalloc.lorenz import prepare_supports, solve_prepared
 from egalloc.matroid import FreeOver, Uniform
 from egalloc.mechanisms import (
     _merged_bundle,
     _meps_outcomes,
-    _rpe_outcomes,
     expected_utilities,
     floor_reports,
     held_out_outcomes,
@@ -310,8 +309,9 @@ def test_rpe_tally_matches_the_full_distribution():
                 reports = floor_reports(inst.valuations)
                 reports[deviator] = report
                 matroids = sanitize_reports(reports, inst.m)
-                walk = _rpe_outcomes(matroids, prepare_supports(matroids, inst.m), inst.m, orders)
-                got = _walk_value((F(b[deviator]) for _, b in walk), value, len(orders))
+                supports = prepare_supports(matroids, inst.m)
+                walk = (solve_prepared(matroids, supports, sigma) for sigma in orders)
+                got = _walk_value((F(b[deviator]) for b in walk), value, len(orders))
                 want = expected_utilities(run_rpe(reports, inst.m), inst.valuations)[deviator]
                 assert type(got) is Fraction and got == want, (inst, deviator, report)
                 cases += 1
@@ -328,9 +328,9 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
     solves = []
     original = mechanisms.solve_prepared
 
-    def counting(reports, supports, m, sigma):
+    def counting(reports, supports, sigma):
         solves.append(sigma)
-        return original(reports, supports, m, sigma)
+        return original(reports, supports, sigma)
 
     rng = random.Random(1414)
     cases = 0
@@ -381,19 +381,20 @@ def test_merged_bundle_refuses_an_item_in_both_halves():
 def test_every_route_checks_the_engines_bundles(monkeypatch, corrupt, message):
     # the engine's bundles are checked once per solve, by `check_bundles` or
     # by the `Allocation` that wraps them: a broken engine cannot go unseen
+    import egalloc.harness as harness
     import egalloc.lorenz as lorenz
     import egalloc.mechanisms as mechanisms
 
-    original = lorenz.solve_prepared
-
-    def broken(reports, supports, m, sigma):
-        return corrupt(original(reports, supports, m, sigma), m)
-
-    monkeypatch.setattr(lorenz, "solve_prepared", broken)
-    monkeypatch.setattr(mechanisms, "solve_prepared", broken)
     demands = [F({0, 1}), F({1, 2})]
     inst = additive_instance(demands)
     m = inst.m
+    original = lorenz.solve_prepared
+
+    def broken(reports, supports, sigma):
+        return corrupt(original(reports, supports, sigma), m)
+
+    for module in (lorenz, mechanisms, harness):
+        monkeypatch.setattr(module, "solve_prepared", broken)
     routes = {
         "compute_lorenz_dominating": lambda: lorenz.compute_lorenz_dominating(
             [FreeOver(d) for d in demands], m

@@ -290,6 +290,125 @@ def test_allocation_parse_errors():
         parse_allocation('{"allocation": {"alice": ["zz"]}}', inst)
 
 
+def _shape_doc(valuation=None, **fields):
+    """A one-agent instance over a and b with `fields` replaced and, if
+    given, the agent's valuation."""
+    agent = {"name": "x", "valuation": {"demand": ["a"]} if valuation is None else valuation}
+    return json.dumps({"items": ["a", "b"], "agents": [agent], **fields})
+
+
+def _matroid_doc(spec):
+    return _shape_doc({"matroid": spec})
+
+
+def _parse_allocation(text):
+    return parse_allocation(text, parse_instance(MINIMAL))
+
+
+_MATROID = "agents[0].valuation.matroid: "
+
+# id -> (parser, document text, the message's location and first words);
+# each is refused with a ParseError whose message starts with the location
+_DOCUMENT_SHAPE_ERRORS = {
+    "root-not-object": (parse_instance, "[]", "document root must be an object"),
+    "version-2": (parse_instance, _shape_doc(version="2"), "unsupported document version '2'"),
+    "non-string-items": (
+        parse_instance,
+        _shape_doc(items=["a", 1]),
+        "'items' must be a list of strings",
+    ),
+    "negative-epsilon": (parse_instance, _shape_doc(epsilon="-1/2"), "epsilon must be >= 0"),
+    "empty-agents": (parse_instance, _shape_doc(agents=[]), "'agents' must be a nonempty list"),
+    "agent-without-valuation": (
+        parse_instance,
+        _shape_doc(agents=[{"name": "x"}]),
+        "agents[0]: needs 'name' and 'valuation'",
+    ),
+    "non-string-agent-name": (
+        parse_instance,
+        _shape_doc(agents=[{"name": 1, "valuation": {"demand": []}}]),
+        "agents[0].name: expected a string",
+    ),
+    "two-key-valuation": (
+        parse_instance,
+        _shape_doc({"demand": ["a"], "xos": [["a"]]}),
+        "agents[0].valuation: valuation must be exactly one of",
+    ),
+    "unknown-valuation-kind": (
+        parse_instance,
+        _shape_doc({"budget": 1}),
+        "agents[0].valuation: unknown valuation kind 'budget'",
+    ),
+    "matroid-without-type": (
+        parse_instance,
+        _matroid_doc({"demand": ["a"]}),
+        _MATROID + "matroid spec needs a 'type' field",
+    ),
+    "unknown-matroid-type": (
+        parse_instance,
+        _matroid_doc({"type": "graphic"}),
+        _MATROID + "unknown matroid type 'graphic'",
+    ),
+    "uniform-without-cap": (
+        parse_instance,
+        _matroid_doc({"type": "uniform", "demand": ["a"]}),
+        _MATROID + "uniform matroid needs 'cap'",
+    ),
+    "partition-without-blocks": (
+        parse_instance,
+        _matroid_doc({"type": "partition"}),
+        _MATROID + "partition matroid needs nonempty 'blocks'",
+    ),
+    "block-not-object": (
+        parse_instance,
+        _matroid_doc({"type": "partition", "blocks": [["a"]]}),
+        "agents[0].valuation.matroid.blocks[0]: expected an object",
+    ),
+    "empty-explicit-family": (
+        parse_instance,
+        _matroid_doc({"type": "explicit", "independent": []}),
+        _MATROID + "explicit matroid needs nonempty 'independent'",
+    ),
+    "values-not-object": (
+        parse_instance,
+        _shape_doc({"values": ["a"]}),
+        "agents[0].valuation.values: expected an object",
+    ),
+    "empty-xos-family": (
+        parse_instance,
+        _shape_doc({"xos": []}),
+        "agents[0].valuation.xos: expected a nonempty list",
+    ),
+    "demand-not-list": (
+        parse_instance,
+        _shape_doc({"demand": "a"}),
+        "agents[0].valuation.demand: expected a list of item ids",
+    ),
+    "priority-not-strings": (
+        parse_instance,
+        _shape_doc(priority=[0]),
+        "'priority' must be a list of agent names",
+    ),
+    "not-json": (parse_instance, "{items: []}", "not valid JSON: "),
+    "allocation-not-object": (
+        _parse_allocation,
+        '{"allocation": ["a"]}',
+        "'allocation' must map agent names to item lists",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "parse, text, prefix",
+    list(_DOCUMENT_SHAPE_ERRORS.values()),
+    ids=list(_DOCUMENT_SHAPE_ERRORS),
+)
+def test_document_shape_errors_name_their_location(parse, text, prefix):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(prefix)
+
+
 def test_deep_nesting_rejected():
     inst = parse_instance(nested_truncations(MAX_MATROID_NESTING))
     assert inst.valuations[0].matroid.rank(F({0})) == 1

@@ -25,7 +25,9 @@ from egalloc.matroid import (
     Uniform,
     validate_matroid,
 )
-from egalloc.valuation import AdditiveDichotomous
+from egalloc.lorenz import additive_balanced
+from egalloc.mechanisms import run_meps, run_mx, sanitize_reports
+from egalloc.valuation import AdditiveDichotomous, EpsLeveled, evaluate
 from matroid_reference import (
     brute_force_rank,
     downward_closure,
@@ -133,6 +135,62 @@ def test_item_ids_must_be_non_negative_ints(bad):
         assert str(exc.value) == f"item ids must be non-negative integers, got {bad!r}"
     with pytest.raises(ValidationError):
         AdditiveDichotomous(F({bad}))
+
+
+# Every boundary that takes items from a caller applies the one id rule of
+# `matroid`: a bad id is a ValidationError that names it, never a TypeError
+# and never a silent pass, and an id past the universe is named with the set.
+_BAD_ITEM_SETS = {
+    "eps-leveled-str-key": (
+        lambda: EpsLeveled({"a": 1, 0: 1}),
+        "item ids must be non-negative integers, got 'a'",
+    ),
+    "evaluate-negative": (
+        lambda: evaluate(AdditiveDichotomous(F({0})), F({-1}), 1),
+        "item ids must be non-negative integers, got -1",
+    ),
+    "evaluate-str": (
+        lambda: evaluate(AdditiveDichotomous(F({0})), F({"a"}), 1),
+        "item ids must be non-negative integers, got 'a'",
+    ),
+    "evaluate-past-m": (
+        lambda: evaluate(AdditiveDichotomous(F({0})), F({0, 3}), 2),
+        "bundle outside the item universe: [3]",
+    ),
+    "meps-str": (
+        lambda: run_meps([F({"a"})], 1, 0),
+        "item ids must be non-negative integers, got 'a'",
+    ),
+    "meps-negative": (
+        lambda: run_meps([F({-1})], 1, 0),
+        "item ids must be non-negative integers, got -1",
+    ),
+    "mx-past-m": (
+        lambda: run_mx((5,), (0,), [set()], 1),
+        "held-out list outside the item universe: [5]",
+    ),
+    "mx-str": (
+        lambda: run_mx(("a",), (0,), [set()], 1),
+        "item ids must be non-negative integers, got 'a'",
+    ),
+    "sanitize-past-m": (
+        lambda: sanitize_reports([AdditiveDichotomous(F({0, 4}))], 2),
+        "report outside the item universe: [4]",
+    ),
+    "additive-balanced-past-m": (
+        lambda: additive_balanced([F({0, 4})], 2),
+        "demand outside the item universe: [4]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", list(_BAD_ITEM_SETS.values()), ids=list(_BAD_ITEM_SETS)
+)
+def test_every_item_boundary_applies_the_one_id_rule(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_int_subclass_item_ids_are_accepted():

@@ -16,7 +16,6 @@ from egalloc.errors import CapabilityError, ValidationError
 from egalloc.matroid import ZERO_MATROID, Explicit, FreeOver, Partition, Truncated, Uniform
 from egalloc.mechanisms import (
     MEPS_EXACT_MAX_ATOMS,
-    _rpe_outcomes,
     expected_utilities,
     held_out_outcomes,
     run_meps,
@@ -27,7 +26,7 @@ from egalloc.mechanisms import (
     sample_rpe,
     sanitize_reports,
 )
-from egalloc.lorenz import prepare_supports
+from egalloc.lorenz import prepare_supports, solve_prepared
 from egalloc.model import Allocation, Atom, OutcomeDistribution
 from egalloc.valuation import AdditiveDichotomous, MatroidValuation, XosFamily
 from meps_reference import reference_expected_utilities, reference_run_meps
@@ -333,9 +332,9 @@ def test_meps_exact_matches_per_atom_reference(monkeypatch):
     solves = []
     original = mechanisms.solve_prepared
 
-    def counting(reports, supports, m, sigma):
+    def counting(reports, supports, sigma):
         solves.append(sigma)
-        return original(reports, supports, m, sigma)
+        return original(reports, supports, sigma)
 
     rng = random.Random(5150)
     undemanded = 0
@@ -422,7 +421,9 @@ def test_each_report_is_set_up_once_per_exact_distribution(monkeypatch):
     assert sorted(calls.values()) == [1] * n  # the reports' own FreeOver(d), once each
     calls.clear()
     reports = [FreeOver(d) for d in demands]
-    list(_rpe_outcomes(reports, prepare_supports(reports, m), m, permutations(range(n))))
+    supports = prepare_supports(reports, m)
+    for sigma in permutations(range(n)):
+        solve_prepared(reports, supports, sigma)
     assert [calls[id(r)] for r in reports] == [1] * n and len(calls) == n
     calls.clear()
     run_rpe([AdditiveDichotomous(d) for d in demands], m)
