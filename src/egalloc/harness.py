@@ -168,8 +168,9 @@ def fuzz_truthfulness(
                 raise ValidationError("held-out mechanism reports are demand sets")
             demands = list(base_demands)
             demands[deviator] = _checked_demand(report.demand, m)
+            merged = functools.cache(lambda bundle, grants: _merged_bundle(bundle, grants, deviator))
             walk = _meps_outcomes(demands, m, held_outs(), permutations(range(n)))
-            return (_merged_bundle(pe, mx, deviator) for _, _, pe, mx in walk)
+            return (merged(pe[deviator], grants) for _, _, pe, grants in walk)
 
     else:
         raise ValidationError(f"unknown mechanism {mechanism!r}")

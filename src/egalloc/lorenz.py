@@ -31,8 +31,8 @@ discovered everything they would.  Structured tags answer in constant or
 bundle-size time with shared keys (one key per agent for free and uniform
 specs, one per block for partitions); explicit families fall back to
 `is_independent` and give every item its own key.  Most turns need no
-search: a turn first scans its start items, takes the first unowned one
-at once, and only otherwise searches from the start items it collected.
+search: the round loop takes the first unowned item of the mover's
+support that it can add, and `_search` runs only when there is none.
 
 Item tie-break: the path search scans items in descending id and stops at
 the first unowned item it discovers.  Skipping an expansion that would
@@ -130,7 +130,8 @@ def solve_prepared(reports, supports, sigma: PriorityOrder) -> list[set[int]]:
     discovers only support items and ends only at an unowned one, so once
     `wanted` (the unowned support items) is empty every playing agent
     leaves.  `dead` holds the items failed searches discovered since the
-    last turn that took an item (see `_turn`)."""
+    last turn that took an item (see `_search`).  The direct take is exact,
+    as `own` and `dead` hold only owned items and `can_add` is pure."""
     bundles: list[set[int]] = [set() for _ in reports]
     owner: dict[int, int] = {}  # item -> its holder; unowned items absent
     wanted = set().union(*supports)
@@ -141,25 +142,34 @@ def solve_prepared(reports, supports, sigma: PriorityOrder) -> list[set[int]]:
         for i in playing:
             if not wanted:  # no path can end at an unowned item: all leave
                 break
-            taken = _turn(i, reports, supports, bundles, owner, dead)
-            if taken is not None:
-                still.append(i)
-                wanted.discard(taken)
+            spec, own = reports[i], bundles[i]
+            for g in supports[i]:  # the direct take: an unowned start item
+                if g not in owner and spec.can_add(own, g):
+                    own.add(g)
+                    owner[g] = i
+                    dead.clear()
+                    break
+            else:
+                g = _search(i, reports, supports, bundles, owner, dead)
+                if g is None:
+                    continue
+            still.append(i)
+            wanted.discard(g)
         playing = still
     return bundles
 
 
-def _turn(i, reports, supports, bundles, owner, dead) -> int | None:
-    """Agent i's turn: apply a shortest transfer path for i ending at an
-    unowned item and return that item, or return None if there is none.
+def _search(i, reports, supports, bundles, owner, dead) -> int | None:
+    """Agent i's search, once i can add no unowned item: apply a shortest
+    transfer path for i ending at an unowned item and return that item, or
+    return None if there is none.
 
-    The start items are those i can add to its bundle (`can_add`), scanned
-    in descending id; the first unowned one is the whole path and is taken
-    at once.  Otherwise a breadth-first search runs from the start items:
-    item g, held by j, leads to every item h that j can take in exchange
-    for g (`swap_filter`).  Items are scanned in descending id, and the
-    first unowned item discovered ends the search, so among shortest paths
-    the one found first in that scan is taken.
+    The start items are the owned items i can add to its bundle
+    (`can_add`).  A breadth-first search runs from them: item g, held by
+    j, leads to every item h that j can take in exchange for g
+    (`swap_filter`).  Items are scanned in descending id, and the first
+    unowned item discovered ends the search, so among shortest paths the
+    one found first in that scan is taken.
 
     Each holder is expanded at most once per swap key: an item g of j is
     skipped when an earlier item of j with the same `swap_key` was
@@ -172,16 +182,8 @@ def _turn(i, reports, supports, bundles, owner, dead) -> int | None:
     item it discovered to them (see the module).
     """
     spec, own = reports[i], bundles[i]
-    queue = []  # the start items, then the items the search discovers
-    for g in supports[i]:
-        if g in own or g in dead or not spec.can_add(own, g):
-            continue
-        if g not in owner:
-            own.add(g)
-            owner[g] = i
-            dead.clear()
-            return g
-        queue.append(g)
+    # the start items, then the items the search discovers
+    queue = [g for g in supports[i] if g not in own and g not in dead and spec.can_add(own, g)]
     parent: dict[int, int | None] = dict.fromkeys(dead)
     parent.update(dict.fromkeys(queue))
     expanded = set()  # (holder, swap key) pairs already expanded

@@ -15,7 +15,8 @@ seeded PRNG.
 
 M^X: one or two held-out items are granted sequentially to their
 highest-priority demanders, the first winner dropping to lowest priority
-before the second item is placed.
+before the second item is placed.  So only each item's top two demanders
+matter (`_top_two`), and `run_mx` and the exact walks share one rule.
 
 Held-out randomized mechanism: report demand sets only; hold out a random
 ordered list X of one or two items (every ordered outcome has probability
@@ -30,13 +31,13 @@ held-out PE half runs on the reports' `FreeOver(d)` with supports clipped
 to M∖X, which is PE on M∖X, as the engine asks only about support items.
 `run_rpe` calls the engine, `lorenz.solve_prepared`, once per order, and
 the walk `_meps_outcomes` once per PE half; every solve's bundles pass
-`model.check_bundles` once.  `_meps_outcomes` checks each PE half.  An
-`Allocation`, which runs the check when built, is built only where one is
-returned: per `run_rpe` atom, and per `run_meps` or `sample_meps`
-realization, from its two halves.  `harness.fuzz_truthfulness` tallies
-one agent's bundles along the same walks (PE is the one-order case of
-RPE's loop over the orders); it checks each order's bundles and freezes
-only that agent's bundle.
+`model.check_bundles` once and are frozen.  A walk then builds each
+distinct value once: equal PE halves are one object, each distinct
+(PE half, grants) is merged once, and each distinct allocation is one
+`Allocation` (which checks it when built) shared by its atoms.
+`harness.fuzz_truthfulness` tallies one agent's bundles along the same
+walks (PE is the one-order case of RPE's loop over the orders); it checks
+each order's bundles and freezes, or merges, only that agent's bundle.
 
 Caller-supplied items pass the one id rule, `matroid._freeze` and
 `matroid.check_universe`: in `sanitize_reports`, `run_mx` and each
@@ -45,6 +46,7 @@ held-out demand report.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -128,18 +130,27 @@ def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
     """PE under uniformly random priorities, as an exact distribution.
 
     Sanitizes and sets up the reports once and returns all n! atoms of
-    weight 1/n!, raising CapabilityError past RPE_EXACT_MAX_AGENTS agents.
+    weight 1/n!, atoms with equal allocations sharing one `Allocation`;
+    raises CapabilityError past RPE_EXACT_MAX_AGENTS agents.
     """
     matroids = sanitize_reports(reports, m)
     orders = _all_orders(len(matroids))  # the cap, before n! is computed
     weight = Fraction(1, math.factorial(len(matroids)))
     supports = prepare_supports(matroids, m)
+    allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value
     return OutcomeDistribution(
         tuple(
-            Atom(weight, Allocation(tuple(solve_prepared(matroids, supports, sigma)), m), sigma)
+            Atom(weight, allocation(_frozen_solve(matroids, supports, sigma, m)), sigma)
             for sigma in orders
         )
     )
+
+
+def _frozen_solve(reports, supports, sigma: PriorityOrder, m: int) -> tuple[ItemSet, ...]:
+    """`solve_prepared`'s bundles once they pass `check_bundles`, frozen."""
+    bundles = solve_prepared(reports, supports, sigma)
+    check_bundles(bundles, m)
+    return tuple(map(frozenset, bundles))
 
 
 def _all_orders(n: int) -> Iterator[PriorityOrder]:
@@ -186,30 +197,28 @@ def run_mx(
     for r in reports:
         if not r <= xset:
             raise ValidationError("held-out reports must be subsets of the held-out list")
-    return Allocation(_mx_bundles(held_out, sigma, reports), m)
+    grants = _mx_grants(held_out, _top_two(held_out, sigma, reports))
+    return Allocation(_merged([frozenset()] * n, grants), m)
 
 
-def _mx_bundles(
-    held_out: tuple[int, ...], sigma: PriorityOrder, reports: Sequence[ItemSet]
-) -> list[set[int]]:
-    """M^X's grants for inputs already known to be valid: distinct items in
-    `held_out`, a permutation `sigma` and reports that are subsets of X."""
-    bundles: list[set[int]] = [set() for _ in reports]
-    order = list(sigma)
-    first = held_out[0]
-    for agent in order:
-        if first in reports[agent]:
-            bundles[agent].add(first)
-            order.remove(agent)
-            order.append(agent)
-            break
-    if len(held_out) > 1:
-        second = held_out[1]
-        for agent in order:
-            if second in reports[agent]:
-                bundles[agent].add(second)
-                break
-    return bundles
+def _top_two(items, sigma: PriorityOrder, reports: Sequence[ItemSet]) -> dict:
+    """Each of `items`' top demanders in `sigma` as (first, alt): alt is the
+    second, or the first if it is the only one; (None, None) if there is none."""
+    tops = {x: [v for v in sigma if x in reports[v]][:2] or [None] for x in items}
+    return {x: (two[0], two[-1]) for x, two in tops.items()}
+
+
+def _mx_grants(held_out: tuple[int, ...], tops: dict) -> tuple[tuple[int, int], ...]:
+    """M^X's (agent, item) grants: x goes to its first demander w1, who drops
+    to lowest priority, so y goes to its first demander unless that is w1,
+    and then to its alt (w1 again if w1 is y's only demander)."""
+    x, w1 = held_out[0], tops[held_out[0]][0]
+    grants = () if w1 is None else ((w1, x),)
+    for y in held_out[1:]:
+        first, alt = tops[y]
+        w2 = alt if first == w1 else first
+        grants += () if w2 is None else ((w2, y),)
+    return grants
 
 
 def held_out_outcomes(m: int) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -281,53 +290,56 @@ def _exact_atoms(n: int, per_order: int) -> int:
 
 def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> Iterator[tuple]:
     """(sigma, X, PE half, M^X grants) for every realization, the priority
-    orders `orders` outside and the held-out lists `held_outs` inside.  Both
-    halves are lists of per-agent item sets; each PE half passed
-    `check_bundles` once, when it was solved, and is shared by the
-    realizations of its (sigma, Y), so callers must not change it.
+    orders `orders` outside and the held-out lists `held_outs` inside.  A
+    PE half is a tuple of frozensets that passed `check_bundles` when it was
+    solved, equal halves one object for the walk; grants are `_mx_grants`'.
 
     The PE half, PE on demands∖X under sigma, depends on X only through
     Y = X ∩ ∪demands (d − X = d − Y for each report d), so it is solved once
     per (sigma, Y): on the reports' own `FreeOver(d)`, set up once, with
     supports clipped to M∖Y.  A free matroid answers every exchange
-    question alike, so that is PE on the free matroids over d − Y.  X's set,
-    each d ∩ X and Y are computed once per list, reverse(sigma) once per
-    order.  M^X runs through `_mx_bundles` without `run_mx`'s checks, met by
-    construction: X holds distinct items, sigma is a permutation and each
-    d ∩ X lies in X."""
+    question alike, so that is PE on the free matroids over d − Y.  Each
+    order's reverse gives the top two demanders of every item of some
+    held-out list, from which M^X grants without `run_mx`'s checks, met by
+    construction: X holds distinct items and sigma is a permutation."""
     reports = [FreeOver(d) for d in demands]
     supports = {frozenset(): prepare_supports(reports, m)}
+    demanded_anywhere = frozenset().union(*demands)
     parts = []
     for held_out in held_outs:
-        xset = frozenset(held_out)
-        on_x = [d & xset for d in demands]
-        demanded = frozenset().union(*on_x)
+        demanded = demanded_anywhere.intersection(held_out)
         if demanded not in supports:
             supports[demanded] = [[a for a in s if a not in demanded] for s in supports[frozenset()]]
-        parts.append((held_out, on_x, demanded))
+        parts.append((held_out, demanded))
+    items = frozenset().union(*held_outs)
+    on_items = [d & items for d in demands]
+    interned: dict[tuple, tuple] = {}
     for sigma in orders:
-        reverse = sigma[::-1]
-        pe_halves: dict[ItemSet, list[set[int]]] = {}
-        for held_out, on_x, demanded in parts:
+        tops = _top_two(items, sigma[::-1], on_items)
+        pe_halves: dict[ItemSet, tuple] = {}
+        for held_out, demanded in parts:
             pe = pe_halves.get(demanded)
             if pe is None:
-                pe = pe_halves[demanded] = solve_prepared(reports, supports[demanded], sigma)
-                check_bundles(pe, m)
-            yield sigma, held_out, pe, _mx_bundles(held_out, reverse, on_x)
+                pe = _frozen_solve(reports, supports[demanded], sigma, m)
+                pe = pe_halves[demanded] = interned.setdefault(pe, pe)
+            yield sigma, held_out, pe, _mx_grants(held_out, tops)
 
 
-def _merged(pe: Sequence[set[int]], mx: Sequence[set[int]], m: int) -> Allocation:
-    """A realization's allocation; an overlap between the halves raises."""
-    return Allocation(tuple(b | x for b, x in zip(pe, mx)), m)
+def _merged(pe: Sequence[ItemSet], grants: tuple) -> tuple[ItemSet, ...]:
+    """A realization's bundles; an item in both halves of one agent raises,
+    and the `Allocation` built from them refuses one in two agents'."""
+    return tuple(_merged_bundle(bundle, grants, v) for v, bundle in enumerate(pe))
 
 
-def _merged_bundle(pe: Sequence[set[int]], mx: Sequence[set[int]], agent: int) -> ItemSet:
-    """One agent's bundle of `_merged(pe, mx, m)`, frozen; an item in both
-    halves raises."""
-    bundle, grants = pe[agent], mx[agent]
-    if not bundle.isdisjoint(grants):
-        raise ValidationError(f"item {min(bundle & grants)} allocated twice")
-    return frozenset(bundle).union(grants)
+def _merged_bundle(bundle: ItemSet, grants: tuple, agent: int) -> ItemSet:
+    """`agent`'s bundle of `_merged`: its frozen PE bundle `bundle` and the
+    items granted to it; an item in both halves raises."""
+    for v, item in grants:
+        if v == agent:
+            if item in bundle:
+                raise ValidationError(f"item {item} allocated twice")
+            bundle = bundle | {item}
+    return bundle
 
 
 def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
@@ -340,8 +352,8 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     computed past MEPS_EXACT_MAX_AGENTS agents.
 
     Merges the halves of each realization of `_meps_outcomes` (orders
-    outside) into a validated `Allocation`; atom h·n! + k is outcome h
-    under order k, so the atoms keep their outcome-major order.
+    outside) into a validated `Allocation`, one per distinct value; atom
+    h·n! + k is outcome h under order k, so atoms keep outcome-major order.
     """
     n = len(demands)
     demands = _check_meps_inputs(demands, m, eps)
@@ -355,10 +367,12 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     orders = math.factorial(n)
     weight = Fraction(1, size)
     atoms: list[Atom | None] = [None] * size
+    allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value
+    merged = functools.cache(lambda pe, grants: allocation(_merged(pe, grants)))
     realizations = _meps_outcomes(demands, m, held_outs, permutations(range(n)))
-    for i, (sigma, held_out, pe, mx) in enumerate(realizations):
+    for i, (sigma, held_out, pe, grants) in enumerate(realizations):
         k, h = divmod(i, len(held_outs))
-        atoms[h * orders + k] = Atom(weight, _merged(pe, mx, m), sigma, held_out)
+        atoms[h * orders + k] = Atom(weight, merged(pe, grants), sigma, held_out)
     return OutcomeDistribution(tuple(atoms))
 
 
@@ -384,8 +398,8 @@ def sample_meps(
     order = list(range(len(demands)))
     rng.shuffle(order)
     sigma = tuple(order)
-    ((_, _, pe, mx),) = _meps_outcomes(demands, m, [held_out], [sigma])
-    return _merged(pe, mx, m), held_out, sigma
+    ((_, _, pe, grants),) = _meps_outcomes(demands, m, [held_out], [sigma])
+    return Allocation(_merged(pe, grants), m), held_out, sigma
 
 
 def expected_utilities(

@@ -8,8 +8,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .matroid import ItemSet
-from .valuation import ValuationSpec, as_value, evaluate
+from .matroid import ItemSet, check_universe
+from .valuation import ValuationSpec, as_value, evaluate, support
 
 PriorityOrder = tuple[int, ...]
 
@@ -121,6 +121,8 @@ class Instance:
             raise ValidationError("one valuation per agent required")
         if not self.agent_names:
             raise ValidationError("at least one agent required")
+        for spec in self.valuations:  # an item past the universe is in no allocation
+            check_universe(support(spec), self.m, "valuation")
         if self.epsilon < 0:
             raise ValidationError("epsilon must be >= 0")
         if self.priority is not None:

@@ -27,6 +27,7 @@ from egalloc.harness import (
 from egalloc.lorenz import prepare_supports, solve_prepared
 from egalloc.matroid import FreeOver, Uniform
 from egalloc.mechanisms import (
+    _merged,
     _merged_bundle,
     _meps_outcomes,
     expected_utilities,
@@ -346,7 +347,7 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
             monkeypatch.setattr(mechanisms, "solve_prepared", counting)
             walk = _meps_outcomes(demands, m, held_outs, permutations(range(n)))
             got = _walk_value(
-                (_merged_bundle(pe, mx, deviator) for _, _, pe, mx in walk),
+                (_merged_bundle(pe[deviator], grants, deviator) for _, _, pe, grants in walk),
                 value,
                 m * m * math.factorial(n),
             )
@@ -364,10 +365,59 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
 
 
 def test_merged_bundle_refuses_an_item_in_both_halves():
-    pe = [{0}, {1}]  # the engine's bundles, as `_meps_outcomes` yields them
-    assert _merged_bundle(pe, [set(), {2}], 1) == F({1, 2})
-    with pytest.raises(ValidationError, match="item 1 allocated twice"):
-        _merged_bundle(pe, [set(), {1, 2}], 1)
+    pe = (F({0}), F({1}))  # a frozen PE half, as `_meps_outcomes` yields it
+    assert _merged_bundle(pe[1], ((0, 3), (1, 2)), 1) == F({1, 2})
+    assert _merged_bundle(pe[1], ((1, 3), (1, 2)), 1) == F({1, 2, 3})  # a sole demander wins both
+    assert _merged_bundle(pe[1], (), 1) is pe[1]
+    for grants in [((1, 1),), ((1, 2), (1, 1)), ((0, 2), (1, 1))]:
+        with pytest.raises(ValidationError, match="^item 1 allocated twice$"):
+            _merged_bundle(pe[1], grants, 1)
+    with pytest.raises(ValidationError, match="^item 1 allocated twice$"):
+        _merged(pe, ((1, 1),))
+    with pytest.raises(ValidationError, match="^item 0 allocated twice$"):
+        Allocation(_merged(pe, ((1, 0),)), 2)  # an item in another agent's PE bundle
+
+
+def test_check_bundles_runs_once_per_engine_solve(monkeypatch):
+    # exact walks share equal outcomes, yet every bundle list the engine
+    # returns still passes the partition check itself, exactly once
+    import egalloc.harness as harness
+    import egalloc.mechanisms as mechanisms
+
+    solved, checked = [], Counter()
+    original_solve, original_check = mechanisms.solve_prepared, mechanisms.check_bundles
+
+    def solving(reports, supports, sigma):
+        bundles = original_solve(reports, supports, sigma)
+        solved.append(bundles)  # kept alive, so that no id is reused
+        return bundles
+
+    def checking(bundles, m):
+        checked[id(bundles)] += 1
+        return original_check(bundles, m)
+
+    for module in (mechanisms, harness):
+        monkeypatch.setattr(module, "solve_prepared", solving)
+        monkeypatch.setattr(module, "check_bundles", checking)
+    demands = [F({0, 1, 2}), F({1, 2}), F(), F({0, 3})]
+    inst = additive_instance(demands)
+    m = inst.m
+    routes = {
+        "run_rpe": lambda: run_rpe(inst.valuations, m),
+        "run_meps": lambda: run_meps(demands, m, 0),
+        "sample_meps": lambda: sample_meps(demands, m, 0, seed=3),
+        **{
+            f"fuzz {mech}": lambda mech=mech: fuzz_truthfulness(mech, inst, 1, all_demand_subsets)
+            for mech in ("pe", "rpe", "meps")
+        },
+    }
+    for name, route in routes.items():
+        solved.clear()
+        checked.clear()
+        route()
+        assert solved, name
+        assert [checked[id(b)] for b in solved] == [1] * len(solved), name
+        assert len(checked) == len(solved), name
 
 
 @pytest.mark.parametrize(

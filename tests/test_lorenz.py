@@ -167,22 +167,34 @@ def test_engine_asks_free_and_uniform_specs_no_independence_oracle(monkeypatch):
 def test_engine_stops_searching_once_no_unowned_item_is_wanted(monkeypatch):
     # Every path ends at an unowned item of some agent's support, so once
     # all such items are owned no search can succeed and none may start.
-    # Every turn is counted, a start item taken at once included: the turns
-    # that took an item must add up to the items allocated.  Shapes of the
+    # Every search is counted, and so is every reference path: a turn
+    # takes one item, so the items allocated minus the successful searches
+    # are the direct takes, which must be the reference's one-item paths,
+    # while the successful searches must be its longer ones.  Shapes of the
     # benchmark (additive 24x120 at density 0.15, mixed matroids 8x24) plus
     # agents capped by a uniform cap or full partition blocks, who leave
     # while wanted items remain: their failed searches still run, and
     # bundles equal the per-item search, which has no stop rule.
-    searches = []  # (unowned support items left, item taken) per turn
-    turn = lorenz._turn
+    import lorenz_reference
+
+    searches = []  # (unowned support items left, item taken) per search
+    paths = []  # the length of each path the reference applies
+    search, transfer_path = lorenz._search, lorenz_reference._transfer_path
 
     def counting(i, reports, supports, bundles, owner, *rest):
         left = len(set().union(*supports) - owner.keys())
-        taken = turn(i, reports, supports, bundles, owner, *rest)
+        taken = search(i, reports, supports, bundles, owner, *rest)
         searches.append((left, taken is not None))
         return taken
 
-    monkeypatch.setattr(lorenz, "_turn", counting)
+    def counting_reference(*args):
+        path = transfer_path(*args)
+        if path is not None:
+            paths.append(len(path))
+        return path
+
+    monkeypatch.setattr(lorenz, "_search", counting)
+    monkeypatch.setattr(lorenz_reference, "_transfer_path", counting_reference)
     rng = random.Random(1515)
     cases = []
     for _ in range(12):
@@ -202,8 +214,10 @@ def test_engine_stops_searching_once_no_unowned_item_is_wanted(monkeypatch):
         got = compute_lorenz_dominating(mats, m, sigma)
         assert got.bundles == yankee_swap_reference(mats, m, sigma).bundles
         allocated += got.total_items()
+    found = sum(1 for _, found in searches if found)
     assert searches and all(left for left, _ in searches)
-    assert sum(1 for _, found in searches if found) == allocated
+    assert found == sum(1 for length in paths if length >= 2)
+    assert allocated - found == paths.count(1)
     assert sum(1 for left, found in searches if left and not found) >= 50
 
 

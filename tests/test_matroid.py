@@ -27,6 +27,7 @@ from egalloc.matroid import (
 )
 from egalloc.lorenz import additive_balanced
 from egalloc.mechanisms import run_meps, run_mx, sanitize_reports
+from egalloc.model import Instance
 from egalloc.valuation import AdditiveDichotomous, EpsLeveled, evaluate
 from matroid_reference import (
     brute_force_rank,
@@ -176,6 +177,10 @@ _BAD_ITEM_SETS = {
     "sanitize-past-m": (
         lambda: sanitize_reports([AdditiveDichotomous(F({0, 4}))], 2),
         "report outside the item universe: [4]",
+    ),
+    "instance-past-m": (
+        lambda: Instance(("a", "b"), ("x",), (AdditiveDichotomous({5, 7}),)),
+        "valuation outside the item universe: [5, 7]",
     ),
     "additive-balanced-past-m": (
         lambda: additive_balanced([F({0, 4})], 2),

@@ -16,6 +16,8 @@ from egalloc.errors import CapabilityError, ValidationError
 from egalloc.matroid import ZERO_MATROID, Explicit, FreeOver, Partition, Truncated, Uniform
 from egalloc.mechanisms import (
     MEPS_EXACT_MAX_ATOMS,
+    _mx_grants,
+    _top_two,
     expected_utilities,
     held_out_outcomes,
     run_meps,
@@ -29,6 +31,7 @@ from egalloc.mechanisms import (
 from egalloc.lorenz import prepare_supports, solve_prepared
 from egalloc.model import Allocation, Atom, OutcomeDistribution
 from egalloc.valuation import AdditiveDichotomous, MatroidValuation, XosFamily
+from meps_reference import _mx_grants as reference_mx_grants
 from meps_reference import reference_expected_utilities, reference_run_meps
 
 F = frozenset
@@ -140,6 +143,35 @@ def test_mx_examples():
 
     sole = run_mx((0, 1), (0, 1, 2), [F({0, 1}), F(), F()], 2)
     assert sole.bundles[0] == F({0, 1})
+
+
+def test_mx_top_two_grants_match_the_reference():
+    # the grant rule of `run_mx` and of the exact walks, M^X from each
+    # item's top two demanders, against the sequential reference with its
+    # demotion: every order for n <= 4 and every held-out list for m <= 5
+    rng = random.Random(2424)
+    sole_wins_both = undemanded = cases = 0
+    for n in range(1, 5):
+        for m in range(1, 6):
+            for _ in range(3):
+                demands = [rand_subset(rng, m, rng.choice([0.3, 0.6])) for _ in range(n)]
+                if m > 1 and rng.random() < 0.3:  # agent 0 alone demands items 0 and 1
+                    demands = [F({0, 1})] + [d - F({0, 1}) for d in demands[1:]]
+                undemanded += len(F().union(*demands)) < m
+                for sigma in permutations(range(n)):
+                    tops = _top_two(range(m), sigma, demands)  # as the walk: all items at once
+                    for held_out, _ in held_out_outcomes(m):
+                        on_x = [d & F(held_out) for d in demands]
+                        want = reference_mx_grants(held_out, sigma, on_x)
+                        granted = [set() for _ in demands]
+                        for agent, item in _mx_grants(held_out, tops):
+                            granted[agent].add(item)
+                        assert granted == want, (demands, sigma, held_out)
+                        assert run_mx(held_out, sigma, on_x, m).bundles == tuple(map(F, want))
+                        sole_wins_both += len(held_out) == 2 and F(held_out) in want
+                        cases += 1
+    assert cases == 3 * (1 + 2 + 6 + 24) * (1 + 4 + 9 + 16 + 25)
+    assert undemanded >= 20 and sole_wins_both >= 200
 
 
 def test_mx_validation():
@@ -429,3 +461,17 @@ def test_each_report_is_set_up_once_per_exact_distribution(monkeypatch):
     run_rpe([AdditiveDichotomous(d) for d in demands], m)
     # sanitize_reports' universe check asks once more
     assert sorted(calls.values()) == [2] * n
+
+
+def test_equal_allocations_of_one_distribution_are_one_object():
+    # an exact walk builds each distinct allocation once and shares it
+    rng = random.Random(2525)
+    shared = 0
+    for demands, m in _meps_cases(rng):
+        for dist in (run_rpe([AdditiveDichotomous(d) for d in demands], m), run_meps(demands, m, 0)):
+            objects: dict[Allocation, set[int]] = {}
+            for atom in dist.atoms:
+                objects.setdefault(atom.allocation, set()).add(id(atom.allocation))
+            assert all(len(ids) == 1 for ids in objects.values()), (demands, m)
+            shared += len(objects) < len(dist.atoms)
+    assert shared >= 20
