@@ -25,15 +25,16 @@ from .lorenz import enumerate_optimal, potential, prepare_supports, solve_prepar
 from .matroid import FreeOver, ItemSet, Partition, Restricted, Truncated
 from .model import Allocation, Instance, check_bundles
 from .mechanisms import (
+    MEPS_EXACT_MAX_AGENTS,
     MEPS_EXACT_MAX_ATOMS,
-    _all_orders,
+    RPE_EXACT_MAX_AGENTS,
     _check_meps_inputs,
     _checked_demand,
-    _exact_atoms,
+    _exact_orders,
     _merged_bundle,
     _meps_outcomes,
     floor_reports,
-    held_out_outcomes,
+    held_out_lists,
     meps_demands,
     run_pe,
     sanitize_reports,
@@ -131,9 +132,10 @@ def fuzz_truthfulness(
     `run_meps`; only the two utilities reported are divided, into Fractions.
     Every solve's bundles pass `model.check_bundles`, and only the
     deviator's bundle is frozen.
-    Past MEPS_EXACT_MAX_ATOMS realizations or MEPS_EXACT_MAX_AGENTS agents
-    ('rpe', 'meps') or PE_FUZZ_MAX_SIZE agents and items over all solves
-    ('pe'), CapabilityError before any solve.
+    Past MEPS_EXACT_MAX_ATOMS realizations ('rpe', 'meps'),
+    RPE_EXACT_MAX_AGENTS agents ('rpe'), MEPS_EXACT_MAX_AGENTS agents
+    ('meps') or PE_FUZZ_MAX_SIZE agents and items over all solves ('pe'),
+    CapabilityError before any solve.
     """
     n, m = instance.n, instance.m
     if not (0 <= deviator < n):
@@ -151,7 +153,7 @@ def fuzz_truthfulness(
             mine = sanitize_reports([report], m)
             matroids = other_matroids[:deviator] + mine + other_matroids[deviator:]
             supports = other_supports[:deviator] + prepare_supports(mine, m) + other_supports[deviator:]
-            orders = [instance.priority_or_default()] if mechanism == "pe" else _all_orders(n)
+            orders = [instance.priority_or_default()] if mechanism == "pe" else permutations(range(n))
             for sigma in orders:
                 pe = solve_prepared(matroids, supports, sigma)
                 check_bundles(pe, m)
@@ -160,8 +162,6 @@ def fuzz_truthfulness(
     elif mechanism == "meps":
         # ε and the demands are checked before the size cap below, as in run_meps
         base_demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
-        # built at the first score, once the size cap has passed
-        held_outs = functools.cache(lambda: [x for x, _ in held_out_outcomes(m)])
 
         def bundles(report: ValuationSpec) -> Iterator[ItemSet]:
             if not isinstance(report, AdditiveDichotomous):
@@ -169,7 +169,7 @@ def fuzz_truthfulness(
             demands = list(base_demands)
             demands[deviator] = _checked_demand(report.demand, m)
             merged = functools.cache(lambda bundle, grants: _merged_bundle(bundle, grants, deviator))
-            walk = _meps_outcomes(demands, m, held_outs(), permutations(range(n)))
+            walk = _meps_outcomes(demands, m, held_out_lists(m), permutations(range(n)))
             return (merged(pe[deviator], grants) for _, _, pe, grants in walk)
 
     else:
@@ -180,7 +180,12 @@ def fuzz_truthfulness(
 
     reports = space(instance, deviator)
     solves = len(reports) + 1
-    realizations = 1 if mechanism == "pe" else _exact_atoms(n, m * m if mechanism == "meps" else 1)
+    if mechanism == "pe":
+        realizations = 1
+    elif mechanism == "rpe":
+        realizations = _exact_orders(n, RPE_EXACT_MAX_AGENTS)
+    else:
+        realizations = m * m * _exact_orders(n, MEPS_EXACT_MAX_AGENTS)
     if mechanism == "pe" and solves * (n + m) > PE_FUZZ_MAX_SIZE:
         raise CapabilityError(
             f"fuzzing pe runs {solves} PE solves over {n + m} agents and items each "

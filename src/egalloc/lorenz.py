@@ -49,10 +49,12 @@ so lists clipped to a set S give PE on the reports restricted to S.
 checks nothing; `model.check_bundles` is the one partition check, run on
 every solve's bundles either directly or by the `Allocation` built where
 one is returned: here, by `compute_lorenz_dominating`.  A failed search
-is not repeated: the graph changes only when a path is applied, and the
-items it discovered (none unowned, nor leading to one) stay dead until
-then and are skipped; dead items lead only to dead items, so paths and
-bundles are unchanged.
+is not repeated: the items it discovered (none unowned, nor leading to
+one) stay dead until a path of two or more items is applied, and are
+skipped.  A direct take cannot make a dead item lead to an unowned one:
+no dead item led to the item taken, and adding an item to a bundle only
+removes exchanges out of it (independence is hereditary).  Dead items
+lead only to dead items, so paths and bundles are unchanged.
 
 `additive_balanced` is the same engine on additive demand-set reports.
 Two oracles check it: `enumerate_optimal` (every non-redundant allocation
@@ -130,8 +132,9 @@ def solve_prepared(reports, supports, sigma: PriorityOrder) -> list[set[int]]:
     discovers only support items and ends only at an unowned one, so once
     `wanted` (the unowned support items) is empty every playing agent
     leaves.  `dead` holds the items failed searches discovered since the
-    last turn that took an item (see `_search`).  The direct take is exact,
-    as `own` and `dead` hold only owned items and `can_add` is pure."""
+    last path of two or more items (see the module and `_search`).  The
+    direct take is exact, as `own` and `dead` hold only owned items and
+    `can_add` is pure."""
     bundles: list[set[int]] = [set() for _ in reports]
     owner: dict[int, int] = {}  # item -> its holder; unowned items absent
     wanted = set().union(*supports)
@@ -147,7 +150,6 @@ def solve_prepared(reports, supports, sigma: PriorityOrder) -> list[set[int]]:
                 if g not in owner and spec.can_add(own, g):
                     own.add(g)
                     owner[g] = i
-                    dead.clear()
                     break
             else:
                 g = _search(i, reports, supports, bundles, owner, dead)

@@ -20,8 +20,9 @@ matter (`_top_two`), and `run_mx` and the exact walks share one rule.
 
 Held-out randomized mechanism: report demand sets only; hold out a random
 ordered list X of one or two items (every ordered outcome has probability
-exactly 1/m^2; re-derived and asserted below); run PE on the remaining
-items under a random order sigma and M^X on X under reverse(sigma).
+exactly 1/m^2, as `tests/meps_reference.py` derives; the tests check
+`sample_meps` against it); run PE on the remaining items under a random
+order sigma and M^X on X under reverse(sigma).
 Requires eps < 1/(n*m^3), which makes the guaranteed held-out gain of a
 truthful report outweigh any eps-scale composition gains from lying.
 `run_meps` returns the exact distribution; `sample_meps` draws one outcome.
@@ -134,14 +135,13 @@ def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
     raises CapabilityError past RPE_EXACT_MAX_AGENTS agents.
     """
     matroids = sanitize_reports(reports, m)
-    orders = _all_orders(len(matroids))  # the cap, before n! is computed
-    weight = Fraction(1, math.factorial(len(matroids)))
+    weight = Fraction(1, _exact_orders(len(matroids), RPE_EXACT_MAX_AGENTS))
     supports = prepare_supports(matroids, m)
     allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value
     return OutcomeDistribution(
         tuple(
             Atom(weight, allocation(_frozen_solve(matroids, supports, sigma, m)), sigma)
-            for sigma in orders
+            for sigma in permutations(range(len(matroids)))
         )
     )
 
@@ -153,13 +153,12 @@ def _frozen_solve(reports, supports, sigma: PriorityOrder, m: int) -> tuple[Item
     return tuple(map(frozenset, bundles))
 
 
-def _all_orders(n: int) -> Iterator[PriorityOrder]:
-    """The n! priority orders; past RPE_EXACT_MAX_AGENTS agents, CapabilityError."""
-    if n > RPE_EXACT_MAX_AGENTS:
-        raise CapabilityError(
-            f"exact mode enumerates n! priority orders; n={n} exceeds cap {RPE_EXACT_MAX_AGENTS}"
-        )
-    return permutations(range(n))
+def _exact_orders(n: int, max_agents: int) -> int:
+    """n!, the priority orders of an exact walk over n agents; past
+    `max_agents` agents, CapabilityError before n! is computed."""
+    if n > max_agents:
+        raise CapabilityError(f"exact mode enumerates n! priority orders; n={n} exceeds {max_agents}")
+    return math.factorial(n)
 
 
 def sample_rpe(
@@ -221,32 +220,14 @@ def _mx_grants(held_out: tuple[int, ...], tops: dict) -> tuple[tuple[int, int], 
     return grants
 
 
-def held_out_outcomes(m: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All ordered held-out outcomes with their exact probabilities.
-
-    Drawing x uniformly, then keeping |X| = 1 with probability 1/m and
-    otherwise drawing y ≠ x uniformly gives
-        P[(x,)]  = 1/m * 1/m           = 1/m^2,
-        P[(x,y)] = 1/m * (m-1)/m * 1/(m-1) = 1/m^2,
-    so all m^2 ordered outcomes are equally likely.  Asserted here because
-    `run_meps` relies on it.
-    """
-    if m < 1:
-        raise ValidationError("at least one item required")
-    single_keep = Fraction(1, m)
-    outcomes: list[tuple[tuple[int, ...], Fraction]] = []
+def held_out_lists(m: int) -> list[tuple[int, ...]]:
+    """The m^2 ordered held-out lists, each drawn with probability 1/m^2:
+    for x ascending, (x,) and then each (x, y) for y != x."""
+    lists = []
     for x in range(m):
-        outcomes.append(((x,), Fraction(1, m) * single_keep))
-        for y in range(m):
-            if y != x:
-                outcomes.append(
-                    ((x, y), Fraction(1, m) * (1 - single_keep) * Fraction(1, m - 1))
-                )
-    uniform = Fraction(1, m * m)
-    assert all(w == uniform for _, w in outcomes)
-    assert sum(w for _, w in outcomes) == 1
-    assert len(outcomes) == m * m
-    return outcomes
+        lists.append((x,))
+        lists.extend((x, y) for y in range(m) if y != x)
+    return lists
 
 
 def meps_demands(valuations: Sequence[ValuationSpec]) -> list[ItemSet]:
@@ -275,17 +256,6 @@ def _checked_demand(demand, m: int) -> ItemSet:
     demand = _freeze(demand)
     check_universe(demand, m, "demand report")
     return demand
-
-
-def _exact_atoms(n: int, per_order: int) -> int:
-    """per_order · n!, the atoms of an exact distribution over n agents;
-    past MEPS_EXACT_MAX_AGENTS agents, CapabilityError before n! is computed."""
-    if n > MEPS_EXACT_MAX_AGENTS:
-        raise CapabilityError(
-            f"exact mode enumerates n! priority orders; n={n} exceeds {MEPS_EXACT_MAX_AGENTS}, "
-            f"the most agents whose n! stays under the cap of {MEPS_EXACT_MAX_ATOMS} atoms"
-        )
-    return per_order * math.factorial(n)
 
 
 def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> Iterator[tuple]:
@@ -357,14 +327,14 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     """
     n = len(demands)
     demands = _check_meps_inputs(demands, m, eps)
-    size = _exact_atoms(n, m * m)
+    orders = _exact_orders(n, MEPS_EXACT_MAX_AGENTS)
+    size = m * m * orders
     if size > MEPS_EXACT_MAX_ATOMS:
         raise CapabilityError(
             f"exact mode enumerates m^2 * n! = {size} atoms for n={n}, m={m}; "
             f"the cap is {MEPS_EXACT_MAX_ATOMS}"
         )
-    held_outs = [x for x, _ in held_out_outcomes(m)]  # asserts that each weighs 1/m^2
-    orders = math.factorial(n)
+    held_outs = held_out_lists(m)
     weight = Fraction(1, size)
     atoms: list[Atom | None] = [None] * size
     allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value

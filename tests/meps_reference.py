@@ -1,12 +1,14 @@
 """Reference routes for exact held-out distributions and their expectations.
 
-`reference_run_meps` builds every atom on its own: one PE solve and one
-M^X grant per (X, sigma), looping over held-out outcomes outside and
-priority orders inside.  `reference_expected_utilities` sums
+`held_out_outcomes` derives the held-out lists and their probabilities
+from the draw itself.  `reference_run_meps` builds every atom on its own:
+one PE solve and one M^X grant per (X, sigma), looping over those
+outcomes outside and priority orders inside, each atom weighing its
+derived probability over n!.  `reference_expected_utilities` sums
 weight·f_v(A_v) atom by atom in `Fraction` arithmetic through `evaluate`.
-Neither shares the program's memo of PE halves, its M^X grant loop or its
-grouping by weight, so agreement with `run_meps` and
-`expected_utilities` is a differential check.
+None shares the program's held-out lists, its memo of PE halves, its M^X
+grant loop or its grouping by weight, so agreement with `run_meps`,
+`sample_meps` and `expected_utilities` is a differential check.
 """
 
 from __future__ import annotations
@@ -16,11 +18,39 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
+from egalloc.errors import ValidationError
 from egalloc.lorenz import compute_lorenz_dominating
 from egalloc.matroid import FreeOver, ItemSet
-from egalloc.mechanisms import held_out_outcomes
 from egalloc.model import Allocation, Atom, OutcomeDistribution
 from egalloc.valuation import ValuationSpec, evaluate
+
+
+def held_out_outcomes(m: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """All ordered held-out outcomes with their exact probabilities.
+
+    Drawing x uniformly, then keeping |X| = 1 with probability 1/m and
+    otherwise drawing y ≠ x uniformly gives
+        P[(x,)]  = 1/m * 1/m           = 1/m^2,
+        P[(x,y)] = 1/m * (m-1)/m * 1/(m-1) = 1/m^2,
+    so all m^2 ordered outcomes are equally likely.  Asserted here because
+    `run_meps` relies on it.
+    """
+    if m < 1:
+        raise ValidationError("at least one item required")
+    single_keep = Fraction(1, m)
+    outcomes: list[tuple[tuple[int, ...], Fraction]] = []
+    for x in range(m):
+        outcomes.append(((x,), Fraction(1, m) * single_keep))
+        for y in range(m):
+            if y != x:
+                outcomes.append(
+                    ((x, y), Fraction(1, m) * (1 - single_keep) * Fraction(1, m - 1))
+                )
+    uniform = Fraction(1, m * m)
+    assert all(w == uniform for _, w in outcomes)
+    assert sum(w for _, w in outcomes) == 1
+    assert len(outcomes) == m * m
+    return outcomes
 
 
 def reference_run_meps(demands: Sequence[ItemSet], m: int) -> OutcomeDistribution:

@@ -254,8 +254,9 @@ def meps_tables():
         return out
 
     atoms_by_pair = {}
-    from egalloc.mechanisms import held_out_outcomes, run_mx
+    from egalloc.mechanisms import run_mx
     from egalloc.lorenz import additive_balanced
+    from meps_reference import held_out_outcomes
 
     outcomes = held_out_outcomes(M3)
     assert len(outcomes) == 9 and all(w == Fraction(1, 9) for _, w in outcomes)

@@ -59,6 +59,13 @@ CAPS = {
         99,
         lambda k: fuzz_truthfulness("meps", ONE_AGENT_TEN_ITEMS, 0, empty_reports(k)),
     ),
+    # no candidate report: one exact distribution, for the truthful report,
+    # of n! atoms; RPE's agent cap refuses 7 agents, whose 5,040 atoms are
+    # under the atom cap
+    "fuzz-rpe-agents": (
+        6,
+        lambda n: fuzz_truthfulness("rpe", additive_instance([F({0})] * n), 0, empty_reports(0)),
+    ),
     # k candidate reports and the truthful one, each a PE solve over
     # 60,000 agents and items: k = 4 makes 300,000
     "fuzz-pe-size": (4, lambda k: fuzz_truthfulness("pe", ONE_AGENT_60K, 0, empty_reports(k))),

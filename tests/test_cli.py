@@ -552,7 +552,7 @@ def test_exact_modes_refuse_many_agents_before_n_factorial(argv, tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    assert "n=2000 exceeds 7" in proc.stderr
+    assert f"n=2000 exceeds {6 if 'rpe' in argv else 7}" in proc.stderr
 
 
 # EF fails first at (p1, p2), EFX at (p2, p3) on item g, EF1 at (p3, p2).

@@ -32,7 +32,7 @@ from egalloc.mechanisms import (
     _meps_outcomes,
     expected_utilities,
     floor_reports,
-    held_out_outcomes,
+    held_out_lists,
     meps_demands,
     run_meps,
     run_rpe,
@@ -338,7 +338,7 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
     for inst, deviator, spaces in _tally_instances(rng, "meps"):
         n, m = inst.n, inst.m
         value = value_functions(inst.valuations[deviator])[0]
-        held_outs = [x for x, _ in held_out_outcomes(m)]
+        held_outs = held_out_lists(m)
         (space,) = spaces
         for report in space(inst, deviator):
             demands = meps_demands(inst.valuations)

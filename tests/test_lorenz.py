@@ -444,3 +444,26 @@ def test_failed_searches_are_not_repeated(monkeypatch):
             assert k - 1 <= counts[k, outsider_first] <= 3 * k + 1, (k, outsider_first, counts)
     for outsider_first in (False, True):
         assert counts[80, outsider_first] <= 2.2 * counts[40, outsider_first], counts
+
+
+def test_a_direct_take_keeps_failed_searches_dead(monkeypatch):
+    # a: {0,1}, b: {2..7}, c and d: {0,1}.  Round one: a takes 1, b takes 7,
+    # c takes 0, and d's search fails, discovering 0 and 1.  Round two: a
+    # searches, b takes 6 directly, c searches.  No dead item led to 6 and
+    # b's larger bundle gains no exchange, so 0 and 1 stay dead: a's and
+    # c's searches skip them and expand nothing, where c's search would
+    # expand both holders again had b's take cleared them
+    expansions = []
+    original = FreeOver.swap_filter
+
+    def counting(self, own, g):
+        expansions.append(g)
+        return original(self, own, g)
+
+    monkeypatch.setattr(FreeOver, "swap_filter", counting)
+    pair = FreeOver(F({0, 1}))
+    mats = [pair, FreeOver(F(range(2, 8))), pair, pair]
+    got = compute_lorenz_dominating(mats, 8)
+    assert got.bundles == yankee_swap_reference(mats, 8).bundles
+    assert got.bundles == (F({1}), F(range(2, 8)), F({0}), F())
+    assert len(expansions) == 2

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,7 @@ from egalloc.mechanisms import (
     _mx_grants,
     _top_two,
     expected_utilities,
-    held_out_outcomes,
+    held_out_lists,
     run_meps,
     run_mx,
     run_pe,
@@ -32,7 +33,7 @@ from egalloc.lorenz import prepare_supports, solve_prepared
 from egalloc.model import Allocation, Atom, OutcomeDistribution
 from egalloc.valuation import AdditiveDichotomous, MatroidValuation, XosFamily
 from meps_reference import _mx_grants as reference_mx_grants
-from meps_reference import reference_expected_utilities, reference_run_meps
+from meps_reference import held_out_outcomes, reference_expected_utilities, reference_run_meps
 
 F = frozenset
 
@@ -160,7 +161,7 @@ def test_mx_top_two_grants_match_the_reference():
                 undemanded += len(F().union(*demands)) < m
                 for sigma in permutations(range(n)):
                     tops = _top_two(range(m), sigma, demands)  # as the walk: all items at once
-                    for held_out, _ in held_out_outcomes(m):
+                    for held_out in held_out_lists(m):
                         on_x = [d & F(held_out) for d in demands]
                         want = reference_mx_grants(held_out, sigma, on_x)
                         granted = [set() for _ in demands]
@@ -187,6 +188,48 @@ def test_held_out_outcomes_uniform():
         assert len(outs) == m * m
         assert all(w == Fraction(1, m * m) for _, w in outs)
     assert held_out_outcomes(1) == [((0,), Fraction(1))]
+
+
+class ScriptedRandom:
+    """A stand-in for `random.Random` that follows one branch of the draw:
+    `randrange(k)` answers from `script`, then 0, and records each
+    (answer, k); `shuffle` leaves the order as it is."""
+
+    def __init__(self, script):
+        self.script, self.draws = script, []
+
+    def randrange(self, k):
+        i = len(self.draws)
+        self.draws.append((self.script[i] if i < len(self.script) else 0, k))
+        return self.draws[-1][0]
+
+    def shuffle(self, seq):
+        pass
+
+
+def test_sample_meps_draws_each_held_out_list_with_probability_one_over_m_squared(monkeypatch):
+    # every branch of sample_meps's draws, each randrange(k) answer weighing
+    # 1/k, sums to the reference derivation's 1/m^2 on every held-out list
+    import egalloc.mechanisms as mechanisms
+
+    for m in range(1, 6):
+        outcomes = held_out_outcomes(m)
+        assert held_out_lists(m) == [x for x, _ in outcomes]
+        drawn: dict[tuple, Fraction] = {}
+        scripts = [[]]
+        while scripts:
+            script = scripts.pop()
+            rng = ScriptedRandom(script)
+            monkeypatch.setattr(mechanisms, "random", SimpleNamespace(Random=lambda seed: rng))
+            _, held_out, sigma = sample_meps([F(range(m))] * 2, m, 0, seed=0)
+            assert sigma == (0, 1)
+            answers = [answer for answer, _ in rng.draws]
+            weight = Fraction(1, math.prod(k for _, k in rng.draws))
+            drawn[held_out] = drawn.get(held_out, 0) + weight
+            # each other answer to a draw past the script starts a branch of its own
+            for i in range(len(script), len(answers)):
+                scripts.extend(answers[:i] + [c] for c in range(1, rng.draws[i][1]))
+        assert drawn == dict(outcomes), m
 
 
 def test_meps_eps_validation():
@@ -381,7 +424,7 @@ def test_meps_exact_matches_per_atom_reference(monkeypatch):
         want = reference_run_meps(demands, m)
         assert dist.atoms == want.atoms, (demands, m)
         # one PE solve per (sigma, X ∩ ∪demands)
-        parts = {F(x) & demanded for x, _ in held_out_outcomes(m)}
+        parts = {F(x) & demanded for x in held_out_lists(m)}
         assert len(solves) == math.factorial(n) * len(parts), (demands, m)
         # a sampled realization is the exact atom with the same (X, sigma)
         by_trace = {(a.held_out, a.priority): a.allocation for a in want.atoms}
@@ -397,7 +440,7 @@ def test_exact_meps_cap_counts_atoms(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated past the cap")
 
-    monkeypatch.setattr(mechanisms, "held_out_outcomes", refuse)
+    monkeypatch.setattr(mechanisms, "held_out_lists", refuse)
     # 5 agents: 9 items make 9,720 atoms, 10 items 12,000
     assert 9 * 9 * 120 <= MEPS_EXACT_MAX_ATOMS < 10 * 10 * 120
     with pytest.raises(CapabilityError):
