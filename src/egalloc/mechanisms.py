@@ -25,6 +25,9 @@ exactly 1/m^2, as `tests/meps_reference.py` derives; the tests check
 order sigma and M^X on X under reverse(sigma).
 Requires eps < 1/(n*m^3), which makes the guaranteed held-out gain of a
 truthful report outweigh any eps-scale composition gains from lying.
+That bound is sufficient, not exact: the tests pin the exact threshold
+eps* at small sizes (5/4 at n=2, m=3, against the bound's 1/54), from
+`truthfulness_threshold` in `tests/meps_reference.py`.
 `run_meps` returns the exact distribution; `sample_meps` draws one outcome.
 
 Exact distributions set each report up once and solve PE per order; a
@@ -88,9 +91,9 @@ RPE_EXACT_MAX_AGENTS = 6
 #: items (103,680 atoms) took 22 s and 63 MB of output.  It admits up to 20
 #: items for 4 agents, 9 for 5 and 3 for 6.  Sizes that must stay under it:
 #: acceptance criterion 10 up to 3/2 (24 atoms) and 2/4 (32);
-#: scripts/meps_margin_scan.py, 2/3 (18); the benchmark's exact pools, 4/8
-#: (1,536) and 3/5 (150 per fuzz candidate); the per-atom reference test,
-#: n <= 4 and m <= 6 (864).
+#: scripts/meps_margin_scan.py, up to 3/3 (54); the benchmark's exact
+#: pools, 4/8 (1,536) and 3/5 (150 per fuzz candidate); the per-atom
+#: reference test, n <= 4 and m <= 6 (864).
 MEPS_EXACT_MAX_ATOMS = 10_000
 
 #: 8! = 40,320 orders alone pass MEPS_EXACT_MAX_ATOMS, so exact

@@ -9,18 +9,25 @@ weight·f_v(A_v) atom by atom in `Fraction` arithmetic through `evaluate`.
 None shares the program's held-out lists, its memo of PE halves, its M^X
 grant loop or its grouping by weight, so agreement with `run_meps`,
 `sample_meps` and `expected_utilities` is a differential check.
+
+`truthfulness_threshold` measures `run_meps`: the exact ε up to which a
+truthful demand report is weakly best in expectation.  Its independent
+check is the worst truthfulness margin over a grid of values in
+{0, 1, 1+ε}, computed from `reference_run_meps`'s atoms, which crosses
+zero at that ε.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
 
 from egalloc.errors import ValidationError
 from egalloc.lorenz import compute_lorenz_dominating
 from egalloc.matroid import FreeOver, ItemSet
+from egalloc.mechanisms import run_meps
 from egalloc.model import Allocation, Atom, OutcomeDistribution
 from egalloc.valuation import ValuationSpec, evaluate
 
@@ -104,3 +111,40 @@ def reference_expected_utilities(
             assert type(value) is Fraction
             totals[v] += atom.weight * value
     return tuple(totals)
+
+
+def truthfulness_threshold(n: int, m: int):
+    """The held-out mechanism's exact truthfulness threshold ε*(n, m), with
+    the case attaining it, as (ε*, D, R, others); None if no case has S > 0.
+
+    The allocation depends only on the reported demand sets, so agent 0's
+    chance p(a) of getting item a depends on neither ε nor the values: p_T
+    under its truthful demand D, p_R under a report R.  With value
+    1 + t_a·ε (t_a in [0, 1]) on each a in D, reporting D over R gains
+    A + ε·Σ_{a∈D} t_a·(p_T(a) − p_R(a)), with the gain
+    A = Σ_{a∈D} (p_T(a) − p_R(a)).  The worst valuation sets t_a = 1
+    exactly where p_R(a) > p_T(a), leaving A − ε·S, with the exposure
+    S = Σ_{a∈D} max(0, p_R(a) − p_T(a)).  So truth is weakly best
+    for every ε-leveled valuation exactly when ε ≤ min A/S over every D,
+    every R with S > 0 and every multiset of the others' demands (the
+    mechanism treats agents symmetrically).  A < 0 would break the
+    dichotomous guarantee, and A = 0 < S would leave no ε > 0: both assert.
+    """
+    subsets = [frozenset(c) for k in range(m + 1) for c in combinations(range(m), k)]
+    best = None
+    for others in combinations_with_replacement(subsets, n - 1):
+        chance = {}
+        for report in subsets:
+            atoms = run_meps([report, *others], m, 0).atoms
+            chance[report] = [
+                sum(atom.weight for atom in atoms if a in atom.allocation.bundles[0])
+                for a in range(m)
+            ]
+        for truth in subsets:
+            for lie in subsets:
+                diffs = [chance[truth][a] - chance[lie][a] for a in truth]
+                gain, exposure = sum(diffs), -sum(d for d in diffs if d < 0)
+                assert gain >= 0 and not (gain == 0 < exposure), (truth, lie, others)
+                if exposure and (best is None or gain / exposure < best[0]):
+                    best = (gain / exposure, truth, lie, others)
+    return best

@@ -1,7 +1,8 @@
 import math
 import random
+from operator import mul
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -33,7 +34,12 @@ from egalloc.lorenz import prepare_supports, solve_prepared
 from egalloc.model import Allocation, Atom, OutcomeDistribution
 from egalloc.valuation import AdditiveDichotomous, MatroidValuation, XosFamily
 from meps_reference import _mx_grants as reference_mx_grants
-from meps_reference import held_out_outcomes, reference_expected_utilities, reference_run_meps
+from meps_reference import (
+    held_out_outcomes,
+    reference_expected_utilities,
+    reference_run_meps,
+    truthfulness_threshold,
+)
 
 F = frozenset
 
@@ -432,6 +438,43 @@ def test_meps_exact_matches_per_atom_reference(monkeypatch):
             alloc, held_out, sigma = sample_meps(demands, m, 0, seed=seed)
             assert alloc == by_trace[(held_out, sigma)]
     assert undemanded >= 10
+
+
+def test_held_out_truthfulness_threshold_is_exact():
+    # ε* = min A/S over every case (see `truthfulness_threshold`), pinned
+    # where it takes under a second; the paper's 1/(n·m³) is sufficient
+    pinned = {(2, 2): Fraction(3), (2, 3): Fraction(5, 4), (3, 3): Fraction(5, 4),
+              (2, 4): Fraction(1, 3)}
+    got = {(n, m): (truthfulness_threshold(n, m) or [None])[0] for n, m in pinned}
+    assert got == pinned
+    assert all(eps_star > Fraction(1, n * m**3) for (n, m), eps_star in pinned.items())
+    # independent route at n=2, m=3: agent 0's chance of each item from
+    # `reference_run_meps`, and the worst truthful margin over contested
+    # profiles with values in {0, 1, 1+ε}, which holds t_a = 0 and 1; it
+    # crosses zero at ε* = 5/4
+    m = 3
+    subsets = [F(c) for k in range(m + 1) for c in combinations(range(m), k)]
+    chance = {}
+    for report, other in product(subsets, repeat=2):
+        atoms = reference_run_meps([report, other], m).atoms
+        chance[report, other] = [
+            sum(atom.weight for atom in atoms if a in atom.allocation.bundles[0])
+            for a in range(m)
+        ]
+
+    def worst_margin(eps):
+        margins = []
+        for values in product((0, 1, 1 + eps), repeat=m):
+            truth = F(a for a in range(m) if values[a])
+            for other in subsets:
+                if truth & other:
+                    utility = {r: sum(map(mul, values, chance[r, other])) for r in subsets}
+                    margins.append(utility[truth] - max(u for r, u in utility.items() if r != truth))
+        return min(margins)
+
+    grid = {Fraction(1, 60): Fraction(1, 9), Fraction(6, 5): Fraction(1, 90),
+            Fraction(5, 4): 0, Fraction(13, 10): Fraction(-1, 90)}
+    assert {eps: worst_margin(eps) for eps in grid} == grid
 
 
 def test_exact_meps_cap_counts_atoms(monkeypatch):

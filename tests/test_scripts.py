@@ -1,10 +1,13 @@
-"""Smoke tests: each experiment script runs at a small size in a subprocess."""
+"""Smoke tests: each experiment script runs at a small size in a subprocess;
+and every committed benchmark record is whole."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args):
@@ -17,10 +20,27 @@ def run_script(name, *args):
 
 
 def test_meps_margin_scan_smoke():
-    proc = run_script("meps_margin_scan.py", "--denominators", "60")
+    proc = run_script("meps_margin_scan.py")
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
-    assert ["1/60", "True", "1/9"] in rows
+    rows = [line.split()[:4] for line in proc.stdout.splitlines()[1:]]
+    assert rows == [
+        ["2", "2", "3", "1/16"],
+        ["2", "3", "5/4", "1/54"],
+        ["3", "3", "5/4", "1/81"],
+        ["2", "4", "1/3", "1/128"],
+    ]
+
+
+def test_committed_bench_records_are_whole():
+    # a root BENCH_<label>.json holds the last stdout line of
+    # `bench/run.py --workload all` and the commit, Python, seed and
+    # --seconds it ran with
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text())
+        assert {"commit", "python", "seed", "seconds"} <= doc.keys(), path.name
+        assert doc["correct"] is True and doc["failed"] == 0, path.name
 
 
 def test_output_digest_smoke():
