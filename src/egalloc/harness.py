@@ -7,7 +7,8 @@ and fails loudly on any drift.  `fuzz_truthfulness` enumerates deviation
 spaces against a chosen mechanism and reports the most profitable
 deviation, if any, with one tally: PE is the one-order case of RPE's walk,
 candidates are compared on native sums divided once, and each report is
-set up once per call.
+set up once per call, under every mechanism.  The size gate and the
+checked solve it walks with are `mechanisms`' own.
 """
 
 from __future__ import annotations
@@ -17,20 +18,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .audit import check_envy, maximin_share
 from .errors import CapabilityError, ValidationError
-from .lorenz import enumerate_optimal, potential, prepare_supports, solve_prepared
-from .matroid import FreeOver, ItemSet, Partition, Restricted, Truncated
-from .model import Allocation, Instance, check_bundles
+from .lorenz import enumerate_optimal, potential, prepare_supports
+from .matroid import FreeOver, ItemSet, MatroidSpec, Partition, Restricted, Truncated
+from .model import Allocation, Instance
 from .mechanisms import (
-    MEPS_EXACT_MAX_AGENTS,
-    MEPS_EXACT_MAX_ATOMS,
-    RPE_EXACT_MAX_AGENTS,
     _check_meps_inputs,
     _checked_demand,
-    _exact_orders,
+    _checked_solve,
+    _exact_size,
     _merged_bundle,
     _meps_outcomes,
     floor_reports,
@@ -130,11 +129,13 @@ def fuzz_truthfulness(
     type, over the deviator's distinct bundles B in the realizations it
     walks: the one order of 'pe', the n! of `run_rpe` or the m^2·n! of
     `run_meps`; only the two utilities reported are divided, into Fractions.
-    Every solve's bundles pass `model.check_bundles`, and only the
-    deviator's bundle is frozen.
-    Past MEPS_EXACT_MAX_ATOMS realizations ('rpe', 'meps'),
-    RPE_EXACT_MAX_AGENTS agents ('rpe'), MEPS_EXACT_MAX_AGENTS agents
-    ('meps') or PE_FUZZ_MAX_SIZE agents and items over all solves ('pe'),
+    The other n−1 reports are set up once per call (sanitized for 'pe' and
+    'rpe', `FreeOver` of the checked demands for 'meps') and each
+    candidate once, spliced in at the deviator's index.  Every solve is
+    `mechanisms._checked_solve`, and only the deviator's bundle is frozen,
+    or merged with its grants once per distinct pair.
+    Past the exact walks' size gate, `mechanisms._exact_size` ('rpe',
+    'meps'), or PE_FUZZ_MAX_SIZE agents and items over all solves ('pe'),
     CapabilityError before any solve.
     """
     n, m = instance.n, instance.m
@@ -143,59 +144,48 @@ def fuzz_truthfulness(
     truth = instance.valuations[deviator]
     value = value_functions(truth)[0]
 
-    if mechanism in ("pe", "rpe"):  # each report is sanitized and set up once
+    if mechanism in ("pe", "rpe"):
         others = floor_reports(instance.valuations)
         del others[deviator]
-        other_matroids = sanitize_reports(others, m)
-        other_supports = prepare_supports(other_matroids, m)
+        others = sanitize_reports(others, m)
 
-        def bundles(report: ValuationSpec) -> Iterator[ItemSet]:
-            mine = sanitize_reports([report], m)
-            matroids = other_matroids[:deviator] + mine + other_matroids[deviator:]
-            supports = other_supports[:deviator] + prepare_supports(mine, m) + other_supports[deviator:]
-            orders = [instance.priority_or_default()] if mechanism == "pe" else permutations(range(n))
-            for sigma in orders:
-                pe = solve_prepared(matroids, supports, sigma)
-                check_bundles(pe, m)
-                yield frozenset(pe[deviator])
+        def set_up(report: ValuationSpec) -> MatroidSpec:
+            return sanitize_reports([report], m)[0]
 
     elif mechanism == "meps":
-        # ε and the demands are checked before the size cap below, as in run_meps
-        base_demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
+        # ε and the demands are checked before the size gate below, as in run_meps
+        demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
+        others = [FreeOver(d) for v, d in enumerate(demands) if v != deviator]
 
-        def bundles(report: ValuationSpec) -> Iterator[ItemSet]:
+        def set_up(report: ValuationSpec) -> MatroidSpec:
             if not isinstance(report, AdditiveDichotomous):
                 raise ValidationError("held-out mechanism reports are demand sets")
-            demands = list(base_demands)
-            demands[deviator] = _checked_demand(report.demand, m)
-            merged = functools.cache(lambda bundle, grants: _merged_bundle(bundle, grants, deviator))
-            walk = _meps_outcomes(demands, m, held_out_lists(m), permutations(range(n)))
-            return (merged(pe[deviator], grants) for _, _, pe, grants in walk)
+            return FreeOver(_checked_demand(report.demand, m))
 
     else:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
+    other_supports = prepare_supports(others, m)
+    merged = functools.cache(lambda bundle, grants: _merged_bundle(bundle, grants, deviator))
 
     def score(report: ValuationSpec):
-        return sum(c * value(b) for b, c in Counter(bundles(report)).items())
+        mine = set_up(report)
+        matroids = others[:deviator] + [mine] + others[deviator:]
+        supports = other_supports[:deviator] + prepare_supports([mine], m) + other_supports[deviator:]
+        if mechanism == "meps":
+            walk = _meps_outcomes(matroids, supports, m, held_out_lists(m), permutations(range(n)))
+            bundles = (merged(pe[deviator], grants) for _, _, pe, grants in walk)
+        else:
+            orders = [instance.priority_or_default()] if mechanism == "pe" else permutations(range(n))
+            bundles = (frozenset(_checked_solve(matroids, supports, s, m)[deviator]) for s in orders)
+        return sum(c * value(b) for b, c in Counter(bundles).items())
 
     reports = space(instance, deviator)
     solves = len(reports) + 1
-    if mechanism == "pe":
-        realizations = 1
-    elif mechanism == "rpe":
-        realizations = _exact_orders(n, RPE_EXACT_MAX_AGENTS)
-    else:
-        realizations = m * m * _exact_orders(n, MEPS_EXACT_MAX_AGENTS)
+    realizations = _exact_size(mechanism, n, m, copies=solves)
     if mechanism == "pe" and solves * (n + m) > PE_FUZZ_MAX_SIZE:
         raise CapabilityError(
             f"fuzzing pe runs {solves} PE solves over {n + m} agents and items each "
             f"({solves * (n + m)} in all); the cap is {PE_FUZZ_MAX_SIZE}"
-        )
-    if mechanism != "pe" and solves * realizations > MEPS_EXACT_MAX_ATOMS:
-        # the message counts realizations as the atoms of exact distributions
-        raise CapabilityError(
-            f"fuzzing {mechanism} builds {solves} exact distributions of {realizations} "
-            f"atoms ({solves * realizations} in all); the cap is {MEPS_EXACT_MAX_ATOMS}"
         )
     truthful_score = best_score = score(floor_reports([truth])[0])
     best_report = None

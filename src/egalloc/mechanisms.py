@@ -33,15 +33,17 @@ eps* at small sizes (5/4 at n=2, m=3, against the bound's 1/54), from
 Exact distributions set each report up once and solve PE per order; a
 held-out PE half runs on the reports' `FreeOver(d)` with supports clipped
 to M∖X, which is PE on M∖X, as the engine asks only about support items.
-`run_rpe` calls the engine, `lorenz.solve_prepared`, once per order, and
-the walk `_meps_outcomes` once per PE half; every solve's bundles pass
-`model.check_bundles` once and are frozen.  A walk then builds each
-distinct value once: equal PE halves are one object, each distinct
-(PE half, grants) is merged once, and each distinct allocation is one
-`Allocation` (which checks it when built) shared by its atoms.
+Every exact walk is sized by one gate, `_exact_size`, before its first
+solve, and solves through `_checked_solve`: the engine,
+`lorenz.solve_prepared`, and then `model.check_bundles` on its bundles.
+`run_rpe` solves once per order and the walk `_meps_outcomes` once per PE
+half, each freezing the bundles.  A walk then builds each distinct value
+once: equal PE halves are one object, each distinct (PE half, grants) is
+merged once, and each distinct allocation is one `Allocation` (which
+checks it when built) shared by its atoms.
 `harness.fuzz_truthfulness` tallies one agent's bundles along the same
-walks (PE is the one-order case of RPE's loop over the orders); it checks
-each order's bundles and freezes, or merges, only that agent's bundle.
+walks (PE is the one-order case of RPE's loop over the orders), through
+the same gate and solve; it freezes, or merges, only that agent's bundle.
 
 Caller-supplied items pass the one id rule, `matroid._freeze` and
 `matroid.check_universe`: in `sanitize_reports`, `run_mx` and each
@@ -138,34 +140,45 @@ def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
     raises CapabilityError past RPE_EXACT_MAX_AGENTS agents.
     """
     matroids = sanitize_reports(reports, m)
-    weight = Fraction(1, _exact_orders(len(matroids), RPE_EXACT_MAX_AGENTS))
+    weight = Fraction(1, _exact_size("rpe", len(matroids), m))
     supports = prepare_supports(matroids, m)
     allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value
-    return OutcomeDistribution(
-        tuple(
-            Atom(weight, allocation(_frozen_solve(matroids, supports, sigma, m)), sigma)
-            for sigma in permutations(range(len(matroids)))
-        )
-    )
+    atoms = []
+    for sigma in permutations(range(len(matroids))):
+        bundles = _checked_solve(matroids, supports, sigma, m)
+        atoms.append(Atom(weight, allocation(tuple(map(frozenset, bundles))), sigma))
+    return OutcomeDistribution(tuple(atoms))
 
 
-def _frozen_solve(reports, supports, sigma: PriorityOrder, m: int) -> tuple[ItemSet, ...]:
-    """`solve_prepared`'s bundles once they pass `check_bundles`, frozen."""
+def _checked_solve(reports, supports, sigma: PriorityOrder, m: int) -> list[set[int]]:
+    """`solve_prepared`'s bundles, once they pass `check_bundles`."""
     bundles = solve_prepared(reports, supports, sigma)
     check_bundles(bundles, m)
-    return tuple(map(frozenset, bundles))
+    return bundles
 
 
-def _exact_orders(n: int, max_agents: int) -> int:
-    """n!, the priority orders of an exact walk over n agents; past
-    `max_agents` agents, CapabilityError before n! is computed."""
+def _exact_size(mechanism: str, n: int, m: int, copies: int = 1) -> int:
+    """The realizations of one exact walk of `mechanism` over n agents and
+    m items: one order for 'pe', n! orders for 'rpe', m^2·n! (X, sigma)
+    outcomes for 'meps'.  CapabilityError past the agent cap of 'rpe' or
+    'meps', before n! is computed, and then past MEPS_EXACT_MAX_ATOMS atoms
+    over `copies` walks (one per fuzz candidate)."""
+    if mechanism == "pe":
+        return 1
+    max_agents = RPE_EXACT_MAX_AGENTS if mechanism == "rpe" else MEPS_EXACT_MAX_AGENTS
     if n > max_agents:
         raise CapabilityError(f"exact mode enumerates n! priority orders; n={n} exceeds {max_agents}")
-    return math.factorial(n)
+    size = math.factorial(n) * (m * m if mechanism == "meps" else 1)
+    if copies * size > MEPS_EXACT_MAX_ATOMS:
+        raise CapabilityError(
+            f"exact {mechanism} builds {copies} distribution(s) of {size} atoms for n={n}, "
+            f"m={m} ({copies * size} in all); the cap is {MEPS_EXACT_MAX_ATOMS}"
+        )
+    return size
 
 
 def sample_rpe(
-    reports: Sequence[ValuationSpec], m: int, seed: int | None = None
+    reports: Sequence[ValuationSpec], m: int, seed: int
 ) -> tuple[Allocation, PriorityOrder]:
     """One seeded draw of the random-priority mechanism, with its trace."""
     rng = random.Random(seed)
@@ -261,31 +274,33 @@ def _checked_demand(demand, m: int) -> ItemSet:
     return demand
 
 
-def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> Iterator[tuple]:
+def _meps_outcomes(
+    reports, supports, m: int, held_outs: Sequence, orders: Iterable
+) -> Iterator[tuple]:
     """(sigma, X, PE half, M^X grants) for every realization, the priority
-    orders `orders` outside and the held-out lists `held_outs` inside.  A
-    PE half is a tuple of frozensets that passed `check_bundles` when it was
-    solved, equal halves one object for the walk; grants are `_mx_grants`'.
+    orders `orders` outside and the held-out lists `held_outs` inside.  The
+    demand reports come set up, as the engine takes them: `FreeOver(d)` and
+    its `prepare_supports` list d, clipped to the universe.  A PE half is a
+    tuple of frozensets that passed `check_bundles` when it was solved,
+    equal halves one object for the walk; grants are `_mx_grants`'.
 
     The PE half, PE on demands∖X under sigma, depends on X only through
     Y = X ∩ ∪demands (d − X = d − Y for each report d), so it is solved once
-    per (sigma, Y): on the reports' own `FreeOver(d)`, set up once, with
-    supports clipped to M∖Y.  A free matroid answers every exchange
-    question alike, so that is PE on the free matroids over d − Y.  Each
-    order's reverse gives the top two demanders of every item of some
-    held-out list, from which M^X grants without `run_mx`'s checks, met by
-    construction: X holds distinct items and sigma is a permutation."""
-    reports = [FreeOver(d) for d in demands]
-    supports = {frozenset(): prepare_supports(reports, m)}
-    demanded_anywhere = frozenset().union(*demands)
+    per (sigma, Y), with supports clipped to M∖Y.  A free matroid answers
+    every exchange question alike, so that is PE on the free matroids over
+    d − Y.  Each order's reverse gives the top two demanders of every item
+    of some held-out list, from which M^X grants without `run_mx`'s checks,
+    met by construction: X holds distinct items and sigma is a permutation."""
+    clipped = {frozenset(): supports}
+    demanded_anywhere = frozenset().union(*supports)
     parts = []
     for held_out in held_outs:
         demanded = demanded_anywhere.intersection(held_out)
-        if demanded not in supports:
-            supports[demanded] = [[a for a in s if a not in demanded] for s in supports[frozenset()]]
+        if demanded not in clipped:
+            clipped[demanded] = [[a for a in s if a not in demanded] for s in supports]
         parts.append((held_out, demanded))
     items = frozenset().union(*held_outs)
-    on_items = [d & items for d in demands]
+    on_items = [items.intersection(s) for s in supports]
     interned: dict[tuple, tuple] = {}
     for sigma in orders:
         tops = _top_two(items, sigma[::-1], on_items)
@@ -293,7 +308,7 @@ def _meps_outcomes(demands, m: int, held_outs: Sequence, orders: Iterable) -> It
         for held_out, demanded in parts:
             pe = pe_halves.get(demanded)
             if pe is None:
-                pe = _frozen_solve(reports, supports[demanded], sigma, m)
+                pe = tuple(map(frozenset, _checked_solve(reports, clipped[demanded], sigma, m)))
                 pe = pe_halves[demanded] = interned.setdefault(pe, pe)
             yield sigma, held_out, pe, _mx_grants(held_out, tops)
 
@@ -328,29 +343,24 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     outside) into a validated `Allocation`, one per distinct value; atom
     h·n! + k is outcome h under order k, so atoms keep outcome-major order.
     """
-    n = len(demands)
-    demands = _check_meps_inputs(demands, m, eps)
-    orders = _exact_orders(n, MEPS_EXACT_MAX_AGENTS)
-    size = m * m * orders
-    if size > MEPS_EXACT_MAX_ATOMS:
-        raise CapabilityError(
-            f"exact mode enumerates m^2 * n! = {size} atoms for n={n}, m={m}; "
-            f"the cap is {MEPS_EXACT_MAX_ATOMS}"
-        )
+    reports = [FreeOver(d) for d in _check_meps_inputs(demands, m, eps)]
+    size = _exact_size("meps", len(reports), m)
     held_outs = held_out_lists(m)
+    orders = size // len(held_outs)
     weight = Fraction(1, size)
     atoms: list[Atom | None] = [None] * size
     allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value
     merged = functools.cache(lambda pe, grants: allocation(_merged(pe, grants)))
-    realizations = _meps_outcomes(demands, m, held_outs, permutations(range(n)))
-    for i, (sigma, held_out, pe, grants) in enumerate(realizations):
+    supports = prepare_supports(reports, m)
+    walk = _meps_outcomes(reports, supports, m, held_outs, permutations(range(len(reports))))
+    for i, (sigma, held_out, pe, grants) in enumerate(walk):
         k, h = divmod(i, len(held_outs))
         atoms[h * orders + k] = Atom(weight, merged(pe, grants), sigma, held_out)
     return OutcomeDistribution(tuple(atoms))
 
 
 def sample_meps(
-    demands: Sequence[ItemSet], m: int, eps, seed: int | None = None
+    demands: Sequence[ItemSet], m: int, eps, seed: int
 ) -> tuple[Allocation, tuple[int, ...], PriorityOrder]:
     """One seeded draw of the held-out mechanism, with its (X, sigma) trace.
 
@@ -358,7 +368,7 @@ def sample_meps(
     item, then the priority shuffle; identical seeds give identical traces.
     The two halves come from `_meps_outcomes`, as in `run_meps`.
     """
-    demands = _check_meps_inputs(demands, m, eps)
+    reports = [FreeOver(d) for d in _check_meps_inputs(demands, m, eps)]
     rng = random.Random(seed)
     x = rng.randrange(m)
     if rng.randrange(m) > 0:  # probability (m-1)/m; never fires at m = 1
@@ -368,42 +378,26 @@ def sample_meps(
         held_out: tuple[int, ...] = (x, y)
     else:
         held_out = (x,)
-    order = list(range(len(demands)))
+    order = list(range(len(reports)))
     rng.shuffle(order)
     sigma = tuple(order)
-    ((_, _, pe, grants),) = _meps_outcomes(demands, m, [held_out], [sigma])
+    supports = prepare_supports(reports, m)
+    ((_, _, pe, grants),) = _meps_outcomes(reports, supports, m, [held_out], [sigma])
     return Allocation(_merged(pe, grants), m), held_out, sigma
 
 
 def expected_utilities(
     dist: OutcomeDistribution, valuations: Sequence[ValuationSpec]
 ) -> tuple[Fraction, ...]:
-    """Exact per-agent expectation of the true valuations over the atoms.
-
-    Each agent's values f_v(A_v) are summed per distinct atom weight in the
-    valuation's native type (`valuation.value_functions`: `Fraction` sums
-    of item values for ε-leveled valuations, ints for every other tag), and
-    each sum is multiplied by its weight once.
-    Σ_w w·Σ_{weight(a)=w} f_v(A_v) is the same rational as the per-atom sum
-    Σ_a weight(a)·f_v(A_v), so the result does not change; exact
-    distributions have one or a few distinct weights.
-    """
-    n = len(valuations)
+    """Exact per-agent expectation Σ_a weight(a)·f_v(A_v) of the true
+    valuations over the atoms, each f_v in its native type
+    (`valuation.value_functions`)."""
     # every bundle was checked against its universe by Allocation
     values = [value_functions(spec)[0] for spec in valuations]
-    sums_by_weight: dict[Fraction, list] = {}
-    for atom in dist.atoms:
-        sums = sums_by_weight.get(atom.weight)
-        if sums is None:
-            sums = sums_by_weight[atom.weight] = [0] * n
-        bundles = atom.allocation.bundles
-        for v in range(n):
-            sums[v] += values[v](bundles[v])
-    totals = [Fraction(0)] * n
-    for weight, sums in sums_by_weight.items():
-        for v in range(n):
-            totals[v] += weight * sums[v]
-    return tuple(totals)
+    return tuple(
+        sum((atom.weight * value(atom.allocation.bundles[v]) for atom in dist.atoms), Fraction(0))
+        for v, value in enumerate(values)
+    )
 
 
 def floor_reports(instance_valuations: Sequence[ValuationSpec]) -> list[ValuationSpec]:

@@ -7,8 +7,9 @@ outcomes outside and priority orders inside, each atom weighing its
 derived probability over n!.  `reference_expected_utilities` sums
 weight·f_v(A_v) atom by atom in `Fraction` arithmetic through `evaluate`.
 None shares the program's held-out lists, its memo of PE halves, its M^X
-grant loop or its grouping by weight, so agreement with `run_meps`,
-`sample_meps` and `expected_utilities` is a differential check.
+grant loop or its native-type value tables (`value_functions`), so
+agreement with `run_meps`, `sample_meps` and `expected_utilities` is a
+differential check.
 
 `truthfulness_threshold` measures `run_meps`: the exact ε up to which a
 truthful demand report is weakly best in expectation.  Its independent

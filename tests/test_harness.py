@@ -344,8 +344,10 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
             demands = meps_demands(inst.valuations)
             demands[deviator] = report.demand
             solves.clear()
+            reports = [FreeOver(d) for d in demands]
+            supports = prepare_supports(reports, m)
             monkeypatch.setattr(mechanisms, "solve_prepared", counting)
-            walk = _meps_outcomes(demands, m, held_outs, permutations(range(n)))
+            walk = _meps_outcomes(reports, supports, m, held_outs, permutations(range(n)))
             got = _walk_value(
                 (_merged_bundle(pe[deviator], grants, deviator) for _, _, pe, grants in walk),
                 value,
@@ -380,8 +382,8 @@ def test_merged_bundle_refuses_an_item_in_both_halves():
 
 def test_check_bundles_runs_once_per_engine_solve(monkeypatch):
     # exact walks share equal outcomes, yet every bundle list the engine
-    # returns still passes the partition check itself, exactly once
-    import egalloc.harness as harness
+    # returns still passes the partition check itself, exactly once; the
+    # fuzzer solves through `mechanisms`, so patching it covers every route
     import egalloc.mechanisms as mechanisms
 
     solved, checked = [], Counter()
@@ -396,9 +398,8 @@ def test_check_bundles_runs_once_per_engine_solve(monkeypatch):
         checked[id(bundles)] += 1
         return original_check(bundles, m)
 
-    for module in (mechanisms, harness):
-        monkeypatch.setattr(module, "solve_prepared", solving)
-        monkeypatch.setattr(module, "check_bundles", checking)
+    monkeypatch.setattr(mechanisms, "solve_prepared", solving)
+    monkeypatch.setattr(mechanisms, "check_bundles", checking)
     demands = [F({0, 1, 2}), F({1, 2}), F(), F({0, 3})]
     inst = additive_instance(demands)
     m = inst.m
@@ -431,7 +432,6 @@ def test_check_bundles_runs_once_per_engine_solve(monkeypatch):
 def test_every_route_checks_the_engines_bundles(monkeypatch, corrupt, message):
     # the engine's bundles are checked once per solve, by `check_bundles` or
     # by the `Allocation` that wraps them: a broken engine cannot go unseen
-    import egalloc.harness as harness
     import egalloc.lorenz as lorenz
     import egalloc.mechanisms as mechanisms
 
@@ -443,7 +443,7 @@ def test_every_route_checks_the_engines_bundles(monkeypatch, corrupt, message):
     def broken(reports, supports, sigma):
         return corrupt(original(reports, supports, sigma), m)
 
-    for module in (lorenz, mechanisms, harness):
+    for module in (lorenz, mechanisms):
         monkeypatch.setattr(module, "solve_prepared", broken)
     routes = {
         "compute_lorenz_dominating": lambda: lorenz.compute_lorenz_dominating(
@@ -490,3 +490,14 @@ def test_fuzz_pe_sets_up_the_other_reports_once(monkeypatch):
         # sanitize_reports' universe check and the set-up ask once each: the
         # other agents' reports in all, and each of the 2^m candidates and the truth
         assert sorted(calls.values()) == [2] * (inst.n - 1 + 2**inst.m + 1), mechanism
+
+
+def test_fuzz_meps_sets_up_each_report_once(monkeypatch):
+    # meps shares pe's set-up: the other agents' `FreeOver` reports are built
+    # once per call, not once per candidate, and each is set up once
+    inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
+    calls = count_free_supports(monkeypatch)
+    result = fuzz_truthfulness("meps", inst, 1, all_demand_subsets)
+    assert result.truthful
+    # the other agents' reports, each of the 2^m candidates and the truth
+    assert sorted(calls.values()) == [1] * (inst.n - 1 + 2**inst.m + 1)

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from conftest import (
 from egalloc import lorenz
 from egalloc.audit import check_envy, maximin_share
 from egalloc.errors import CapabilityError, ValidationError
+from egalloc.io import instance_document
 from egalloc.lorenz import (
     additive_balanced,
     compute_lorenz_dominating,
@@ -93,6 +97,33 @@ def test_engine_matches_descent_beyond_enumeration_caps():
         assert all(b <= d for b, d in zip(fast.bundles, demands))
         reference = descent_lorenz([FreeOver(d) for d in demands], m, sigma)
         assert fast.profile() == reference.profile()
+    assert tags_seen == set(MATROID_TAGS)
+
+
+def _bench_checker():
+    """`bench/check.py`, imported from its file (it is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "check.py"
+    spec = importlib.util.spec_from_file_location("bench_check", path)
+    module = sys.modules["bench_check"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_engine_welfare_matches_the_bench_checker_past_the_enumeration_caps():
+    # PE's allocation has maximum welfare.  bench/check.py computes that
+    # maximum on its own (matroid partitioning over its own independence
+    # tests, read from the instance document), so the two agree at sizes
+    # no enumeration reaches, over every matroid tag.
+    check = _bench_checker()
+    rng = random.Random(2727)
+    sizes = [(rng.randint(1, 12), rng.randint(1, 36)) for _ in range(200)] + [(50, 300)] * 10
+    tags_seen = set()
+    for n, m in sizes:
+        tags = [rng.choice(MATROID_TAGS) for _ in range(n)]
+        tags_seen.update(tags)
+        inst = matroid_instance([rand_matroid_of_tag(rng, tag, m) for tag in tags], m)
+        welfare = check.max_welfare(check.Reports.read(instance_document(inst)))
+        assert run_pe(inst.valuations, m).total_items() == welfare, (n, m, tags)
     assert tags_seen == set(MATROID_TAGS)
 
 

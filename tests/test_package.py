@@ -1,6 +1,10 @@
+import ast
 import types
+from pathlib import Path
 
 import egalloc
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "egalloc"
 
 
 def test_star_import_exports_no_module():
@@ -40,3 +44,20 @@ def test_deleted_oracles_are_gone():
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
         assert [name for name in names if name in egalloc.__all__] == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports to re-export; every other module imports to use
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        assert sorted(imported - used) == [], path.name
