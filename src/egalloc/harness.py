@@ -7,8 +7,11 @@ and fails loudly on any drift.  `fuzz_truthfulness` enumerates deviation
 spaces against a chosen mechanism and reports the most profitable
 deviation, if any, with one tally: PE is the one-order case of RPE's walk,
 candidates are compared on native sums divided once, and each report is
-set up once per call, under every mechanism.  The size gate and the
-checked solve it walks with are `mechanisms`' own.
+set up once per call, under every mechanism.  A candidate is walked only
+when its support bound (realizations times the true value of its whole
+support) beats the best score so far; the bound is exact, as the
+deviator's bundles never leave its reported support.  The size gate and
+the checked solve it walks with are `mechanisms`' own.
 """
 
 from __future__ import annotations
@@ -134,6 +137,19 @@ def fuzz_truthfulness(
     candidate once, spliced in at the deviator's index.  Every solve is
     `mechanisms._checked_solve`, and only the deviator's bundle is frozen,
     or merged with its grants once per distinct pair.
+
+    The search is branch and bound: a candidate whose cap
+    `realizations · f(S)`, S its prepared support list, is at most the best
+    score so far (the truth's, raised by each strictly better candidate) is
+    set up but not walked.  The cap is exact, so the result is the same:
+    (a) the engine adds items only from the support lists it is given (the
+    direct take and every path step iterate them, and the held-out PE
+    halves' clipped lists are sublists); (b) M^X grants a held-out item
+    only to an agent that demands it (`_top_two` reads the same lists); and
+    (c) every `value_functions` value is non-decreasing.  So each of the
+    deviator's bundles lies in S and scores at most f(S), the candidate at
+    most its cap, and since only a strictly higher score replaces the best,
+    a skipped candidate could never have been chosen.
     Past the exact walks' size gate, `mechanisms._exact_size` ('rpe',
     'meps'), or PE_FUZZ_MAX_SIZE agents and items over all solves ('pe'),
     CapabilityError before any solve.
@@ -167,10 +183,9 @@ def fuzz_truthfulness(
     other_supports = prepare_supports(others, m)
     merged = functools.cache(lambda bundle, grants: _merged_bundle(bundle, grants, deviator))
 
-    def score(report: ValuationSpec):
-        mine = set_up(report)
+    def score(mine: MatroidSpec, prepared: list[list[int]]):
         matroids = others[:deviator] + [mine] + others[deviator:]
-        supports = other_supports[:deviator] + prepare_supports([mine], m) + other_supports[deviator:]
+        supports = other_supports[:deviator] + prepared + other_supports[deviator:]
         if mechanism == "meps":
             walk = _meps_outcomes(matroids, supports, m, held_out_lists(m), permutations(range(n)))
             bundles = (merged(pe[deviator], grants) for _, _, pe, grants in walk)
@@ -187,10 +202,15 @@ def fuzz_truthfulness(
             f"fuzzing pe runs {solves} PE solves over {n + m} agents and items each "
             f"({solves * (n + m)} in all); the cap is {PE_FUZZ_MAX_SIZE}"
         )
-    truthful_score = best_score = score(floor_reports([truth])[0])
+    mine = set_up(floor_reports([truth])[0])
+    truthful_score = best_score = score(mine, prepare_supports([mine], m))
     best_report = None
     for report in reports:
-        got = score(report)
+        mine = set_up(report)
+        prepared = prepare_supports([mine], m)
+        if realizations * value(frozenset(prepared[0])) <= best_score:
+            continue  # cannot beat best_score: every bundle lies in prepared[0]
+        got = score(mine, prepared)
         if got > best_score:
             best_score, best_report = got, report
     return FuzzResult(

@@ -25,7 +25,7 @@ from egalloc.harness import (
     run_fixture,
 )
 from egalloc.lorenz import prepare_supports, solve_prepared
-from egalloc.matroid import FreeOver, Uniform
+from egalloc.matroid import FreeOver, Partition, Uniform
 from egalloc.mechanisms import (
     _merged,
     _merged_bundle,
@@ -501,3 +501,160 @@ def test_fuzz_meps_sets_up_each_report_once(monkeypatch):
     assert result.truthful
     # the other agents' reports, each of the 2^m candidates and the truth
     assert sorted(calls.values()) == [1] * (inst.n - 1 + 2**inst.m + 1)
+
+
+def test_fuzz_walks_only_the_candidates_whose_bound_beats_the_best(monkeypatch):
+    # the instance of the two set-up tests above; the truth is T = {1, 2, 3}
+    import egalloc.harness as harness
+    import egalloc.mechanisms as mechanisms
+
+    inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
+    solves, walks = [], []
+    original_solve, original_walk = mechanisms.solve_prepared, harness._meps_outcomes
+
+    def solving(reports, supports, sigma):
+        solves.append(sigma)
+        return original_solve(reports, supports, sigma)
+
+    def walking(*args):
+        walks.append(args)
+        return original_walk(*args)
+
+    monkeypatch.setattr(mechanisms, "solve_prepared", solving)
+    monkeypatch.setattr(harness, "_meps_outcomes", walking)
+    # A candidate R is bounded by realizations·|R ∩ T|, and the truth scores
+    # realizations times 1 (pe), 1 (rpe) and 241/192 (meps), so each call
+    # walks the truth and the 8 candidates with |R ∩ T| >= 2 (the 4 subsets
+    # of T of two or three items, each with or without item 0) of the 2^4:
+    # 9 of the 17 reports.
+    # pe: 9 walks of the one order, 9 solves.
+    # rpe: 9 walks of 4! = 24 orders, 216 solves.
+    # meps: the others demand every item, so X ∩ ∪demands is X and each of
+    # the 24 orders solves once per distinct held-out set, 4 singletons and
+    # 6 pairs: 9 walks of 240 solves, 2,160.
+    for mechanism, utility, want_solves, want_walks in [
+        ("pe", 1, 9, 0),
+        ("rpe", 1, 216, 0),
+        ("meps", Fraction(241, 192), 2160, 9),
+    ]:
+        solves.clear()
+        walks.clear()
+        result = fuzz_truthfulness(mechanism, inst, 1, all_demand_subsets)
+        assert result.truthful and result.truthful_utility == utility, mechanism
+        assert (len(solves), len(walks)) == (want_solves, want_walks), mechanism
+
+
+def test_the_deviators_bundles_stay_inside_its_support_list():
+    # the premise of the fuzzer's bound: each report's bundle, along every
+    # route the fuzzer walks, is a subset of the support list it was given
+    import egalloc.mechanisms as mechanisms
+
+    rng = random.Random(4242)
+    for k in range(36):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        # pe and rpe: every tag, on the full lists and on lists clipped by a
+        # random item set, as the held-out PE halves clip them
+        reports = [rand_matroid_of_tag(rng, MATROID_TAGS[(k + v) % 6], m) for v in range(n)]
+        full = prepare_supports(reports, m)
+        cut = {a for a in range(m) if rng.random() < 0.4}
+        for lists in (full, [[a for a in s if a not in cut] for s in full]):
+            for sigma in rng.sample(list(permutations(range(n))), min(4, math.factorial(n))):
+                bundles = mechanisms._checked_solve(reports, lists, sigma, m)
+                for v in range(n):
+                    assert bundles[v] <= set(lists[v]), (reports, lists, sigma, v)
+        # meps: the PE half merged with the M^X grants, for every agent
+        demands = [F(a for a in range(m) if rng.random() < 0.5) for _ in range(n)]
+        reports = [FreeOver(d) for d in demands]
+        supports = prepare_supports(reports, m)
+        walk = _meps_outcomes(reports, supports, m, held_out_lists(m), permutations(range(n)))
+        for sigma, held_out, pe, grants in walk:
+            for v in range(n):
+                assert _merged_bundle(pe[v], grants, v) <= set(supports[v]), (demands, held_out)
+
+
+def leveled_four_item_instance() -> Instance:
+    # ε-leveled, ε = 1/4: agent x values a 1, b 9/8, c 1, d 5/4; agent y
+    # values b 9/8, c 1, d 5/4 and not a
+    return Instance(
+        item_names=("a", "b", "c", "d"),
+        agent_names=("x", "y"),
+        valuations=(
+            EpsLeveled({0: 1, 1: Fraction(9, 8), 2: 1, 3: Fraction(5, 4)}),
+            EpsLeveled({1: Fraction(9, 8), 2: 1, 3: Fraction(5, 4)}),
+        ),
+        epsilon=Fraction(1, 4),
+    )
+
+
+def _pair(first, second):
+    return MatroidValuation(Partition(((F(first), 1), (F(second), 1))))
+
+
+@pytest.mark.parametrize(
+    "mechanism, candidates, truthful, best",
+    [
+        # truth 17/8; {a, d} scores 9/4 and {b, d} 19/8, both at their bound;
+        # {b, c, d} ties 19/8 below its bound 27/8; the partition over {b, d}
+        # is bounded by 19/8, above the truth but not above the raised best
+        (
+            "pe",
+            [
+                AdditiveDichotomous(F({0, 3})),
+                AdditiveDichotomous(F({1, 3})),
+                AdditiveDichotomous(F({1, 2, 3})),
+                _pair({1}, {3}),
+            ],
+            Fraction(17, 8),
+            Fraction(19, 8),
+        ),
+        # truth 33/16; {a, b} scores 17/8 and {a, d} 9/4, both at their
+        # bound; the partition ({a, b}, {d}) ties 9/4 below its bound 27/8;
+        # the partition ({a}, {d}) is bounded by 9/4
+        (
+            "rpe",
+            [
+                AdditiveDichotomous(F({0, 1})),
+                AdditiveDichotomous(F({0, 3})),
+                _pair({0, 1}, {3}),
+                _pair({0}, {3}),
+            ],
+            Fraction(33, 16),
+            Fraction(9, 4),
+        ),
+    ],
+)
+def test_fuzz_prunes_against_the_raised_best(mechanism, candidates, truthful, best, monkeypatch):
+    import egalloc.mechanisms as mechanisms
+
+    inst = leveled_four_item_instance()
+    value = value_functions(inst.valuations[0])[0]
+
+    def alone(report):  # (score, bound) of one candidate against the truth
+        result = reference_fuzz_truthfulness(mechanism, inst, 0, lambda i, d: [report])
+        return result.best_utility, value(sanitize_reports([report], inst.m)[0].support())
+
+    weaker, stronger, tie, bounded = map(alone, candidates)
+    assert truthful < weaker[0] == weaker[1] < best == stronger[0] == stronger[1]
+    assert tie[0] == best < tie[1]
+    assert truthful < bounded[1] == best
+
+    def space(instance, deviator):
+        return candidates
+
+    solves = []
+    original = mechanisms.solve_prepared
+
+    def solving(reports, supports, sigma):
+        solves.append(sigma)
+        return original(reports, supports, sigma)
+
+    monkeypatch.setattr(mechanisms, "solve_prepared", solving)
+    got = fuzz_truthfulness(mechanism, inst, 0, space)
+    monkeypatch.setattr(mechanisms, "solve_prepared", original)
+    assert got == reference_fuzz_truthfulness(mechanism, inst, 0, space)
+    assert (got.truthful_utility, got.best_utility) == (truthful, best)
+    assert got.best_report is candidates[1]  # the stronger witness, not the tie after it
+    # the truth, the two witnesses and the tie are walked, over pe's one
+    # order or rpe's two, and the last candidate is not: its bound would
+    # beat the truth, but not the raised best
+    assert len(solves) == {"pe": 4, "rpe": 8}[mechanism]
