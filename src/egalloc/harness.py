@@ -7,30 +7,34 @@ and fails loudly on any drift.  `fuzz_truthfulness` enumerates deviation
 spaces against a chosen mechanism and reports the most profitable
 deviation, if any, with one tally: PE is the one-order case of RPE's walk,
 candidates are compared on native sums divided once, and each report is
-set up once per call, under every mechanism.  A candidate is walked only
-when its support bound (realizations times the true value of its whole
-support) beats the best score so far; the bound is exact, as the
-deviator's bundles never leave its reported support.  The size gate and
-the checked solve it walks with are `mechanisms`' own.
+set up once per call, under every mechanism, its item ids checked once
+(`_freeze` when the report was built, `check_universe` at set-up).  A
+candidate is walked only when its support bound (realizations times the
+true value of its whole support) beats the best score so far, and its
+walk stops after any priority order once the score so far plus that value
+for each realization left cannot beat it; both cuts are exact, as the
+deviator's bundles never leave its reported support.  The truth is walked
+in full.  The size gate and the checked solve it walks with are
+`mechanisms`' own.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .audit import check_envy, maximin_share
 from .errors import CapabilityError, ValidationError
 from .lorenz import enumerate_optimal, potential, prepare_supports
-from .matroid import FreeOver, ItemSet, MatroidSpec, Partition, Restricted, Truncated
+from .matroid import (
+    FreeOver, ItemSet, MatroidSpec, Partition, Restricted, Truncated, check_universe
+)
 from .model import Allocation, Instance
 from .mechanisms import (
     _check_meps_inputs,
-    _checked_demand,
     _checked_solve,
     _exact_size,
     _merged_bundle,
@@ -128,28 +132,37 @@ def fuzz_truthfulness(
     Mechanisms: 'pe' (deterministic, ex-post utilities), 'rpe' and 'meps'
     (exact expected utilities).  On an ε-leveled instance 'pe' means
     floor-then-PE: reports are demand sets but utilities are measured by
-    the true leveled valuations.  A report scores Σ count·f(B), in f's native
-    type, over the deviator's distinct bundles B in the realizations it
-    walks: the one order of 'pe', the n! of `run_rpe` or the m^2·n! of
-    `run_meps`; only the two utilities reported are divided, into Fractions.
+    the true leveled valuations.  A report scores Σ f(B), in f's native
+    type, over the deviator's bundle B in each realization it walks: the
+    one order of 'pe', the n! of `run_rpe` or the m^2·n! of `run_meps`;
+    only the two utilities reported are divided, into Fractions.
     The other n−1 reports are set up once per call (sanitized for 'pe' and
     'rpe', `FreeOver` of the checked demands for 'meps') and each
-    candidate once, spliced in at the deviator's index.  Every solve is
+    candidate once, spliced in at the deviator's index.  A candidate
+    demand's ids pass `_freeze` once, when its `AdditiveDichotomous` is
+    built, and `check_universe` once, at set-up, which builds its
+    `FreeOver` without freezing them again.  Every solve is
     `mechanisms._checked_solve`, and only the deviator's bundle is frozen,
     or merged with its grants once per distinct pair.
 
-    The search is branch and bound: a candidate whose cap
-    `realizations · f(S)`, S its prepared support list, is at most the best
-    score so far (the truth's, raised by each strictly better candidate) is
-    set up but not walked.  The cap is exact, so the result is the same:
-    (a) the engine adds items only from the support lists it is given (the
-    direct take and every path step iterate them, and the held-out PE
-    halves' clipped lists are sublists); (b) M^X grants a held-out item
-    only to an agent that demands it (`_top_two` reads the same lists); and
-    (c) every `value_functions` value is non-decreasing.  So each of the
-    deviator's bundles lies in S and scores at most f(S), the candidate at
-    most its cap, and since only a strictly higher score replaces the best,
-    a skipped candidate could never have been chosen.
+    The search is branch and bound.  A candidate's cap is f(S), S the
+    support of its set-up spec (set-up checked S against the universe, so
+    S is also its `prepare_supports` list).  A candidate with
+    `realizations · f(S)` at most the best score so far (the truth's,
+    raised by each strictly better candidate) is set up but neither
+    prepared nor walked.  A walked candidate stops after any priority
+    order (after each order's m^2 held-out realizations under 'meps') once
+    `score so far + realizations left · f(S)` is at most the best score.
+    Both cuts are exact, so the result is the same: (a) the engine adds
+    items only from the support lists it is given (the direct take and
+    every path step iterate them, and the held-out PE halves' clipped
+    lists are sublists); (b) M^X grants a held-out item only to an agent
+    that demands it (`_top_two` reads the same lists); and (c) every
+    `value_functions` value is non-decreasing.  So each of the deviator's
+    bundles lies in S and scores at most f(S), each realization left adds
+    at most f(S), and since only a strictly higher score replaces the
+    best, a candidate that is skipped or cut could never have been chosen.
+    The truth is walked in full, as its score is reported.
     Past the exact walks' size gate, `mechanisms._exact_size` ('rpe',
     'meps'), or PE_FUZZ_MAX_SIZE agents and items over all solves ('pe'),
     CapabilityError before any solve.
@@ -171,28 +184,41 @@ def fuzz_truthfulness(
     elif mechanism == "meps":
         # ε and the demands are checked before the size gate below, as in run_meps
         demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
-        others = [FreeOver(d) for v, d in enumerate(demands) if v != deviator]
+        others = [FreeOver._of_frozen(d) for v, d in enumerate(demands) if v != deviator]
 
         def set_up(report: ValuationSpec) -> MatroidSpec:
             if not isinstance(report, AdditiveDichotomous):
                 raise ValidationError("held-out mechanism reports are demand sets")
-            return FreeOver(_checked_demand(report.demand, m))
+            check_universe(report.demand, m, "demand report")  # its ids passed `_freeze`
+            return FreeOver._of_frozen(report.demand)
 
     else:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
     other_supports = prepare_supports(others, m)
     merged = functools.cache(lambda bundle, grants: _merged_bundle(bundle, grants, deviator))
 
-    def score(mine: MatroidSpec, prepared: list[list[int]]):
+    def orders(mine: MatroidSpec, prepared: list[list[int]]) -> Iterator[tuple[ItemSet, ...]]:
+        """The deviator's bundle in each realization, one priority order's at a time."""
         matroids = others[:deviator] + [mine] + others[deviator:]
         supports = other_supports[:deviator] + prepared + other_supports[deviator:]
         if mechanism == "meps":
-            walk = _meps_outcomes(matroids, supports, m, held_out_lists(m), permutations(range(n)))
+            held_outs = held_out_lists(m)
+            walk = _meps_outcomes(matroids, supports, m, held_outs, permutations(range(n)))
             bundles = (merged(pe[deviator], grants) for _, _, pe, grants in walk)
-        else:
-            orders = [instance.priority_or_default()] if mechanism == "pe" else permutations(range(n))
-            bundles = (frozenset(_checked_solve(matroids, supports, s, m)[deviator]) for s in orders)
-        return sum(c * value(b) for b, c in Counter(bundles).items())
+            return zip(*[bundles] * len(held_outs))  # an order's m^2 realizations
+        sigmas = [instance.priority_or_default()] if mechanism == "pe" else permutations(range(n))
+        return ((frozenset(_checked_solve(matroids, supports, s, m)[deviator]),) for s in sigmas)
+
+    def score(mine: MatroidSpec, prepared: list[list[int]], cap=None):
+        """The report's score; with its bound's `cap`, None as soon as the
+        realizations left cannot lift it above best_score."""
+        total, left = 0, realizations
+        for bundles in orders(mine, prepared):
+            total += sum(map(value, bundles))
+            left -= len(bundles)
+            if cap is not None and total + left * cap <= best_score:
+                return None
+        return total
 
     reports = space(instance, deviator)
     solves = len(reports) + 1
@@ -207,11 +233,11 @@ def fuzz_truthfulness(
     best_report = None
     for report in reports:
         mine = set_up(report)
-        prepared = prepare_supports([mine], m)
-        if realizations * value(frozenset(prepared[0])) <= best_score:
-            continue  # cannot beat best_score: every bundle lies in prepared[0]
-        got = score(mine, prepared)
-        if got > best_score:
+        cap = value(mine.support())  # set-up checked it against the universe
+        if realizations * cap <= best_score:
+            continue  # cannot beat best_score: every bundle lies in the support
+        got = score(mine, prepare_supports([mine], m), cap)
+        if got is not None:
             best_score, best_report = got, report
     return FuzzResult(
         mechanism=mechanism,

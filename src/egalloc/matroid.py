@@ -126,6 +126,14 @@ class FreeOver(MatroidSpec):
     def __post_init__(self):
         object.__setattr__(self, "demand", _freeze(self.demand))
 
+    @classmethod
+    def _of_frozen(cls, demand: ItemSet) -> FreeOver:
+        """The spec of a frozenset whose ids already passed `_freeze`, built
+        without checking them again; equal to `FreeOver(demand)`."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "demand", demand)
+        return spec
+
     def rank(self, s):
         return len(s & self.demand)
 

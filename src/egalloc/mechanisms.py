@@ -43,11 +43,15 @@ merged once, and each distinct allocation is one `Allocation` (which
 checks it when built) shared by its atoms.
 `harness.fuzz_truthfulness` tallies one agent's bundles along the same
 walks (PE is the one-order case of RPE's loop over the orders), through
-the same gate and solve; it freezes, or merges, only that agent's bundle.
+the same gate and solve; it freezes, or merges, only that agent's bundle,
+and stops a candidate's walk after any order once it cannot win.
 
 Caller-supplied items pass the one id rule, `matroid._freeze` and
-`matroid.check_universe`: in `sanitize_reports`, `run_mx` and each
-held-out demand report.
+`matroid.check_universe`, once each: in `sanitize_reports`, `run_mx` and
+each held-out demand report.  A demand's ids are frozen when its
+`AdditiveDichotomous` is built, or by `_checked_demand` for the demand
+sets of `run_meps` and `sample_meps`; its `FreeOver` is then built by
+`FreeOver._of_frozen`, which does not freeze them again.
 """
 
 from __future__ import annotations
@@ -114,8 +118,8 @@ def sanitize_reports(reports: Sequence[ValuationSpec], m: int) -> list[MatroidSp
     """
     matroids: list[MatroidSpec] = []
     for rep in reports:
-        if isinstance(rep, AdditiveDichotomous):
-            matroids.append(FreeOver(rep.demand))
+        if isinstance(rep, AdditiveDichotomous):  # its ids passed `_freeze` when it was built
+            matroids.append(FreeOver._of_frozen(rep.demand))
         elif isinstance(rep, MatroidValuation) and validate_matroid(rep.matroid) is None:
             matroids.append(rep.matroid)
         else:
@@ -343,7 +347,7 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     outside) into a validated `Allocation`, one per distinct value; atom
     h·n! + k is outcome h under order k, so atoms keep outcome-major order.
     """
-    reports = [FreeOver(d) for d in _check_meps_inputs(demands, m, eps)]
+    reports = [FreeOver._of_frozen(d) for d in _check_meps_inputs(demands, m, eps)]
     size = _exact_size("meps", len(reports), m)
     held_outs = held_out_lists(m)
     orders = size // len(held_outs)
@@ -368,7 +372,7 @@ def sample_meps(
     item, then the priority shuffle; identical seeds give identical traces.
     The two halves come from `_meps_outcomes`, as in `run_meps`.
     """
-    reports = [FreeOver(d) for d in _check_meps_inputs(demands, m, eps)]
+    reports = [FreeOver._of_frozen(d) for d in _check_meps_inputs(demands, m, eps)]
     rng = random.Random(seed)
     x = rng.randrange(m)
     if rng.randrange(m) > 0:  # probability (m-1)/m; never fires at m = 1

@@ -138,16 +138,18 @@ def brute_max_common(matroids, m, caps=None) -> int:
     return best
 
 
-def count_free_supports(monkeypatch) -> Counter:
+def count_free_supports(monkeypatch, specs: list | None = None) -> Counter:
     """Patch `FreeOver.support` to count its calls per spec object (by id);
-    returns the live counter."""
+    returns the live counter, whose keys keep the order of each spec's
+    first call.  `specs`, if given, receives each spec at that first call."""
     calls: Counter = Counter()
-    alive = []  # keeps every counted spec, so that no id is reused
+    alive = [] if specs is None else specs  # every counted spec, so that no id is reused
     original = FreeOver.support
 
     def counting(self):
+        if not calls[id(self)]:
+            alive.append(self)
         calls[id(self)] += 1
-        alive.append(self)
         return original(self)
 
     monkeypatch.setattr(FreeOver, "support", counting)

@@ -479,28 +479,59 @@ def test_check_bundles_names_the_item_allocation_names():
     check_bundles([{0}, set(), {1, 2}], 3)  # a partition of part of 0..2 passes
 
 
+def refuse_refreezing(monkeypatch):
+    """Make building a `FreeOver` by its constructor, which runs `_freeze`
+    on the demand's ids, fail: a set-up whose demands were frozen when
+    their `AdditiveDichotomous` was built must not check them again."""
+
+    def refreeze(self):
+        raise AssertionError(f"the ids of {set(self.demand)} were frozen again")
+
+    monkeypatch.setattr(FreeOver, "__post_init__", refreeze)
+
+
 def test_fuzz_pe_sets_up_the_other_reports_once(monkeypatch):
     # pe and rpe share one set-up: for rpe it is not repeated per candidate
     inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
-    calls = count_free_supports(monkeypatch)
+    truth = F({1, 2, 3})
+    candidates = [c.demand for c in all_demand_subsets(inst, 1)]
+    specs = []
+    calls = count_free_supports(monkeypatch, specs)
+    refuse_refreezing(monkeypatch)
     for mechanism in ("pe", "rpe"):
         calls.clear()
+        specs.clear()
         result = fuzz_truthfulness(mechanism, inst, 1, all_demand_subsets)
         assert result.truthful
-        # sanitize_reports' universe check and the set-up ask once each: the
-        # other agents' reports in all, and each of the 2^m candidates and the truth
-        assert sorted(calls.values()) == [2] * (inst.n - 1 + 2**inst.m + 1), mechanism
+        # one spec per report, set up in list order: the other agents'
+        # reports, the truth, then each of the 2^m candidates
+        assert [spec.demand for spec in specs] == [F({0, 1}), F({0, 3}), F({2}), truth, *candidates]
+        # sanitize_reports' universe check asks each once and prepare_supports
+        # each walked report once: the others and the truth twice; a candidate
+        # is also asked once for its bound, and walked when |R ∩ T| >= 2 (see
+        # the work-count test below), so 3 times, else 2
+        asked = [2 + (len(c & truth) >= 2) for c in candidates]
+        assert list(calls.values()) == [2] * 4 + asked, mechanism
 
 
 def test_fuzz_meps_sets_up_each_report_once(monkeypatch):
     # meps shares pe's set-up: the other agents' `FreeOver` reports are built
     # once per call, not once per candidate, and each is set up once
     inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
-    calls = count_free_supports(monkeypatch)
+    truth = F({1, 2, 3})
+    candidates = [c.demand for c in all_demand_subsets(inst, 1)]
+    specs = []
+    calls = count_free_supports(monkeypatch, specs)
+    refuse_refreezing(monkeypatch)
     result = fuzz_truthfulness("meps", inst, 1, all_demand_subsets)
     assert result.truthful
-    # the other agents' reports, each of the 2^m candidates and the truth
-    assert sorted(calls.values()) == [1] * (inst.n - 1 + 2**inst.m + 1)
+    # the other agents' reports, the truth and each of the 2^m candidates, in list order
+    assert [spec.demand for spec in specs] == [F({0, 1}), F({0, 3}), F({2}), truth, *candidates]
+    # the demand checks read the demands, not the specs, so prepare_supports
+    # asks the others and the truth once; a candidate is asked for its bound,
+    # and once more when walked (|R ∩ T| >= 2)
+    asked = [1 + (len(c & truth) >= 2) for c in candidates]
+    assert list(calls.values()) == [1] * 4 + asked
 
 
 def test_fuzz_walks_only_the_candidates_whose_bound_beats_the_best(monkeypatch):
@@ -522,26 +553,93 @@ def test_fuzz_walks_only_the_candidates_whose_bound_beats_the_best(monkeypatch):
 
     monkeypatch.setattr(mechanisms, "solve_prepared", solving)
     monkeypatch.setattr(harness, "_meps_outcomes", walking)
-    # A candidate R is bounded by realizations·|R ∩ T|, and the truth scores
-    # realizations times 1 (pe), 1 (rpe) and 241/192 (meps), so each call
-    # walks the truth and the 8 candidates with |R ∩ T| >= 2 (the 4 subsets
-    # of T of two or three items, each with or without item 0) of the 2^4:
-    # 9 of the 17 reports.
-    # pe: 9 walks of the one order, 9 solves.
-    # rpe: 9 walks of 4! = 24 orders, 216 solves.
-    # meps: the others demand every item, so X ∩ ∪demands is X and each of
-    # the 24 orders solves once per distinct held-out set, 4 singletons and
-    # 6 pairs: 9 walks of 240 solves, 2,160.
+    # A candidate R has cap c = |R ∩ T| and is bounded by N·c over the N
+    # realizations, and the truth scores best = N times 1 (pe), 1 (rpe) and
+    # 241/192 (meps); the score is never raised, as no candidate beats it.
+    # So each call walks the truth and the 8 candidates with c >= 2 (the 4
+    # subsets of T of two or three items, each with or without item 0) of
+    # the 2^4: 9 of the 17 reports.  A walk stops after the first order at
+    # which its shortfall, Σ (c − f(B)) over the realizations walked,
+    # reaches its slack N·c − best; the truth is walked in full.
+    # pe: N = 1, 9 walks of the one order, 9 solves.
+    # rpe: N = 24, one solve per order.  {1, 2}, {1, 3}, {2, 3} (slack 24)
+    # and T (slack 48) get one item of T in each order, so they reach the
+    # slack only at the last: 24 each.  With item 0 they stop early, in
+    # orders worth (0, 1) items of T: {0, 1, 2} after 14 (11, 3; shortfall
+    # 11·2 + 3 = 25), {0, 1, 3} after 18 (6, 12; 24), {0, 2, 3} after 17
+    # (8, 9; 25) and {0, 1, 2, 3} after 20 (8, 12; 8·3 + 12·2 = 48 of 48).
+    # 24 + 4·24 + 14 + 18 + 17 + 20 = 189 solves (216 walked in full).
+    # meps: N = 16·24 = 384, best 482, so the slack is 286 for c = 2 and 670
+    # for c = 3.  The others demand every item, so X ∩ ∪demands is X and
+    # each order solves once per distinct held-out set, 4 singletons and 6
+    # pairs: 10 solves per order.  Its 16 realizations worth (0, 1, 2) items
+    # of T: {1, 2} stops after 17 orders (47, 193, 32; 2·47 + 193 = 287),
+    # {1, 3} after 18 (36, 216, 36; 288), {2, 3} after 17 (48, 190, 34; 286),
+    # {0, 1, 2} after 16 (68, 165, 23; 301), {0, 1, 3} after 16 (62, 163,
+    # 31; 287), {0, 2, 3} after 16 (67, 161, 28; 295), {0, 1, 2, 3} after 23
+    # (55, 223, 90; 3·55 + 2·223 + 90 = 701 of 670), and T, which scores
+    # exactly best, only at the last (18, 250, 116; 670).  With the truth:
+    # 10 · (24 + 17 + 18 + 17 + 16 + 16 + 16 + 23 + 24) = 1,710 solves in 9
+    # walks (2,160 walked in full).
     for mechanism, utility, want_solves, want_walks in [
         ("pe", 1, 9, 0),
-        ("rpe", 1, 216, 0),
-        ("meps", Fraction(241, 192), 2160, 9),
+        ("rpe", 1, 189, 0),
+        ("meps", Fraction(241, 192), 1710, 9),
     ]:
         solves.clear()
         walks.clear()
         result = fuzz_truthfulness(mechanism, inst, 1, all_demand_subsets)
         assert result.truthful and result.truthful_utility == utility, mechanism
         assert (len(solves), len(walks)) == (want_solves, want_walks), mechanism
+
+
+def test_fuzz_cuts_a_walk_that_cannot_win_and_a_later_candidate_wins(monkeypatch):
+    import egalloc.mechanisms as mechanisms
+
+    # ε-leveled, ε = 1/4: x values a 1, b 19/16, c 5/4; y values a 5/4, b 19/16
+    inst = Instance(
+        item_names=("a", "b", "c"),
+        agent_names=("x", "y"),
+        valuations=(
+            EpsLeveled({0: 1, 1: Fraction(19, 16), 2: Fraction(5, 4)}),
+            EpsLeveled({0: Fraction(5, 4), 1: Fraction(19, 16)}),
+        ),
+        epsilon=Fraction(1, 4),
+    )
+    # Under rpe, x's truth gets {a, c} (9/4) under (x, y) and {c} (5/4) under
+    # (y, x): score 7/2 over the 2 orders.  {a, b} has cap 35/16, so its bound
+    # 35/8 beats 7/2 and it is walked; under (x, y) it gets {b}, and
+    # 19/16 + 35/16 = 27/8 <= 7/2, so the walk stops before (y, x).  {b, c}
+    # then scores 39/16 + 5/4 = 59/16 and wins: 7/4 -> 59/32.
+    candidates = [AdditiveDichotomous(F({0, 1})), AdditiveDichotomous(F({1, 2}))]
+
+    def space(instance, deviator):
+        return candidates
+
+    solves = []
+    original = mechanisms.solve_prepared
+
+    def solving(reports, supports, sigma):
+        solves.append((reports[0].support(), sigma))
+        return original(reports, supports, sigma)
+
+    monkeypatch.setattr(mechanisms, "solve_prepared", solving)
+    got = fuzz_truthfulness("rpe", inst, 0, space)
+    monkeypatch.setattr(mechanisms, "solve_prepared", original)
+    assert got == reference_fuzz_truthfulness("rpe", inst, 0, space)
+    assert (got.truthful_utility, got.best_utility) == (Fraction(7, 4), Fraction(59, 32))
+    assert got.best_report is candidates[1]
+    assert solves == [
+        (F({0, 1, 2}), (0, 1)),
+        (F({0, 1, 2}), (1, 0)),
+        (F({0, 1}), (0, 1)),  # cut here
+        (F({1, 2}), (0, 1)),
+        (F({1, 2}), (1, 0)),
+    ]
+    # the whole subset space agrees with the reference as well
+    assert fuzz_truthfulness("rpe", inst, 0, all_demand_subsets) == (
+        reference_fuzz_truthfulness("rpe", inst, 0, all_demand_subsets)
+    )
 
 
 def test_the_deviators_bundles_stay_inside_its_support_list():
