@@ -141,9 +141,11 @@ def fuzz_truthfulness(
     candidate once, spliced in at the deviator's index.  A candidate
     demand's ids pass `_freeze` once, when its `AdditiveDichotomous` is
     built, and `check_universe` once, at set-up, which builds its
-    `FreeOver` without freezing them again.  Every solve is
-    `mechanisms._checked_solve`, and only the deviator's bundle is frozen,
-    or merged with its grants once per distinct pair.
+    `FreeOver` without freezing them again; under 'pe' and 'rpe' too, a
+    demand-set report, the truth's included, skips `sanitize_reports`.
+    Every solve is `mechanisms._checked_solve`, or
+    `_shared_solve` along the held-out walk, and only the deviator's
+    bundle is frozen, or merged with its grants once per distinct pair.
 
     The search is branch and bound.  A candidate's cap is f(S), S the
     support of its set-up spec (set-up checked S against the universe, so
@@ -177,23 +179,26 @@ def fuzz_truthfulness(
         others = floor_reports(instance.valuations)
         del others[deviator]
         others = sanitize_reports(others, m)
-
-        def set_up(report: ValuationSpec) -> MatroidSpec:
-            return sanitize_reports([report], m)[0]
-
+        what = "report"
     elif mechanism == "meps":
         # ε and the demands are checked before the size gate below, as in run_meps
         demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
         others = [FreeOver._of_frozen(d) for v, d in enumerate(demands) if v != deviator]
-
-        def set_up(report: ValuationSpec) -> MatroidSpec:
-            if not isinstance(report, AdditiveDichotomous):
-                raise ValidationError("held-out mechanism reports are demand sets")
-            check_universe(report.demand, m, "demand report")  # its ids passed `_freeze`
-            return FreeOver._of_frozen(report.demand)
-
+        what = "demand report"
     else:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
+
+    def set_up(report: ValuationSpec) -> MatroidSpec:
+        """The report's spec: a demand set's `FreeOver`, its ids checked here
+        (they passed `_freeze` when its `AdditiveDichotomous` was built), or
+        for 'pe' and 'rpe' any other report as `sanitize_reports` maps it."""
+        if isinstance(report, AdditiveDichotomous):
+            check_universe(report.demand, m, what)
+            return FreeOver._of_frozen(report.demand)
+        if mechanism == "meps":
+            raise ValidationError("held-out mechanism reports are demand sets")
+        return sanitize_reports([report], m)[0]
+
     other_supports = prepare_supports(others, m)
     merged = functools.cache(lambda bundle, grants: _merged_bundle(bundle, grants, deviator))
 

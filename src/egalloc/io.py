@@ -387,32 +387,60 @@ def distribution_document(dist: OutcomeDistribution, inst: Instance, mechanism: 
     "mechanism", "atoms" (each with "weight", "priority", "held_out" when
     the atom has one, "allocation" and "unallocated") and "atom_count".
 
-    The atoms of an exact distribution repeat a few weights, priority
-    orders, held-out lists and bundles, so `_dumps` renders each such
-    fragment, and each whole allocation, once per call (memoized by value),
-    and each atom only joins its fragments."""
-    agents, items = inst.agent_names, inst.item_names
+    The atoms of an exact walk share their weight, held-out lists and
+    allocations as objects.  So each field is looked up once per distinct
+    object (`_by_identity`), and rendered once per distinct value by a memo
+    under it, which hashes the object (a weight by its numerator and
+    denominator): no `Fraction` or `Allocation` is hashed per atom of a
+    walk, and equal values held apart are still rendered once.  A
+    priority fragment joins the agents' quoted names."""
+    items = inst.item_names
     atom_end, field, entry = "\n    ", "\n      ", "\n        "  # depths 2, 3 and 4
-    # weights by (numerator, denominator): hashing a Fraction is slow
-    weight = cache(lambda w: f'"weight": {_quote(_frac_str(Fraction(*w)))},{field}')
-    priority = cache(lambda p: f'"priority": {_dumps([agents[a] for a in p], field)},{field}')
-    held_out = cache(
-        lambda x: "" if x is None else f'"held_out": {_dumps([items[a] for a in x], field)},{field}'
-    )
-    bundle = cache(lambda name, b: f"{_quote(name)}: {_dumps([items[a] for a in sorted(b)], entry)}")
+    names = list(map(_quote, inst.agent_names))
+    weight_text = cache(lambda p, q: f'"weight": {_quote(_frac_str(Fraction(p, q)))},{field}')
+
+    def weight(w: Fraction) -> str:
+        return weight_text(w.numerator, w.denominator)
+
+    @cache
+    def priority(p) -> str:
+        body = f"[{entry}{f',{entry}'.join(map(names.__getitem__, p))}{field}]" if p else "[]"
+        return f'"priority": {body},{field}'
+
+    @cache
+    def held_out(x) -> str:
+        return "" if x is None else f'"held_out": {_dumps([items[a] for a in x], field)},{field}'
+
+    bundle = cache(lambda name, b: f"{name}: {_dumps([items[a] for a in sorted(b)], entry)}")
 
     @cache
     def allocation(alloc: Allocation) -> str:
-        body = f",{entry}".join(map(bundle, agents, alloc.bundles))
+        body = f",{entry}".join(map(bundle, names, alloc.bundles))
         body = f"{{{entry}{body}{field}}}" if body else "{}"
         unallocated = _dumps([items[a] for a in sorted(alloc.unallocated)], field)
-        return f'"allocation": {body},{field}"unallocated": {unallocated}'
+        return f'"allocation": {body},{field}"unallocated": {unallocated}{atom_end}}}'
 
-    atoms = [
-        f"{{{field}{weight((a.weight.numerator, a.weight.denominator))}{priority(a.priority)}"
-        f"{held_out(a.held_out)}{allocation(a.allocation)}{atom_end}}}"
-        for a in dist.atoms
-    ]
-    body = f"[{atom_end}{f',{atom_end}'.join(atoms)}\n  ]" if atoms else "[]"
     head = f'{{\n  "mechanism": {_quote(mechanism)},\n  "atoms": '
-    return f'{head}{body},\n  "atom_count": {len(atoms)}\n}}'
+    atoms = dist.atoms
+    if not atoms:
+        return f'{head}[],\n  "atom_count": 0\n}}'
+    # five parts per atom: the atom's opening and its four fields, the last
+    # closing it; one join writes the whole document
+    parts = [f",{atom_end}{{{field}"] * (5 * len(atoms))
+    parts[0] = f"{head}[{atom_end}{{{field}"
+    parts[1::5] = _by_identity([a.weight for a in atoms], weight)
+    parts[2::5] = _by_identity([a.priority for a in atoms], priority)
+    parts[3::5] = _by_identity([a.held_out for a in atoms], held_out)
+    parts[4::5] = _by_identity([a.allocation for a in atoms], allocation)
+    parts.append(f'\n  ],\n  "atom_count": {len(atoms)}\n}}')
+    return "".join(parts)
+
+
+def _by_identity(values: list, render) -> list[str]:
+    """`render(v)` for each of `values`, called once per distinct object.
+    Every value is alive for the whole call, so no id is reused."""
+    ids = list(map(id, values))
+    rendered = dict(zip(ids, values))
+    for key, value in rendered.items():
+        rendered[key] = render(value)
+    return list(map(rendered.__getitem__, ids))

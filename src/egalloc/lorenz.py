@@ -182,10 +182,16 @@ def _search(i, reports, supports, bundles, owner, dead) -> int | None:
     per-item search finds.  The `dead` items are skipped as start items
     and, seeding `parent`, as discovered items; a failed search adds every
     item it discovered to them (see the module).
+
+    With no start item the search returns None at once: it would discover
+    nothing, so `parent` would hold only the `dead` items it was seeded
+    with, and adding them to `dead` would change nothing.
     """
     spec, own = reports[i], bundles[i]
     # the start items, then the items the search discovers
     queue = [g for g in supports[i] if g not in own and g not in dead and spec.can_add(own, g)]
+    if not queue:
+        return None
     parent: dict[int, int | None] = dict.fromkeys(dead)
     parent.update(dict.fromkeys(queue))
     expanded = set()  # (holder, swap key) pairs already expanded

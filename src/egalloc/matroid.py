@@ -31,8 +31,8 @@ def _freeze(items: Iterable[int]) -> ItemSet:
     """The items as a frozenset, each an int >= 0 (not a bool): with
     `check_universe`, the one item-id rule of every caller-supplied set."""
     out = frozenset(items)
-    for a in out:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+    for a in out:  # a plain int skips the subclass tests
+        if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)) or a < 0:
             raise ValidationError(f"item ids must be non-negative integers, got {a!r}")
     return out
 
@@ -40,9 +40,9 @@ def _freeze(items: Iterable[int]) -> ItemSet:
 def check_universe(items: ItemSet, m: int, what: str) -> None:
     """Raise ValidationError naming the ids of `items` at or past m; the ids
     are `_freeze`d ones, so the rest lie in the universe 0..m-1."""
-    bad = [a for a in items if a >= m]
-    if bad:
-        raise ValidationError(f"{what} outside the item universe: {sorted(bad)}")
+    if items and max(items) >= m:
+        bad = sorted(a for a in items if a >= m)
+        raise ValidationError(f"{what} outside the item universe: {bad}")
 
 
 def _count(x, what: str) -> int:

@@ -34,13 +34,17 @@ Exact distributions set each report up once and solve PE per order; a
 held-out PE half runs on the reports' `FreeOver(d)` with supports clipped
 to M∖X, which is PE on M∖X, as the engine asks only about support items.
 Every exact walk is sized by one gate, `_exact_size`, before its first
-solve, and solves through `_checked_solve`: the engine,
-`lorenz.solve_prepared`, and then `model.check_bundles` on its bundles.
-`run_rpe` solves once per order and the walk `_meps_outcomes` once per PE
-half, each freezing the bundles.  A walk then builds each distinct value
-once: equal PE halves are one object, each distinct (PE half, grants) is
-merged once, and each distinct allocation is one `Allocation` (which
-checks it when built) shared by its atoms.
+solve, and solves through `_checked_solve` or `_shared_solve`: the
+engine, `lorenz.solve_prepared`, and then `model.check_bundles` on its
+bundles.  That check returns each item's holder as a tuple, by which
+`_shared_solve` finds the value built from an equal solve: `run_rpe`
+solves once per order and the walk `_meps_outcomes` once per PE half,
+and each freezes bundles only for an allocation it has not seen.  A walk
+builds each distinct value once: equal PE halves are one object, each
+distinct (PE half, grants) is merged once, found by one dict lookup keyed
+by the half's identity and the grants, and each distinct allocation is
+one `Allocation` (which checks it when built) shared by its atoms, which
+also share one weight object.
 `harness.fuzz_truthfulness` tallies one agent's bundles along the same
 walks (PE is the one-order case of RPE's loop over the orders), through
 the same gate and solve; it freezes, or merges, only that agent's bundle,
@@ -91,13 +95,13 @@ RPE_EXACT_MAX_AGENTS = 6
 #: Largest exact held-out distribution, in atoms (m^2 * n!).  Measured with
 #: `distribution --mech meps` in-process on additive instances of density
 #: 0.3 near the cap, 5/9, 4/20 and 3/40 (Python 3.11, one core of a shared
-#: x86-64 VM, three seeds each): 0.03-0.06 ms, 0.5-0.95 kB of output and
-#: 2.9-5.3 kB of peak-RSS growth per atom, so the cap bounds a run near
-#: 0.6 s, 9 MB of output and 50 MB.  Before the cap, 6 agents over 12
-#: items (103,680 atoms) took 22 s and 63 MB of output.  It admits up to 20
-#: items for 4 agents, 9 for 5 and 3 for 6.  Sizes that must stay under it:
-#: acceptance criterion 10 up to 3/2 (24 atoms) and 2/4 (32);
-#: scripts/meps_margin_scan.py, up to 3/3 (54); the benchmark's exact
+#: x86-64 VM, three seeds each, best of 3 fresh processes): 0.005-0.010 ms,
+#: 0.5-0.95 kB of output and 1.0-2.2 kB of peak-RSS growth per atom, so the
+#: cap bounds a run near 0.1 s, 9 MB of output and 22 MB.  Before the cap,
+#: 6 agents over 12 items (103,680 atoms) took 22 s and 63 MB of output.
+#: It admits up to 20 items for 4 agents, 9 for 5 and 3 for 6.  Sizes that
+#: must stay under it: acceptance criterion 10 up to 3/2 (24 atoms) and 2/4
+#: (32); scripts/meps_margin_scan.py, up to 3/3 (54); the benchmark's exact
 #: pools, 4/8 (1,536) and 3/5 (150 per fuzz candidate); the per-atom
 #: reference test, n <= 4 and m <= 6 (864).
 MEPS_EXACT_MAX_ATOMS = 10_000
@@ -146,11 +150,12 @@ def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
     matroids = sanitize_reports(reports, m)
     weight = Fraction(1, _exact_size("rpe", len(matroids), m))
     supports = prepare_supports(matroids, m)
-    allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value
+    allocations: dict[tuple[int, ...], Allocation] = {}  # one per value
+    build = lambda bundles: Allocation(_frozen(bundles), m)
     atoms = []
     for sigma in permutations(range(len(matroids))):
-        bundles = _checked_solve(matroids, supports, sigma, m)
-        atoms.append(Atom(weight, allocation(tuple(map(frozenset, bundles))), sigma))
+        allocation = _shared_solve(matroids, supports, sigma, m, allocations, build)
+        atoms.append(Atom(weight, allocation, sigma))
     return OutcomeDistribution(tuple(atoms))
 
 
@@ -159,6 +164,22 @@ def _checked_solve(reports, supports, sigma: PriorityOrder, m: int) -> list[set[
     bundles = solve_prepared(reports, supports, sigma)
     check_bundles(bundles, m)
     return bundles
+
+
+def _shared_solve(reports, supports, sigma: PriorityOrder, m: int, shared: dict, build):
+    """`build(bundles)` of `solve_prepared`'s bundles, once they pass
+    `check_bundles`, built once per distinct allocation: `shared` maps the
+    holders tuple that check returns to the value built for it."""
+    bundles = solve_prepared(reports, supports, sigma)
+    holders = check_bundles(bundles, m)
+    value = shared.get(holders)
+    if value is None:
+        value = shared[holders] = build(bundles)
+    return value
+
+
+def _frozen(bundles) -> tuple[ItemSet, ...]:
+    return tuple(map(frozenset, bundles))
 
 
 def _exact_size(mechanism: str, n: int, m: int, copies: int = 1) -> int:
@@ -305,15 +326,16 @@ def _meps_outcomes(
         parts.append((held_out, demanded))
     items = frozenset().union(*held_outs)
     on_items = [items.intersection(s) for s in supports]
-    interned: dict[tuple, tuple] = {}
+    interned: dict[tuple, tuple] = {}  # holders -> PE half, for the whole walk
     for sigma in orders:
         tops = _top_two(items, sigma[::-1], on_items)
         pe_halves: dict[ItemSet, tuple] = {}
         for held_out, demanded in parts:
             pe = pe_halves.get(demanded)
             if pe is None:
-                pe = tuple(map(frozenset, _checked_solve(reports, clipped[demanded], sigma, m)))
-                pe = pe_halves[demanded] = interned.setdefault(pe, pe)
+                pe = pe_halves[demanded] = _shared_solve(
+                    reports, clipped[demanded], sigma, m, interned, _frozen
+                )
             yield sigma, held_out, pe, _mx_grants(held_out, tops)
 
 
@@ -344,8 +366,9 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     computed past MEPS_EXACT_MAX_AGENTS agents.
 
     Merges the halves of each realization of `_meps_outcomes` (orders
-    outside) into a validated `Allocation`, one per distinct value; atom
-    h·n! + k is outcome h under order k, so atoms keep outcome-major order.
+    outside) into a validated `Allocation`, one per distinct value, found
+    by the identity of the interned PE half and the grants; atom h·n! + k
+    is outcome h under order k, so atoms keep outcome-major order.
     """
     reports = [FreeOver._of_frozen(d) for d in _check_meps_inputs(demands, m, eps)]
     size = _exact_size("meps", len(reports), m)
@@ -354,12 +377,19 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     weight = Fraction(1, size)
     atoms: list[Atom | None] = [None] * size
     allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value
-    merged = functools.cache(lambda pe, grants: allocation(_merged(pe, grants)))
+    # by (id of the PE half, grants): equal halves are one object, which the
+    # walk keeps alive to its end, so no id is reused
+    merged: dict[tuple, Allocation] = {}
     supports = prepare_supports(reports, m)
     walk = _meps_outcomes(reports, supports, m, held_outs, permutations(range(len(reports))))
-    for i, (sigma, held_out, pe, grants) in enumerate(walk):
-        k, h = divmod(i, len(held_outs))
-        atoms[h * orders + k] = Atom(weight, merged(pe, grants), sigma, held_out)
+    for k, realizations in enumerate(zip(*[walk] * len(held_outs))):  # order k's m^2
+        order = []
+        for sigma, held_out, pe, grants in realizations:
+            outcome = merged.get((id(pe), grants))
+            if outcome is None:
+                outcome = merged[id(pe), grants] = allocation(_merged(pe, grants))
+            order.append(Atom(weight, outcome, sigma, held_out))
+        atoms[k::orders] = order  # atom h·n! + k is outcome h under order k
     return OutcomeDistribution(tuple(atoms))
 
 

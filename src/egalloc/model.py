@@ -25,19 +25,24 @@ def check_priority(sigma: Sequence[int], n: int) -> PriorityOrder:
     return sigma
 
 
-def check_bundles(bundles: Sequence[Iterable[int]], m: int) -> None:
+def check_bundles(bundles: Sequence[Iterable[int]], m: int) -> tuple[int, ...]:
     """Raise ValidationError unless `bundles` are disjoint sets of items of
     0..m-1: the one partition check, run by `Allocation` and on every
     engine solve's bundles.  Bundles are scanned in order, each in its
-    iteration order, and the first offending item is named."""
-    seen: set[int] = set()
-    for b in bundles:
+    iteration order, and the first offending item is named.
+
+    Returns each item's holder, -1 for an unallocated item: equal
+    allocations give equal tuples, so the exact walks key their shared
+    values by it without freezing the bundles."""
+    holders = [-1] * m
+    for v, b in enumerate(bundles):
         for a in b:
             if not (0 <= a < m):
                 raise ValidationError(f"item {a} outside universe 0..{m - 1}")
-            if a in seen:
+            if holders[a] >= 0:
                 raise ValidationError(f"item {a} allocated twice")
-            seen.add(a)
+            holders[a] = v
+    return tuple(holders)
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,7 @@ class Allocation:
         return tuple(evaluate(v, b, self.m) for v, b in zip(valuations, self.bundles))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """One realization of a randomized mechanism with its randomness trace."""
 
@@ -80,7 +85,8 @@ class Atom:
     held_out: tuple[int, ...] | None = None
 
     def __post_init__(self):  # the weight as an exact rational; a float raises
-        object.__setattr__(self, "weight", as_value(self.weight))
+        if type(self.weight) is not Fraction:  # a Fraction, shared by a walk's atoms, is kept
+            object.__setattr__(self, "weight", as_value(self.weight))
 
 
 @dataclass(frozen=True)

@@ -506,12 +506,14 @@ def test_fuzz_pe_sets_up_the_other_reports_once(monkeypatch):
         # one spec per report, set up in list order: the other agents'
         # reports, the truth, then each of the 2^m candidates
         assert [spec.demand for spec in specs] == [F({0, 1}), F({0, 3}), F({2}), truth, *candidates]
-        # sanitize_reports' universe check asks each once and prepare_supports
-        # each walked report once: the others and the truth twice; a candidate
-        # is also asked once for its bound, and walked when |R ∩ T| >= 2 (see
-        # the work-count test below), so 3 times, else 2
-        asked = [2 + (len(c & truth) >= 2) for c in candidates]
-        assert list(calls.values()) == [2] * 4 + asked, mechanism
+        # sanitize_reports' universe check asks each other report once and
+        # prepare_supports each walked report once: the others twice; the
+        # truth and the candidates are demand sets, whose universe check
+        # reads the demand, so the truth is asked once; a candidate is asked
+        # once for its bound, and once more when walked (|R ∩ T| >= 2, see
+        # the work-count test below), so 2 times, else 1
+        asked = [1 + (len(c & truth) >= 2) for c in candidates]
+        assert list(calls.values()) == [2] * 3 + [1] + asked, mechanism
 
 
 def test_fuzz_meps_sets_up_each_report_once(monkeypatch):

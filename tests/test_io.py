@@ -498,8 +498,10 @@ def _named_instance(rng, n, m, kind) -> Instance:
 def _writer_cases(rng):
     """(mechanism, distribution, instance): exact rpe distributions over
     additive, ε-leveled and matroid reports (m = 0 and m = 1 among them),
-    exact meps distributions over additive and ε-leveled reports, and
-    hand-built mixtures of both with several distinct weights."""
+    exact meps distributions over additive and ε-leveled reports, hand-built
+    mixtures of both with several distinct weights, one exact distribution
+    of each at the benchmark's sizes, and mixtures that hold equal weights,
+    orders, held-out lists and allocations as distinct objects."""
     for k in range(180):
         kind = ("additive", "leveled", "matroid")[k % 3]
         m = k % 7 if k < 120 else rng.randint(0, 5)
@@ -520,12 +522,38 @@ def _writer_cases(rng):
         atoms += [Atom(a.weight * (1 - share), a.allocation, a.priority, a.held_out) for a in meps]
         rng.shuffle(atoms)
         yield 'mixed "rpe"\\meps', OutcomeDistribution(tuple(atoms)), inst
+    # the benchmark's exact sizes, 720 and 1,536 atoms, whose walks share
+    # one weight, held-out lists and allocations as objects
+    inst = _named_instance(rng, 6, 12, "additive")
+    yield "rpe", run_rpe(inst.valuations, 12), inst
+    inst = _named_instance(rng, 4, 8, "additive")
+    yield "meps", run_meps(meps_demands(inst.valuations), 8, 0), inst
+    for _ in range(10):
+        # one mixture with every equal weight, order, held-out list and
+        # allocation a distinct object, beside the shared ones of its walks
+        m = rng.randint(1, 3)
+        inst = _named_instance(rng, rng.randint(1, 3), m, "additive")
+        rpe = run_rpe(inst.valuations, m).atoms
+        atoms = [Atom(a.weight / 2, a.allocation, a.priority) for a in rpe]
+        for a in run_meps(meps_demands(inst.valuations), m, 0).atoms:
+            atoms.append(Atom(a.weight / 4, a.allocation, a.priority, a.held_out))
+            atoms.append(
+                Atom(
+                    Fraction(a.weight.numerator, 4 * a.weight.denominator),
+                    Allocation(a.allocation.bundles, m),
+                    tuple(list(a.priority)),
+                    tuple(list(a.held_out)),
+                )
+            )
+        atoms = atoms[::2] + atoms[1::2]
+        yield "mixed", OutcomeDistribution(tuple(atoms)), inst
 
 
 def test_distribution_writer_matches_reference():
     rng = random.Random(1818)
     seen = {"cases": 0, "m=0": 0, "m=1": 0, "empty bundle": 0, "none unallocated": 0}
-    seen.update({"mixed": 0, "leveled": 0, "matroid": 0})
+    seen.update({"mixed": 0, "leveled": 0, "matroid": 0, "equal weights apart": 0})
+    seen["720+ atoms"] = 0
     for mechanism, dist, inst in _writer_cases(rng):
         want = json.dumps(
             {"mechanism": mechanism, **reference_distribution_document(dist, inst)}, indent=2
@@ -538,6 +566,11 @@ def test_distribution_writer_matches_reference():
         seen["empty bundle"] += any(F() in a.bundles for a in allocations)
         seen["none unallocated"] += any(not a.unallocated for a in allocations)
         seen["mixed"] += len({a.weight for a in dist.atoms}) > 1
+        seen["equal weights apart"] += len({id(a.weight) for a in dist.atoms}) > len(
+            {a.weight for a in dist.atoms}
+        )
+        seen["720+ atoms"] += len(dist.atoms) >= 720
         seen["leveled"] += isinstance(inst.valuations[0], EpsLeveled)
         seen["matroid"] += isinstance(inst.valuations[0], MatroidValuation)
+    assert seen.pop("720+ atoms") >= 2, seen
     assert seen["cases"] >= 300 and min(seen.values()) >= 10, seen
