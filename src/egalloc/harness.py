@@ -14,8 +14,7 @@ true value of its whole support) beats the best score so far, and its
 walk stops after any priority order once the score so far plus that value
 for each realization left cannot beat it; both cuts are exact, as the
 deviator's bundles never leave its reported support.  The truth is walked
-in full.  The size gate and the checked solve it walks with are
-`mechanisms`' own.
+in full.  The size gate and the walk, `_outcomes`, are `mechanisms`' own.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .audit import check_envy, maximin_share
 from .errors import CapabilityError, ValidationError
@@ -35,10 +34,9 @@ from .matroid import (
 from .model import Allocation, Instance
 from .mechanisms import (
     _check_meps_inputs,
-    _checked_solve,
     _exact_size,
     _merged_bundle,
-    _meps_outcomes,
+    _outcomes,
     floor_reports,
     held_out_lists,
     meps_demands,
@@ -143,9 +141,10 @@ def fuzz_truthfulness(
     built, and `check_universe` once, at set-up, which builds its
     `FreeOver` without freezing them again; under 'pe' and 'rpe' too, a
     demand-set report, the truth's included, skips `sanitize_reports`.
-    Every solve is `mechanisms._checked_solve`, or
-    `_shared_solve` along the held-out walk, and only the deviator's
-    bundle is frozen, or merged with its grants once per distinct pair.
+    Every mechanism walks `mechanisms._outcomes`: 'pe' the one priority
+    order, 'rpe' every order, and 'meps' every order with the held-out
+    stage; only the deviator's bundle is merged with its grants (none
+    without a held-out stage) and valued, once per distinct pair.
 
     The search is branch and bound.  A candidate's cap is f(S), S the
     support of its set-up spec (set-up checked S against the universe, so
@@ -200,28 +199,23 @@ def fuzz_truthfulness(
         return sanitize_reports([report], m)[0]
 
     other_supports = prepare_supports(others, m)
-    merged = functools.cache(lambda bundle, grants: _merged_bundle(bundle, grants, deviator))
-
-    def orders(mine: MatroidSpec, prepared: list[list[int]]) -> Iterator[tuple[ItemSet, ...]]:
-        """The deviator's bundle in each realization, one priority order's at a time."""
-        matroids = others[:deviator] + [mine] + others[deviator:]
-        supports = other_supports[:deviator] + prepared + other_supports[deviator:]
-        if mechanism == "meps":
-            held_outs = held_out_lists(m)
-            walk = _meps_outcomes(matroids, supports, m, held_outs, permutations(range(n)))
-            bundles = (merged(pe[deviator], grants) for _, _, pe, grants in walk)
-            return zip(*[bundles] * len(held_outs))  # an order's m^2 realizations
-        sigmas = [instance.priority_or_default()] if mechanism == "pe" else permutations(range(n))
-        return ((frozenset(_checked_solve(matroids, supports, s, m)[deviator]),) for s in sigmas)
+    # the deviator's value of a PE bundle merged with its grants, once per distinct pair
+    worth = functools.cache(lambda bundle, grants: value(_merged_bundle(bundle, grants, deviator)))
 
     def score(mine: MatroidSpec, prepared: list[list[int]], cap=None):
-        """The report's score; with its bound's `cap`, None as soon as the
-        realizations left cannot lift it above best_score."""
-        total, left = 0, realizations
-        for bundles in orders(mine, prepared):
-            total += sum(map(value, bundles))
-            left -= len(bundles)
-            if cap is not None and total + left * cap <= best_score:
+        """The report's score, Σ of the deviator's value over the realizations
+        of the walk; with its bound's `cap`, None after any priority order
+        (its `per_order` realizations) once those left cannot lift it above
+        best_score."""
+        matroids = others[:deviator] + [mine] + others[deviator:]
+        supports = other_supports[:deviator] + prepared + other_supports[deviator:]
+        total = 0
+        walk = _outcomes(matroids, supports, m, held_outs, sigmas)
+        for k, (_, _, pe, grants) in enumerate(walk, 1):
+            total += worth(pe[deviator], grants)
+            if cap is None or k % per_order:
+                continue  # cut only after a whole priority order
+            if total + (realizations - k) * cap <= best_score:
                 return None
         return total
 
@@ -233,6 +227,10 @@ def fuzz_truthfulness(
             f"fuzzing pe runs {solves} PE solves over {n + m} agents and items each "
             f"({solves * (n + m)} in all); the cap is {PE_FUZZ_MAX_SIZE}"
         )
+    # built past the size gate, as they grow with n! and m^2
+    held_outs = held_out_lists(m) if mechanism == "meps" else None
+    per_order = 1 if held_outs is None else len(held_outs)
+    sigmas = [instance.priority_or_default()] if mechanism == "pe" else list(permutations(range(n)))
     mine = set_up(floor_reports([truth])[0])
     truthful_score = best_score = score(mine, prepare_supports([mine], m))
     best_report = None

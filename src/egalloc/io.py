@@ -422,8 +422,6 @@ def distribution_document(dist: OutcomeDistribution, inst: Instance, mechanism: 
 
     head = f'{{\n  "mechanism": {_quote(mechanism)},\n  "atoms": '
     atoms = dist.atoms
-    if not atoms:
-        return f'{head}[],\n  "atom_count": 0\n}}'
     # five parts per atom: the atom's opening and its four fields, the last
     # closing it; one join writes the whole document
     parts = [f",{atom_end}{{{field}"] * (5 * len(atoms))

@@ -34,21 +34,21 @@ Exact distributions set each report up once and solve PE per order; a
 held-out PE half runs on the reports' `FreeOver(d)` with supports clipped
 to M∖X, which is PE on M∖X, as the engine asks only about support items.
 Every exact walk is sized by one gate, `_exact_size`, before its first
-solve, and solves through `_checked_solve` or `_shared_solve`: the
-engine, `lorenz.solve_prepared`, and then `model.check_bundles` on its
-bundles.  That check returns each item's holder as a tuple, by which
-`_shared_solve` finds the value built from an equal solve: `run_rpe`
-solves once per order and the walk `_meps_outcomes` once per PE half,
-and each freezes bundles only for an allocation it has not seen.  A walk
-builds each distinct value once: equal PE halves are one object, each
-distinct (PE half, grants) is merged once, found by one dict lookup keyed
-by the half's identity and the grants, and each distinct allocation is
-one `Allocation` (which checks it when built) shared by its atoms, which
-also share one weight object.
+solve, and every realization comes from one walk, `_outcomes`: a draw
+is a priority order sigma and, for the held-out mechanism, a held-out
+list X, and then PE under sigma (on M∖X).  Its one solve is the engine,
+`lorenz.solve_prepared`, and then `model.check_bundles`, whose holders
+tuple finds an equal PE half already solved, so bundles are frozen only
+for an allocation the walk has not seen.  `run_rpe` and `run_meps` turn
+the walk into atoms with one builder, `_distribution`, which builds each
+distinct value once: each distinct (PE half, grants) is merged once,
+found by one dict lookup keyed by the half's identity and the grants,
+and each distinct allocation is one `Allocation` (which checks it when
+built) shared by its atoms, which also share one weight object.
 `harness.fuzz_truthfulness` tallies one agent's bundles along the same
-walks (PE is the one-order case of RPE's loop over the orders), through
-the same gate and solve; it freezes, or merges, only that agent's bundle,
-and stops a candidate's walk after any order once it cannot win.
+walk (PE is the one-order case), through the same gate; it merges only
+that agent's bundle, and stops a candidate's walk after any order once it
+cannot win.
 
 Caller-supplied items pass the one id rule, `matroid._freeze` and
 `matroid.check_universe`, once each: in `sanitize_reports`, `run_mx` and
@@ -64,7 +64,7 @@ import functools
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapabilityError, ValidationError
@@ -148,38 +148,7 @@ def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
     raises CapabilityError past RPE_EXACT_MAX_AGENTS agents.
     """
     matroids = sanitize_reports(reports, m)
-    weight = Fraction(1, _exact_size("rpe", len(matroids), m))
-    supports = prepare_supports(matroids, m)
-    allocations: dict[tuple[int, ...], Allocation] = {}  # one per value
-    build = lambda bundles: Allocation(_frozen(bundles), m)
-    atoms = []
-    for sigma in permutations(range(len(matroids))):
-        allocation = _shared_solve(matroids, supports, sigma, m, allocations, build)
-        atoms.append(Atom(weight, allocation, sigma))
-    return OutcomeDistribution(tuple(atoms))
-
-
-def _checked_solve(reports, supports, sigma: PriorityOrder, m: int) -> list[set[int]]:
-    """`solve_prepared`'s bundles, once they pass `check_bundles`."""
-    bundles = solve_prepared(reports, supports, sigma)
-    check_bundles(bundles, m)
-    return bundles
-
-
-def _shared_solve(reports, supports, sigma: PriorityOrder, m: int, shared: dict, build):
-    """`build(bundles)` of `solve_prepared`'s bundles, once they pass
-    `check_bundles`, built once per distinct allocation: `shared` maps the
-    holders tuple that check returns to the value built for it."""
-    bundles = solve_prepared(reports, supports, sigma)
-    holders = check_bundles(bundles, m)
-    value = shared.get(holders)
-    if value is None:
-        value = shared[holders] = build(bundles)
-    return value
-
-
-def _frozen(bundles) -> tuple[ItemSet, ...]:
-    return tuple(map(frozenset, bundles))
+    return _distribution(matroids, m, _exact_size("rpe", len(matroids), m), None)
 
 
 def _exact_size(mechanism: str, n: int, m: int, copies: int = 1) -> int:
@@ -299,23 +268,40 @@ def _checked_demand(demand, m: int) -> ItemSet:
     return demand
 
 
-def _meps_outcomes(
-    reports, supports, m: int, held_outs: Sequence, orders: Iterable
+def _outcomes(
+    reports, supports, m: int, held_outs: Sequence | None, orders: Iterable
 ) -> Iterator[tuple]:
     """(sigma, X, PE half, M^X grants) for every realization, the priority
-    orders `orders` outside and the held-out lists `held_outs` inside.  The
-    demand reports come set up, as the engine takes them: `FreeOver(d)` and
-    its `prepare_supports` list d, clipped to the universe.  A PE half is a
-    tuple of frozensets that passed `check_bundles` when it was solved,
-    equal halves one object for the walk; grants are `_mx_grants`'.
+    orders `orders` outside and the held-out lists `held_outs` inside; with
+    `held_outs` None there is no held-out stage, and each order yields
+    (sigma, None, PE half, ()).  The reports come set up, with their
+    `prepare_supports` lists (held-out demand reports as `FreeOver(d)` and
+    d, clipped to the universe).  A PE half is a tuple of frozensets: each
+    solve is `solve_prepared` and then `check_bundles`, whose holders tuple
+    makes equal halves one object for the walk, frozen once.
 
-    The PE half, PE on demands∖X under sigma, depends on X only through
-    Y = X ∩ ∪demands (d − X = d − Y for each report d), so it is solved once
-    per (sigma, Y), with supports clipped to M∖Y.  A free matroid answers
-    every exchange question alike, so that is PE on the free matroids over
-    d − Y.  Each order's reverse gives the top two demanders of every item
-    of some held-out list, from which M^X grants without `run_mx`'s checks,
-    met by construction: X holds distinct items and sigma is a permutation."""
+    A held-out PE half, PE on demands∖X under sigma, depends on X only
+    through Y = X ∩ ∪demands (d − X = d − Y for each report d), so it is
+    solved once per (sigma, Y), with supports clipped to M∖Y.  A free
+    matroid answers every exchange question alike, so that is PE on the
+    free matroids over d − Y.  Each order's reverse gives the top two
+    demanders of every item of some held-out list, from which M^X grants
+    without `run_mx`'s checks, met by construction: X holds distinct items
+    and sigma is a permutation."""
+    interned: dict[tuple, tuple] = {}  # holders -> PE half, for the whole walk
+
+    def solve(lists, sigma: PriorityOrder) -> tuple[ItemSet, ...]:
+        bundles = solve_prepared(reports, lists, sigma)
+        holders = check_bundles(bundles, m)
+        pe = interned.get(holders)
+        if pe is None:
+            pe = interned[holders] = tuple(map(frozenset, bundles))
+        return pe
+
+    if held_outs is None:
+        for sigma in orders:
+            yield sigma, None, solve(supports, sigma), ()
+        return
     clipped = {frozenset(): supports}
     demanded_anywhere = frozenset().union(*supports)
     parts = []
@@ -326,16 +312,13 @@ def _meps_outcomes(
         parts.append((held_out, demanded))
     items = frozenset().union(*held_outs)
     on_items = [items.intersection(s) for s in supports]
-    interned: dict[tuple, tuple] = {}  # holders -> PE half, for the whole walk
     for sigma in orders:
         tops = _top_two(items, sigma[::-1], on_items)
         pe_halves: dict[ItemSet, tuple] = {}
         for held_out, demanded in parts:
             pe = pe_halves.get(demanded)
             if pe is None:
-                pe = pe_halves[demanded] = _shared_solve(
-                    reports, clipped[demanded], sigma, m, interned, _frozen
-                )
+                pe = pe_halves[demanded] = solve(clipped[demanded], sigma)
             yield sigma, held_out, pe, _mx_grants(held_out, tops)
 
 
@@ -364,33 +347,39 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     weight 1/(m^2 n!)), and raises CapabilityError before enumerating when
     there are more than MEPS_EXACT_MAX_ATOMS of them, and before n! is
     computed past MEPS_EXACT_MAX_AGENTS agents.
-
-    Merges the halves of each realization of `_meps_outcomes` (orders
-    outside) into a validated `Allocation`, one per distinct value, found
-    by the identity of the interned PE half and the grants; atom h·n! + k
-    is outcome h under order k, so atoms keep outcome-major order.
     """
     reports = [FreeOver._of_frozen(d) for d in _check_meps_inputs(demands, m, eps)]
-    size = _exact_size("meps", len(reports), m)
-    held_outs = held_out_lists(m)
-    orders = size // len(held_outs)
+    size = _exact_size("meps", len(reports), m)  # before the m^2 lists are built
+    return _distribution(reports, m, size, held_out_lists(m))
+
+
+def _distribution(reports, m: int, size: int, held_outs) -> OutcomeDistribution:
+    """The `size` atoms of weight 1/size of the walk `_outcomes` over the
+    set-up `reports`, every order of their agents and `held_outs`.
+
+    Merges the halves of each realization into a validated `Allocation`,
+    one per distinct value, found by the identity of the interned PE half
+    and the grants; atom h·n! + k is realization h under order k (one
+    realization per order without a held-out stage), so atoms keep
+    outcome-major order.
+    """
     weight = Fraction(1, size)
-    atoms: list[Atom | None] = [None] * size
     allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value
     # by (id of the PE half, grants): equal halves are one object, which the
     # walk keeps alive to its end, so no id is reused
     merged: dict[tuple, Allocation] = {}
     supports = prepare_supports(reports, m)
-    walk = _meps_outcomes(reports, supports, m, held_outs, permutations(range(len(reports))))
-    for k, realizations in enumerate(zip(*[walk] * len(held_outs))):  # order k's m^2
-        order = []
-        for sigma, held_out, pe, grants in realizations:
-            outcome = merged.get((id(pe), grants))
-            if outcome is None:
-                outcome = merged[id(pe), grants] = allocation(_merged(pe, grants))
-            order.append(Atom(weight, outcome, sigma, held_out))
-        atoms[k::orders] = order  # atom h·n! + k is outcome h under order k
-    return OutcomeDistribution(tuple(atoms))
+    atoms = []  # in walk order: realization h of order k at k·per_order + h
+    for sigma, held_out, pe, grants in _outcomes(
+        reports, supports, m, held_outs, permutations(range(len(reports)))
+    ):
+        outcome = merged.get((id(pe), grants))
+        if outcome is None:
+            outcome = merged[id(pe), grants] = allocation(_merged(pe, grants))
+        atoms.append(Atom(weight, outcome, sigma, held_out))
+    per_order = 1 if held_outs is None else len(held_outs)
+    by_realization = (atoms[h::per_order] for h in range(per_order))
+    return OutcomeDistribution(tuple(chain.from_iterable(by_realization)))
 
 
 def sample_meps(
@@ -400,7 +389,7 @@ def sample_meps(
 
     Draw order is fixed: first item, keep-single test, optional second
     item, then the priority shuffle; identical seeds give identical traces.
-    The two halves come from `_meps_outcomes`, as in `run_meps`.
+    The two halves come from `_outcomes`, as in `run_meps`.
     """
     reports = [FreeOver._of_frozen(d) for d in _check_meps_inputs(demands, m, eps)]
     rng = random.Random(seed)
@@ -416,7 +405,7 @@ def sample_meps(
     rng.shuffle(order)
     sigma = tuple(order)
     supports = prepare_supports(reports, m)
-    ((_, _, pe, grants),) = _meps_outcomes(reports, supports, m, [held_out], [sigma])
+    ((_, _, pe, grants),) = _outcomes(reports, supports, m, [held_out], [sigma])
     return Allocation(_merged(pe, grants), m), held_out, sigma
 
 

@@ -29,7 +29,7 @@ from egalloc.matroid import FreeOver, Partition, Uniform
 from egalloc.mechanisms import (
     _merged,
     _merged_bundle,
-    _meps_outcomes,
+    _outcomes,
     expected_utilities,
     floor_reports,
     held_out_lists,
@@ -347,7 +347,7 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
             reports = [FreeOver(d) for d in demands]
             supports = prepare_supports(reports, m)
             monkeypatch.setattr(mechanisms, "solve_prepared", counting)
-            walk = _meps_outcomes(reports, supports, m, held_outs, permutations(range(n)))
+            walk = _outcomes(reports, supports, m, held_outs, permutations(range(n)))
             got = _walk_value(
                 (_merged_bundle(pe[deviator], grants, deviator) for _, _, pe, grants in walk),
                 value,
@@ -367,7 +367,7 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
 
 
 def test_merged_bundle_refuses_an_item_in_both_halves():
-    pe = (F({0}), F({1}))  # a frozen PE half, as `_meps_outcomes` yields it
+    pe = (F({0}), F({1}))  # a frozen PE half, as `_outcomes` yields it
     assert _merged_bundle(pe[1], ((0, 3), (1, 2)), 1) == F({1, 2})
     assert _merged_bundle(pe[1], ((1, 3), (1, 2)), 1) == F({1, 2, 3})  # a sole demander wins both
     assert _merged_bundle(pe[1], (), 1) is pe[1]
@@ -543,7 +543,7 @@ def test_fuzz_walks_only_the_candidates_whose_bound_beats_the_best(monkeypatch):
 
     inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
     solves, walks = [], []
-    original_solve, original_walk = mechanisms.solve_prepared, harness._meps_outcomes
+    original_solve, original_walk = mechanisms.solve_prepared, harness._outcomes
 
     def solving(reports, supports, sigma):
         solves.append(sigma)
@@ -554,7 +554,7 @@ def test_fuzz_walks_only_the_candidates_whose_bound_beats_the_best(monkeypatch):
         return original_walk(*args)
 
     monkeypatch.setattr(mechanisms, "solve_prepared", solving)
-    monkeypatch.setattr(harness, "_meps_outcomes", walking)
+    monkeypatch.setattr(harness, "_outcomes", walking)
     # A candidate R has cap c = |R ∩ T| and is bounded by N·c over the N
     # realizations, and the truth scores best = N times 1 (pe), 1 (rpe) and
     # 241/192 (meps); the score is never raised, as no candidate beats it.
@@ -584,8 +584,8 @@ def test_fuzz_walks_only_the_candidates_whose_bound_beats_the_best(monkeypatch):
     # 10 · (24 + 17 + 18 + 17 + 16 + 16 + 16 + 23 + 24) = 1,710 solves in 9
     # walks (2,160 walked in full).
     for mechanism, utility, want_solves, want_walks in [
-        ("pe", 1, 9, 0),
-        ("rpe", 1, 189, 0),
+        ("pe", 1, 9, 9),
+        ("rpe", 1, 189, 9),
         ("meps", Fraction(241, 192), 1710, 9),
     ]:
         solves.clear()
@@ -647,8 +647,6 @@ def test_fuzz_cuts_a_walk_that_cannot_win_and_a_later_candidate_wins(monkeypatch
 def test_the_deviators_bundles_stay_inside_its_support_list():
     # the premise of the fuzzer's bound: each report's bundle, along every
     # route the fuzzer walks, is a subset of the support list it was given
-    import egalloc.mechanisms as mechanisms
-
     rng = random.Random(4242)
     for k in range(36):
         n, m = rng.randint(1, 4), rng.randint(1, 6)
@@ -658,15 +656,15 @@ def test_the_deviators_bundles_stay_inside_its_support_list():
         full = prepare_supports(reports, m)
         cut = {a for a in range(m) if rng.random() < 0.4}
         for lists in (full, [[a for a in s if a not in cut] for s in full]):
-            for sigma in rng.sample(list(permutations(range(n))), min(4, math.factorial(n))):
-                bundles = mechanisms._checked_solve(reports, lists, sigma, m)
+            sigmas = rng.sample(list(permutations(range(n))), min(4, math.factorial(n)))
+            for sigma, _, pe, _ in _outcomes(reports, lists, m, None, sigmas):
                 for v in range(n):
-                    assert bundles[v] <= set(lists[v]), (reports, lists, sigma, v)
+                    assert pe[v] <= set(lists[v]), (reports, lists, sigma, v)
         # meps: the PE half merged with the M^X grants, for every agent
         demands = [F(a for a in range(m) if rng.random() < 0.5) for _ in range(n)]
         reports = [FreeOver(d) for d in demands]
         supports = prepare_supports(reports, m)
-        walk = _meps_outcomes(reports, supports, m, held_out_lists(m), permutations(range(n)))
+        walk = _outcomes(reports, supports, m, held_out_lists(m), permutations(range(n)))
         for sigma, held_out, pe, grants in walk:
             for v in range(n):
                 assert _merged_bundle(pe[v], grants, v) <= set(supports[v]), (demands, held_out)

@@ -11,6 +11,7 @@ from conftest import (
     MATROID_TAGS,
     VALUATION_KINDS,
     count_free_supports,
+    rand_matroid_of_tag,
     rand_subset,
     rand_valuation,
 )
@@ -122,6 +123,26 @@ def test_rpe_exact_validates_each_report_once(monkeypatch):
     assert len(dist.atoms) == 24
     for atom in dist.atoms:
         assert atom.allocation == run_pe(reports, 4, atom.priority)
+    monkeypatch.setattr(mechanisms, "validate_matroid", original)
+    # atom k is the k-th order of `permutations`, with no held-out list and
+    # weight 1/n!, and holds PE under it: seeded reports of every matroid
+    # tag and additive demand sets
+    rng = random.Random(2718)
+    kinds = (*MATROID_TAGS, "additive")
+    for k in range(28):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        reports = [
+            AdditiveDichotomous(rand_subset(rng, m)) if kind == "additive"
+            else MatroidValuation(rand_matroid_of_tag(rng, kind, m))
+            for kind in (kinds[(k + v) % len(kinds)] for v in range(n))
+        ]
+        orders = list(permutations(range(n)))
+        dist = run_rpe(reports, m)
+        assert len(dist.atoms) == len(orders)
+        for atom, sigma in zip(dist.atoms, orders):
+            assert (atom.priority, atom.held_out) == (sigma, None)
+            assert atom.weight == Fraction(1, len(orders))
+            assert atom.allocation == run_pe(reports, m, sigma), (reports, sigma)
 
 
 def test_rpe_exact_cap():
@@ -475,6 +496,42 @@ def test_held_out_truthfulness_threshold_is_exact():
     grid = {Fraction(1, 60): Fraction(1, 9), Fraction(6, 5): Fraction(1, 90),
             Fraction(5, 4): 0, Fraction(13, 10): Fraction(-1, 90)}
     assert {eps: worst_margin(eps) for eps in grid} == grid
+
+
+def test_held_out_witness_family_at_two_agents():
+    """The other agent demands all m items, the deviator's truth is m − 1
+    of them and its lie drops one more: the least A/S over those choices
+    (as in `truthfulness_threshold`, from `run_meps` chances) is an upper
+    bound on ε*(2, m).  It is (m+2)/((m−1)(2m−3)) from m = 6, where it
+    equals ε* (8/45), as at m = 7 (3/22); at m = 3, 4 and 5 another case
+    is worse (ε* is 5/4, 1/3 and 1/4 there)."""
+
+    def least_ratio(m):
+        everything = F(range(m))
+        chances = {}
+
+        def chance(report):
+            if report not in chances:
+                atoms = run_meps([report, everything], m, 0).atoms
+                chances[report] = [
+                    sum(atom.weight for atom in atoms if a in atom.allocation.bundles[0])
+                    for a in range(m)
+                ]
+            return chances[report]
+
+        ratios = []
+        for truth in map(F, combinations(range(m), m - 1)):
+            for lie in map(F, combinations(sorted(truth), m - 2)):
+                diffs = [chance(truth)[a] - chance(lie)[a] for a in truth]
+                gain, exposure = sum(diffs), -sum(d for d in diffs if d < 0)
+                if exposure:
+                    ratios.append(gain / exposure)
+        return min(ratios)
+
+    closed_form = {m: Fraction(m + 2, (m - 1) * (2 * m - 3)) for m in (6, 7, 8, 10)}
+    assert (closed_form[6], closed_form[7]) == (Fraction(8, 45), Fraction(3, 22))
+    pinned = {3: Fraction(9, 2), 4: Fraction(4, 3), 5: Fraction(13, 22), **closed_form}
+    assert {m: least_ratio(m) for m in pinned} == pinned
 
 
 def test_exact_meps_cap_counts_atoms(monkeypatch):

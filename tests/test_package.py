@@ -40,6 +40,8 @@ def test_deleted_oracles_are_gone():
         # or checked there against enumerate_optimal(inst).lorenz_dominating
         egalloc.matroid: ("brute_force_rank",),
         egalloc.audit: ("nsw_key", "check_stochastic_ef", "check_lorenz_dominating", "TailWitness"),
+        # every exact mechanism realizes through the one walk, `_outcomes`
+        egalloc.mechanisms: ("_checked_solve", "_shared_solve", "_meps_outcomes", "_frozen"),
     }
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
