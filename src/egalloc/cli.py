@@ -96,12 +96,14 @@ def _result_document(inst: Instance, alloc: Allocation, sigma, mechanism: str) -
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.infile)
-    sigma = _parse_priority_flag(args.priority, inst)
     mech = args.mech
     if mech == "pe":
+        sigma = _parse_priority_flag(args.priority, inst)
         alloc = run_pe(floor_reports(inst.valuations), inst.m, sigma)
         _emit(_result_document(inst, alloc, sigma, "pe"))
         return EXIT_OK
+    if args.priority is not None:  # the order is drawn from the seed
+        raise ValidationError(f"solve --mech {mech} refuses --priority, drawing it from --seed")
     if mech == "rpe":
         alloc, sigma = sample_rpe(floor_reports(inst.valuations), inst.m, seed=args.seed)
         doc = _result_document(inst, alloc, sigma, "rpe")
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mech", required=True, choices=["pe", "rpe", "meps"])
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--seed", type=int, default=0, help="PRNG seed for rpe and meps")
-    solve.add_argument("--priority", help="comma-separated agent names, highest first")
+    solve.add_argument("--priority", help="comma-separated agent names, highest first (pe only)")
     solve.set_defaults(command_fn="_cmd_solve")
 
     audit = sub.add_parser("audit", help="audit an allocation against an instance")

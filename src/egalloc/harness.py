@@ -35,7 +35,6 @@ from .model import Allocation, Instance
 from .mechanisms import (
     _check_meps_inputs,
     _exact_size,
-    _merged_bundle,
     _outcomes,
     floor_reports,
     held_out_lists,
@@ -54,12 +53,6 @@ from .valuation import (
 )
 
 SUBSET_SPACE_MAX_ITEMS = 12
-
-#: Most agents and items, summed over its PE solves (one per candidate
-#: report and one for the truth), that `fuzz_truthfulness("pe", ...)` takes
-#: on.  A solve over n agents and m items took 1–3 µs per agent or item on
-#: additive instances with m <= 12, so the cap is about one second of work.
-PE_FUZZ_MAX_SIZE = 300_000
 
 
 def all_demand_subsets(instance: Instance, deviator: int) -> list[ValuationSpec]:
@@ -143,8 +136,8 @@ def fuzz_truthfulness(
     demand-set report, the truth's included, skips `sanitize_reports`.
     Every mechanism walks `mechanisms._outcomes`: 'pe' the one priority
     order, 'rpe' every order, and 'meps' every order with the held-out
-    stage; only the deviator's bundle is merged with its grants (none
-    without a held-out stage) and valued, once per distinct pair.
+    stage; the deviator's items in each realization's holders tuple (the
+    M^X grants written in) are valued once per distinct tuple.
 
     The search is branch and bound.  A candidate's cap is f(S), S the
     support of its set-up spec (set-up checked S against the universe, so
@@ -164,9 +157,9 @@ def fuzz_truthfulness(
     at most f(S), and since only a strictly higher score replaces the
     best, a candidate that is skipped or cut could never have been chosen.
     The truth is walked in full, as its score is reported.
-    Past the exact walks' size gate, `mechanisms._exact_size` ('rpe',
-    'meps'), or PE_FUZZ_MAX_SIZE agents and items over all solves ('pe'),
-    CapabilityError before any solve.
+    Past the exact walks' size gate, `mechanisms._exact_size` (for 'pe',
+    PE_FUZZ_MAX_SIZE agents and items over all solves), CapabilityError
+    before any solve.
     """
     n, m = instance.n, instance.m
     if not (0 <= deviator < n):
@@ -181,8 +174,8 @@ def fuzz_truthfulness(
         what = "report"
     elif mechanism == "meps":
         # ε and the demands are checked before the size gate below, as in run_meps
-        demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
-        others = [FreeOver._of_frozen(d) for v, d in enumerate(demands) if v != deviator]
+        others = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
+        del others[deviator]
         what = "demand report"
     else:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
@@ -199,8 +192,10 @@ def fuzz_truthfulness(
         return sanitize_reports([report], m)[0]
 
     other_supports = prepare_supports(others, m)
-    # the deviator's value of a PE bundle merged with its grants, once per distinct pair
-    worth = functools.cache(lambda bundle, grants: value(_merged_bundle(bundle, grants, deviator)))
+    # the deviator's value of its items in a realization, once per distinct holders tuple
+    worth = functools.cache(
+        lambda holders: value(frozenset(a for a, v in enumerate(holders) if v == deviator))
+    )
 
     def score(mine: MatroidSpec, prepared: list[list[int]], cap=None):
         """The report's score, Σ of the deviator's value over the realizations
@@ -211,8 +206,8 @@ def fuzz_truthfulness(
         supports = other_supports[:deviator] + prepared + other_supports[deviator:]
         total = 0
         walk = _outcomes(matroids, supports, m, held_outs, sigmas)
-        for k, (_, _, pe, grants) in enumerate(walk, 1):
-            total += worth(pe[deviator], grants)
+        for k, (_, _, holders) in enumerate(walk, 1):
+            total += worth(holders)
             if cap is None or k % per_order:
                 continue  # cut only after a whole priority order
             if total + (realizations - k) * cap <= best_score:
@@ -220,13 +215,7 @@ def fuzz_truthfulness(
         return total
 
     reports = space(instance, deviator)
-    solves = len(reports) + 1
-    realizations = _exact_size(mechanism, n, m, copies=solves)
-    if mechanism == "pe" and solves * (n + m) > PE_FUZZ_MAX_SIZE:
-        raise CapabilityError(
-            f"fuzzing pe runs {solves} PE solves over {n + m} agents and items each "
-            f"({solves * (n + m)} in all); the cap is {PE_FUZZ_MAX_SIZE}"
-        )
+    realizations = _exact_size(mechanism, n, m, copies=len(reports) + 1)
     # built past the size gate, as they grow with n! and m^2
     held_outs = held_out_lists(m) if mechanism == "meps" else None
     per_order = 1 if held_outs is None else len(held_outs)

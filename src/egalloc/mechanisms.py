@@ -36,31 +36,28 @@ to M∖X, which is PE on M∖X, as the engine asks only about support items.
 Every exact walk is sized by one gate, `_exact_size`, before its first
 solve, and every realization comes from one walk, `_outcomes`: a draw
 is a priority order sigma and, for the held-out mechanism, a held-out
-list X, and then PE under sigma (on M∖X).  Its one solve is the engine,
-`lorenz.solve_prepared`, and then `model.check_bundles`, whose holders
-tuple finds an equal PE half already solved, so bundles are frozen only
-for an allocation the walk has not seen.  `run_rpe` and `run_meps` turn
-the walk into atoms with one builder, `_distribution`, which builds each
-distinct value once: each distinct (PE half, grants) is merged once,
-found by one dict lookup keyed by the half's identity and the grants,
-and each distinct allocation is one `Allocation` (which checks it when
-built) shared by its atoms, which also share one weight object.
-`harness.fuzz_truthfulness` tallies one agent's bundles along the same
-walk (PE is the one-order case), through the same gate; it merges only
-that agent's bundle, and stops a candidate's walk after any order once it
-cannot win.
+list X, and then PE under sigma (on M∖X).  A realization is one holders
+tuple, each item's agent: its one solve is the engine,
+`lorenz.solve_prepared`, and then `model.check_bundles`, which returns
+the PE half's tuple, and `_granted` writes the M^X grants into it.
+`run_rpe` and `run_meps` turn the walk into atoms with one builder,
+`_distribution`, which keeps one dict from holders to `Allocation`
+(checked when built by `_allocation`), so each distinct allocation is one
+object shared by its atoms, which also share one weight object.
+`harness.fuzz_truthfulness` tallies one agent's items in the same tuples
+(PE is the one-order case), through the same gate, and stops a
+candidate's walk after any order once it cannot win.
 
 Caller-supplied items pass the one id rule, `matroid._freeze` and
 `matroid.check_universe`, once each: in `sanitize_reports`, `run_mx` and
 each held-out demand report.  A demand's ids are frozen when its
-`AdditiveDichotomous` is built, or by `_checked_demand` for the demand
+`AdditiveDichotomous` is built, or by `_check_meps_inputs` for the demand
 sets of `run_meps` and `sample_meps`; its `FreeOver` is then built by
 `FreeOver._of_frozen`, which does not freeze them again.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -111,6 +108,12 @@ MEPS_EXACT_MAX_ATOMS = 10_000
 #: about 1,560 agents n! passes the interpreter's limit on printing ints.
 MEPS_EXACT_MAX_AGENTS = 7
 
+#: Most agents and items, summed over its PE solves (one per candidate
+#: report and one for the truth), that `fuzz_truthfulness("pe", ...)` takes
+#: on.  A solve over n agents and m items took 1–3 µs per agent or item on
+#: additive instances with m <= 12, so the cap is about one second of work.
+PE_FUZZ_MAX_SIZE = 300_000
+
 
 def sanitize_reports(reports: Sequence[ValuationSpec], m: int) -> list[MatroidSpec]:
     """Map each report to a matroid rank function, one per report.
@@ -154,10 +157,16 @@ def run_rpe(reports: Sequence[ValuationSpec], m: int) -> OutcomeDistribution:
 def _exact_size(mechanism: str, n: int, m: int, copies: int = 1) -> int:
     """The realizations of one exact walk of `mechanism` over n agents and
     m items: one order for 'pe', n! orders for 'rpe', m^2·n! (X, sigma)
-    outcomes for 'meps'.  CapabilityError past the agent cap of 'rpe' or
-    'meps', before n! is computed, and then past MEPS_EXACT_MAX_ATOMS atoms
-    over `copies` walks (one per fuzz candidate)."""
+    outcomes for 'meps'.  CapabilityError for 'pe' past PE_FUZZ_MAX_SIZE
+    agents and items over `copies` solves (one per fuzz candidate); for
+    'rpe' or 'meps' past their agent cap, before n! is computed, and then
+    past MEPS_EXACT_MAX_ATOMS atoms over `copies` walks."""
     if mechanism == "pe":
+        if copies * (n + m) > PE_FUZZ_MAX_SIZE:
+            raise CapabilityError(
+                f"fuzzing pe runs {copies} PE solves over {n + m} agents and items each "
+                f"({copies * (n + m)} in all); the cap is {PE_FUZZ_MAX_SIZE}"
+            )
         return 1
     max_agents = RPE_EXACT_MAX_AGENTS if mechanism == "rpe" else MEPS_EXACT_MAX_AGENTS
     if n > max_agents:
@@ -207,7 +216,7 @@ def run_mx(
         if not r <= xset:
             raise ValidationError("held-out reports must be subsets of the held-out list")
     grants = _mx_grants(held_out, _top_two(held_out, sigma, reports))
-    return Allocation(_merged([frozenset()] * n, grants), m)
+    return _allocation(_granted((-1,) * m, grants), n)
 
 
 def _top_two(items, sigma: PriorityOrder, reports: Sequence[ItemSet]) -> dict:
@@ -251,34 +260,32 @@ def meps_demands(valuations: Sequence[ValuationSpec]) -> list[ItemSet]:
     return [support(v) for v in valuations]
 
 
-def _check_meps_inputs(demands, m, eps) -> list[ItemSet]:
-    """The demands as frozensets, once eps, m and every item are checked."""
+def _check_meps_inputs(demands, m, eps) -> list[FreeOver]:
+    """The demand reports as `FreeOver` specs, once eps, m and then each
+    demand's items (the one id rule) are checked."""
     n, eps = len(demands), as_value(eps)
     if n < 1 or m < 1:
         raise ValidationError("at least one agent and one item required")
     if eps >= Fraction(1, n * m**3):
         raise ValidationError(f"eps must be below 1/(n*m^3) = 1/{n * m**3}; got {eps}")
-    return [_checked_demand(d, m) for d in demands]
-
-
-def _checked_demand(demand, m: int) -> ItemSet:
-    """One demand report as a frozenset of items of 0..m-1."""
-    demand = _freeze(demand)
-    check_universe(demand, m, "demand report")
-    return demand
+    reports = []
+    for demand in map(_freeze, demands):
+        check_universe(demand, m, "demand report")
+        reports.append(FreeOver._of_frozen(demand))
+    return reports
 
 
 def _outcomes(
     reports, supports, m: int, held_outs: Sequence | None, orders: Iterable
 ) -> Iterator[tuple]:
-    """(sigma, X, PE half, M^X grants) for every realization, the priority
-    orders `orders` outside and the held-out lists `held_outs` inside; with
+    """(sigma, X, holders) for every realization, the priority orders
+    `orders` outside and the held-out lists `held_outs` inside; with
     `held_outs` None there is no held-out stage, and each order yields
-    (sigma, None, PE half, ()).  The reports come set up, with their
+    (sigma, None, holders).  The reports come set up, with their
     `prepare_supports` lists (held-out demand reports as `FreeOver(d)` and
-    d, clipped to the universe).  A PE half is a tuple of frozensets: each
-    solve is `solve_prepared` and then `check_bundles`, whose holders tuple
-    makes equal halves one object for the walk, frozen once.
+    d, clipped to the universe).  `holders` gives each item's agent, -1 for
+    none: each solve is `solve_prepared` and then `check_bundles`, whose
+    tuple is the PE half's, and `_granted` writes the M^X grants into it.
 
     A held-out PE half, PE on demands∖X under sigma, depends on X only
     through Y = X ∩ ∪demands (d − X = d − Y for each report d), so it is
@@ -288,19 +295,9 @@ def _outcomes(
     demanders of every item of some held-out list, from which M^X grants
     without `run_mx`'s checks, met by construction: X holds distinct items
     and sigma is a permutation."""
-    interned: dict[tuple, tuple] = {}  # holders -> PE half, for the whole walk
-
-    def solve(lists, sigma: PriorityOrder) -> tuple[ItemSet, ...]:
-        bundles = solve_prepared(reports, lists, sigma)
-        holders = check_bundles(bundles, m)
-        pe = interned.get(holders)
-        if pe is None:
-            pe = interned[holders] = tuple(map(frozenset, bundles))
-        return pe
-
     if held_outs is None:
         for sigma in orders:
-            yield sigma, None, solve(supports, sigma), ()
+            yield sigma, None, check_bundles(solve_prepared(reports, supports, sigma), m)
         return
     clipped = {frozenset(): supports}
     demanded_anywhere = frozenset().union(*supports)
@@ -314,29 +311,36 @@ def _outcomes(
     on_items = [items.intersection(s) for s in supports]
     for sigma in orders:
         tops = _top_two(items, sigma[::-1], on_items)
-        pe_halves: dict[ItemSet, tuple] = {}
+        pe_halves: dict[ItemSet, tuple[int, ...]] = {}
         for held_out, demanded in parts:
             pe = pe_halves.get(demanded)
             if pe is None:
-                pe = pe_halves[demanded] = solve(clipped[demanded], sigma)
-            yield sigma, held_out, pe, _mx_grants(held_out, tops)
+                pe = pe_halves[demanded] = check_bundles(
+                    solve_prepared(reports, clipped[demanded], sigma), m
+                )
+            yield sigma, held_out, _granted(pe, _mx_grants(held_out, tops))
 
 
-def _merged(pe: Sequence[ItemSet], grants: tuple) -> tuple[ItemSet, ...]:
-    """A realization's bundles; an item in both halves of one agent raises,
-    and the `Allocation` built from them refuses one in two agents'."""
-    return tuple(_merged_bundle(bundle, grants, v) for v, bundle in enumerate(pe))
-
-
-def _merged_bundle(bundle: ItemSet, grants: tuple, agent: int) -> ItemSet:
-    """`agent`'s bundle of `_merged`: its frozen PE bundle `bundle` and the
-    items granted to it; an item in both halves raises."""
+def _granted(holders: tuple[int, ...], grants: tuple) -> tuple[int, ...]:
+    """`holders` with each (agent, item) grant written in at the item; a
+    grant of an item that is already held raises.  No grants: `holders`."""
+    if not grants:
+        return holders
+    merged = list(holders)
     for v, item in grants:
-        if v == agent:
-            if item in bundle:
-                raise ValidationError(f"item {item} allocated twice")
-            bundle = bundle | {item}
-    return bundle
+        if merged[item] >= 0:
+            raise ValidationError(f"item {item} allocated twice")
+        merged[item] = v
+    return tuple(merged)
+
+
+def _allocation(holders: tuple[int, ...], n: int) -> Allocation:
+    """The `Allocation` of n agents that `holders` describes, checked when built."""
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    for item, v in enumerate(holders):
+        if v >= 0:
+            bundles[v].append(item)
+    return Allocation(bundles, len(holders))
 
 
 def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
@@ -348,7 +352,7 @@ def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
     there are more than MEPS_EXACT_MAX_ATOMS of them, and before n! is
     computed past MEPS_EXACT_MAX_AGENTS agents.
     """
-    reports = [FreeOver._of_frozen(d) for d in _check_meps_inputs(demands, m, eps)]
+    reports = _check_meps_inputs(demands, m, eps)
     size = _exact_size("meps", len(reports), m)  # before the m^2 lists are built
     return _distribution(reports, m, size, held_out_lists(m))
 
@@ -357,25 +361,21 @@ def _distribution(reports, m: int, size: int, held_outs) -> OutcomeDistribution:
     """The `size` atoms of weight 1/size of the walk `_outcomes` over the
     set-up `reports`, every order of their agents and `held_outs`.
 
-    Merges the halves of each realization into a validated `Allocation`,
-    one per distinct value, found by the identity of the interned PE half
-    and the grants; atom h·n! + k is realization h under order k (one
+    Builds one validated `Allocation` per distinct holders tuple, shared by
+    its atoms; atom h·n! + k is realization h under order k (one
     realization per order without a held-out stage), so atoms keep
     outcome-major order.
     """
-    weight = Fraction(1, size)
-    allocation = functools.cache(lambda bundles: Allocation(bundles, m))  # one per value
-    # by (id of the PE half, grants): equal halves are one object, which the
-    # walk keeps alive to its end, so no id is reused
-    merged: dict[tuple, Allocation] = {}
+    n, weight = len(reports), Fraction(1, size)
+    allocations: dict[tuple[int, ...], Allocation] = {}  # by holders
     supports = prepare_supports(reports, m)
     atoms = []  # in walk order: realization h of order k at k·per_order + h
-    for sigma, held_out, pe, grants in _outcomes(
-        reports, supports, m, held_outs, permutations(range(len(reports)))
+    for sigma, held_out, holders in _outcomes(
+        reports, supports, m, held_outs, permutations(range(n))
     ):
-        outcome = merged.get((id(pe), grants))
+        outcome = allocations.get(holders)
         if outcome is None:
-            outcome = merged[id(pe), grants] = allocation(_merged(pe, grants))
+            outcome = allocations[holders] = _allocation(holders, n)
         atoms.append(Atom(weight, outcome, sigma, held_out))
     per_order = 1 if held_outs is None else len(held_outs)
     by_realization = (atoms[h::per_order] for h in range(per_order))
@@ -389,9 +389,9 @@ def sample_meps(
 
     Draw order is fixed: first item, keep-single test, optional second
     item, then the priority shuffle; identical seeds give identical traces.
-    The two halves come from `_outcomes`, as in `run_meps`.
+    The realization's holders come from `_outcomes`, as in `run_meps`.
     """
-    reports = [FreeOver._of_frozen(d) for d in _check_meps_inputs(demands, m, eps)]
+    reports = _check_meps_inputs(demands, m, eps)
     rng = random.Random(seed)
     x = rng.randrange(m)
     if rng.randrange(m) > 0:  # probability (m-1)/m; never fires at m = 1
@@ -405,8 +405,8 @@ def sample_meps(
     rng.shuffle(order)
     sigma = tuple(order)
     supports = prepare_supports(reports, m)
-    ((_, _, pe, grants),) = _outcomes(reports, supports, m, [held_out], [sigma])
-    return Allocation(_merged(pe, grants), m), held_out, sigma
+    ((_, _, holders),) = _outcomes(reports, supports, m, [held_out], [sigma])
+    return _allocation(holders, len(reports)), held_out, sigma
 
 
 def expected_utilities(

@@ -32,8 +32,9 @@ def check_bundles(bundles: Sequence[Iterable[int]], m: int) -> tuple[int, ...]:
     iteration order, and the first offending item is named.
 
     Returns each item's holder, -1 for an unallocated item: equal
-    allocations give equal tuples, so the exact walks key their shared
-    values by it without freezing the bundles."""
+    allocations give equal tuples, so this tuple is a realization's one
+    identity in the exact walks, which key each allocation and each fuzz
+    value by it."""
     holders = [-1] * m
     for v, b in enumerate(bundles):
         for a in b:

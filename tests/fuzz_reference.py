@@ -61,7 +61,8 @@ def reference_fuzz_truthfulness(
             return expected_utilities(dist, instance.valuations)[deviator]
 
     elif mechanism == "meps":
-        base_demands = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
+        checked = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
+        base_demands = [spec.demand for spec in checked]
 
         def utility(report: ValuationSpec) -> Fraction:
             if not isinstance(report, AdditiveDichotomous):

@@ -708,6 +708,18 @@ def test_fuzz_expectation_flag_pairs_with_the_mechanism(argv, write_doc, capsys)
     assert "--expectation" in err
 
 
+@pytest.mark.parametrize("mech", ["rpe", "meps"])
+def test_sampled_solve_refuses_a_priority_order(mech, write_doc, capsys):
+    # the order is drawn from --seed, so a --priority would be ignored
+    for priority in ("p1,p2", "p2,p1"):
+        code, out, err = run_cli(
+            capsys, "solve", "--mech", mech, "--in", write_doc(MEPS3), "--seed", "3",
+            "--priority", priority,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: solve --mech {mech} refuses --priority, drawing it from --seed\n"
+
+
 def _one_agent(valuation, **extra):
     return {"items": ["x", "y"], "agents": [{"name": "p", "valuation": valuation}], **extra}
 

@@ -27,8 +27,8 @@ from egalloc.harness import (
 from egalloc.lorenz import prepare_supports, solve_prepared
 from egalloc.matroid import FreeOver, Partition, Uniform
 from egalloc.mechanisms import (
-    _merged,
-    _merged_bundle,
+    _allocation,
+    _granted,
     _outcomes,
     expected_utilities,
     floor_reports,
@@ -281,6 +281,11 @@ def _walk_value(bundles, value, realizations: int) -> Fraction:
     return Fraction(sum(c * value(b) for b, c in Counter(bundles).items()), realizations)
 
 
+def _items_of(holders, agent):
+    """`agent`'s bundle in a holders tuple of the walk."""
+    return F(a for a, v in enumerate(holders) if v == agent)
+
+
 def test_pe_tally_matches_the_reference():
     # pe is the one-order case of the rpe tally; compared against run_pe and
     # evaluate on every seeded case of both mechanisms
@@ -349,7 +354,7 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
             monkeypatch.setattr(mechanisms, "solve_prepared", counting)
             walk = _outcomes(reports, supports, m, held_outs, permutations(range(n)))
             got = _walk_value(
-                (_merged_bundle(pe[deviator], grants, deviator) for _, _, pe, grants in walk),
+                (_items_of(holders, deviator) for _, _, holders in walk),
                 value,
                 m * m * math.factorial(n),
             )
@@ -367,17 +372,17 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
 
 
 def test_merged_bundle_refuses_an_item_in_both_halves():
-    pe = (F({0}), F({1}))  # a frozen PE half, as `_outcomes` yields it
-    assert _merged_bundle(pe[1], ((0, 3), (1, 2)), 1) == F({1, 2})
-    assert _merged_bundle(pe[1], ((1, 3), (1, 2)), 1) == F({1, 2, 3})  # a sole demander wins both
-    assert _merged_bundle(pe[1], (), 1) is pe[1]
+    pe = (0, 1, -1, -1)  # a PE half, {0} and {1} over 4 items, as `check_bundles` returns it
+    assert _granted(pe, ((0, 3), (1, 2))) == (0, 1, 1, 0)
+    assert _granted(pe, ((1, 3), (1, 2))) == (0, 1, 1, 1)  # a sole demander wins both
+    assert _granted(pe, ()) is pe
+    assert _allocation(_granted(pe, ((0, 3), (1, 2))), 3).bundles == (F({0, 3}), F({1, 2}), F())
+    # the agent's own PE bundle holds the item
     for grants in [((1, 1),), ((1, 2), (1, 1)), ((0, 2), (1, 1))]:
         with pytest.raises(ValidationError, match="^item 1 allocated twice$"):
-            _merged_bundle(pe[1], grants, 1)
-    with pytest.raises(ValidationError, match="^item 1 allocated twice$"):
-        _merged(pe, ((1, 1),))
+            _granted(pe, grants)
     with pytest.raises(ValidationError, match="^item 0 allocated twice$"):
-        Allocation(_merged(pe, ((1, 0),)), 2)  # an item in another agent's PE bundle
+        _granted(pe, ((1, 0),))  # an item in another agent's PE bundle
 
 
 def test_check_bundles_runs_once_per_engine_solve(monkeypatch):
@@ -657,17 +662,17 @@ def test_the_deviators_bundles_stay_inside_its_support_list():
         cut = {a for a in range(m) if rng.random() < 0.4}
         for lists in (full, [[a for a in s if a not in cut] for s in full]):
             sigmas = rng.sample(list(permutations(range(n))), min(4, math.factorial(n)))
-            for sigma, _, pe, _ in _outcomes(reports, lists, m, None, sigmas):
+            for sigma, _, holders in _outcomes(reports, lists, m, None, sigmas):
                 for v in range(n):
-                    assert pe[v] <= set(lists[v]), (reports, lists, sigma, v)
+                    assert _items_of(holders, v) <= set(lists[v]), (reports, lists, sigma, v)
         # meps: the PE half merged with the M^X grants, for every agent
         demands = [F(a for a in range(m) if rng.random() < 0.5) for _ in range(n)]
         reports = [FreeOver(d) for d in demands]
         supports = prepare_supports(reports, m)
         walk = _outcomes(reports, supports, m, held_out_lists(m), permutations(range(n)))
-        for sigma, held_out, pe, grants in walk:
+        for sigma, held_out, holders in walk:
             for v in range(n):
-                assert _merged_bundle(pe[v], grants, v) <= set(supports[v]), (demands, held_out)
+                assert _items_of(holders, v) <= set(supports[v]), (demands, held_out)
 
 
 def leveled_four_item_instance() -> Instance:

@@ -40,8 +40,13 @@ def test_deleted_oracles_are_gone():
         # or checked there against enumerate_optimal(inst).lorenz_dominating
         egalloc.matroid: ("brute_force_rank",),
         egalloc.audit: ("nsw_key", "check_stochastic_ef", "check_lorenz_dominating", "TailWitness"),
-        # every exact mechanism realizes through the one walk, `_outcomes`
-        egalloc.mechanisms: ("_checked_solve", "_shared_solve", "_meps_outcomes", "_frozen"),
+        # every exact mechanism realizes through the one walk, `_outcomes`, as
+        # holders tuples that `_granted` merges with the grants; and
+        # `_check_meps_inputs` sets up each held-out demand report
+        egalloc.mechanisms: (
+            "_checked_solve", "_shared_solve", "_meps_outcomes", "_frozen",
+            "_merged", "_merged_bundle", "_checked_demand",
+        ),
     }
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
