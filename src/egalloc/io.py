@@ -387,33 +387,28 @@ def distribution_document(dist: OutcomeDistribution, inst: Instance, mechanism: 
     "mechanism", "atoms" (each with "weight", "priority", "held_out" when
     the atom has one, "allocation" and "unallocated") and "atom_count".
 
-    The atoms of an exact walk share their weight, held-out lists and
-    allocations as objects.  So each field is looked up once per distinct
-    object (`_by_identity`), and rendered once per distinct value by a memo
-    under it, which hashes the object (a weight by its numerator and
-    denominator): no `Fraction` or `Allocation` is hashed per atom of a
-    walk, and equal values held apart are still rendered once.  A
-    priority fragment joins the agents' quoted names."""
+    The atoms of an exact walk share their weight, priority, held-out list
+    and allocation as objects, so each field is rendered once per distinct
+    object (`_by_identity`) and no `Fraction` or `Allocation` is hashed per
+    atom.  Bundles alone are memoized by value, since equal bundles recur
+    across the allocations of a walk.  A priority fragment joins the
+    agents' quoted names."""
     items = inst.item_names
     atom_end, field, entry = "\n    ", "\n      ", "\n        "  # depths 2, 3 and 4
     names = list(map(_quote, inst.agent_names))
-    weight_text = cache(lambda p, q: f'"weight": {_quote(_frac_str(Fraction(p, q)))},{field}')
 
     def weight(w: Fraction) -> str:
-        return weight_text(w.numerator, w.denominator)
+        return f'"weight": {_quote(_frac_str(w))},{field}'
 
-    @cache
     def priority(p) -> str:
         body = f"[{entry}{f',{entry}'.join(map(names.__getitem__, p))}{field}]" if p else "[]"
         return f'"priority": {body},{field}'
 
-    @cache
     def held_out(x) -> str:
         return "" if x is None else f'"held_out": {_dumps([items[a] for a in x], field)},{field}'
 
     bundle = cache(lambda name, b: f"{name}: {_dumps([items[a] for a in sorted(b)], entry)}")
 
-    @cache
     def allocation(alloc: Allocation) -> str:
         body = f",{entry}".join(map(bundle, names, alloc.bundles))
         body = f"{{{entry}{body}{field}}}" if body else "{}"

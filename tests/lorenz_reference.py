@@ -6,7 +6,9 @@ agent k loses) that lowers the potential most among those a capped
 matroid-intersection re-solve shows feasible.  It shares only
 `max_common_independent` with the program, not the Yankee Swap engine, so
 agreement between the two is a differential check that reaches past the
-enumeration caps.
+enumeration caps.  The minimum-potential profile is unique, so the
+descent's profile does not depend on which maximum allocation it starts
+from: the oracle may return any one, and only profiles are compared.
 
 `yankee_swap_reference` is the engine's Yankee Swap with the per-item
 transfer-path search it had before the exchange predicates: every (node,

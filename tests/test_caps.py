@@ -69,6 +69,12 @@ CAPS = {
     # k candidate reports and the truthful one, each a PE solve over
     # 60,000 agents and items: k = 4 makes 300,000
     "fuzz-pe-size": (4, lambda k: fuzz_truthfulness("pe", ONE_AGENT_60K, 0, empty_reports(k))),
+    # no candidate report: the truthful PE solve alone, over one agent and
+    # m items, so m = 299,999 makes 300,000
+    "fuzz-pe-items": (
+        299_999,
+        lambda m: fuzz_truthfulness("pe", additive_instance([F({m - 1})]), 0, empty_reports(0)),
+    ),
 }
 
 

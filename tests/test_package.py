@@ -68,3 +68,24 @@ def test_no_module_imports_a_name_it_does_not_use():
             for alias in node.names
         }
         assert sorted(imported - used) == [], path.name
+
+
+def test_the_welfare_oracle_stays_apart_from_the_engine():
+    # the descent in tests/lorenz_reference.py checks the Yankee Swap engine
+    # against intersection.max_common_independent; an oracle that reached the
+    # engine would check it against itself
+    tree = ast.parse((SRC / "intersection.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((getattr(node, "module", None) or "").split("."))
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    engine = {
+        "lorenz", "mechanisms", "harness",
+        "can_add", "swap_filter", "swap_key", "solve_prepared", "compute_lorenz_dominating",
+    }
+    assert sorted(names & engine) == []
