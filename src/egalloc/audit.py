@@ -44,9 +44,6 @@ class Verdict:
     holds: bool
     witness: object | None = None
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 @dataclass(frozen=True)
 class FairnessReport:

@@ -23,7 +23,6 @@ from .harness import all_demand_subsets, fuzz_truthfulness, restricted_mrf_libra
 from .lorenz import enumerate_optimal
 from .mechanisms import (
     floor_reports,
-    meps_demands,
     run_meps,
     run_pe,
     run_rpe,
@@ -96,27 +95,21 @@ def _result_document(inst: Instance, alloc: Allocation, sigma, mechanism: str) -
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.infile)
-    mech = args.mech
+    mech, reports = args.mech, floor_reports(inst.valuations)
     if mech == "pe":
         sigma = _parse_priority_flag(args.priority, inst)
-        alloc = run_pe(floor_reports(inst.valuations), inst.m, sigma)
-        _emit(_result_document(inst, alloc, sigma, "pe"))
+        _emit(_result_document(inst, run_pe(reports, inst.m, sigma), sigma, "pe"))
         return EXIT_OK
     if args.priority is not None:  # the order is drawn from the seed
         raise ValidationError(f"solve --mech {mech} refuses --priority, drawing it from --seed")
+    held_out = None
     if mech == "rpe":
-        alloc, sigma = sample_rpe(floor_reports(inst.valuations), inst.m, seed=args.seed)
-        doc = _result_document(inst, alloc, sigma, "rpe")
-        doc["seed"] = args.seed
-        _emit(doc)
-        return EXIT_OK
-    # meps, the last of the parser's choices
-    alloc, held_out, sigma = sample_meps(
-        meps_demands(inst.valuations), inst.m, inst.epsilon, seed=args.seed
-    )
-    doc = _result_document(inst, alloc, sigma, "meps")
-    doc["seed"] = args.seed
-    doc["held_out"] = [inst.item_names[a] for a in held_out]
+        alloc, sigma = sample_rpe(reports, inst.m, seed=args.seed)
+    else:  # meps, the last of the parser's choices
+        alloc, held_out, sigma = sample_meps(reports, inst.m, inst.epsilon, seed=args.seed)
+    doc = {**_result_document(inst, alloc, sigma, mech), "seed": args.seed}
+    if held_out is not None:
+        doc["held_out"] = [inst.item_names[a] for a in held_out]
     _emit(doc)
     return EXIT_OK
 
@@ -153,10 +146,11 @@ def _cmd_audit(args) -> int:
 
 def _cmd_distribution(args) -> int:
     inst = _load_instance(args.infile)
+    reports = floor_reports(inst.valuations)
     if args.mech == "rpe":
-        dist = run_rpe(floor_reports(inst.valuations), inst.m)
+        dist = run_rpe(reports, inst.m)
     else:
-        dist = run_meps(meps_demands(inst.valuations), inst.m, inst.epsilon)
+        dist = run_meps(reports, inst.m, inst.epsilon)
     sys.stdout.write(docio.distribution_document(dist, inst, args.mech) + "\n")
     return EXIT_OK
 

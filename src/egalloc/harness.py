@@ -7,8 +7,10 @@ and fails loudly on any drift.  `fuzz_truthfulness` enumerates deviation
 spaces against a chosen mechanism and reports the most profitable
 deviation, if any, with one tally: PE is the one-order case of RPE's walk,
 candidates are compared on native sums divided once, and each report is
-set up once per call, under every mechanism, its item ids checked once
-(`_freeze` when the report was built, `check_universe` at set-up).  A
+set up once per call by the mechanism's own per-report set-up,
+`mechanisms._report_spec` (pe, rpe) or `_demand_spec` (meps), its item
+ids checked once (`_freeze` when the report was built, `check_universe`
+at set-up).  A
 candidate is walked only when its support bound (realizations times the
 true value of its whole support) beats the best score so far, and its
 walk stops after any priority order once the score so far plus that value
@@ -28,17 +30,16 @@ from typing import Callable, Sequence
 from .audit import check_envy, maximin_share
 from .errors import CapabilityError, ValidationError
 from .lorenz import enumerate_optimal, potential, prepare_supports
-from .matroid import (
-    FreeOver, ItemSet, MatroidSpec, Partition, Restricted, Truncated, check_universe
-)
+from .matroid import FreeOver, ItemSet, MatroidSpec, Partition, Restricted, Truncated
 from .model import Allocation, Instance
 from .mechanisms import (
     _check_meps_inputs,
+    _demand_spec,
     _exact_size,
     _outcomes,
+    _report_spec,
     floor_reports,
     held_out_lists,
-    meps_demands,
     run_pe,
     sanitize_reports,
 )
@@ -127,13 +128,15 @@ def fuzz_truthfulness(
     type, over the deviator's bundle B in each realization it walks: the
     one order of 'pe', the n! of `run_rpe` or the m^2·n! of `run_meps`;
     only the two utilities reported are divided, into Fractions.
-    The other n−1 reports are set up once per call (sanitized for 'pe' and
-    'rpe', `FreeOver` of the checked demands for 'meps') and each
-    candidate once, spliced in at the deviator's index.  A candidate
-    demand's ids pass `_freeze` once, when its `AdditiveDichotomous` is
-    built, and `check_universe` once, at set-up, which builds its
-    `FreeOver` without freezing them again; under 'pe' and 'rpe' too, a
-    demand-set report, the truth's included, skips `sanitize_reports`.
+    The truthful reports, `floor_reports` of the valuations, are set up
+    once per call as the mechanism sets them up (`sanitize_reports` for
+    'pe' and 'rpe'; `_check_meps_inputs` for 'meps', which checks ε
+    first), the truth's spec taken from that list, and each candidate
+    once, by the same per-report function (`_report_spec` or
+    `_demand_spec`), spliced in at the deviator's index.  A demand's ids
+    pass `_freeze` once, when its `AdditiveDichotomous` is built, and
+    `check_universe` once, at set-up, which builds its `FreeOver` without
+    freezing them again.
     Every mechanism walks `mechanisms._outcomes`: 'pe' the one priority
     order, 'rpe' every order, and 'meps' every order with the held-out
     stage; the deviator's items in each realization's holders tuple (the
@@ -164,32 +167,17 @@ def fuzz_truthfulness(
     n, m = instance.n, instance.m
     if not (0 <= deviator < n):
         raise ValidationError(f"deviator index {deviator} out of range")
-    truth = instance.valuations[deviator]
-    value = value_functions(truth)[0]
+    value = value_functions(instance.valuations[deviator])[0]
 
-    if mechanism in ("pe", "rpe"):
-        others = floor_reports(instance.valuations)
-        del others[deviator]
-        others = sanitize_reports(others, m)
-        what = "report"
-    elif mechanism == "meps":
-        # ε and the demands are checked before the size gate below, as in run_meps
-        others = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
-        del others[deviator]
-        what = "demand report"
-    else:
+    if mechanism not in ("pe", "rpe", "meps"):
         raise ValidationError(f"unknown mechanism {mechanism!r}")
-
-    def set_up(report: ValuationSpec) -> MatroidSpec:
-        """The report's spec: a demand set's `FreeOver`, its ids checked here
-        (they passed `_freeze` when its `AdditiveDichotomous` was built), or
-        for 'pe' and 'rpe' any other report as `sanitize_reports` maps it."""
-        if isinstance(report, AdditiveDichotomous):
-            check_universe(report.demand, m, what)
-            return FreeOver._of_frozen(report.demand)
-        if mechanism == "meps":
-            raise ValidationError("held-out mechanism reports are demand sets")
-        return sanitize_reports([report], m)[0]
+    reports = floor_reports(instance.valuations)
+    if mechanism == "meps":
+        # ε and the demands are checked before the size gate below, as in run_meps
+        others, set_up = _check_meps_inputs(reports, m, instance.epsilon), _demand_spec
+    else:
+        others, set_up = sanitize_reports(reports, m), _report_spec
+    mine = others.pop(deviator)  # the truth's spec
 
     other_supports = prepare_supports(others, m)
     # the deviator's value of its items in a realization, once per distinct holders tuple
@@ -214,17 +202,16 @@ def fuzz_truthfulness(
                 return None
         return total
 
-    reports = space(instance, deviator)
-    realizations = _exact_size(mechanism, n, m, copies=len(reports) + 1)
+    candidates = space(instance, deviator)
+    realizations = _exact_size(mechanism, n, m, copies=len(candidates) + 1)
     # built past the size gate, as they grow with n! and m^2
     held_outs = held_out_lists(m) if mechanism == "meps" else None
     per_order = 1 if held_outs is None else len(held_outs)
     sigmas = [instance.priority_or_default()] if mechanism == "pe" else list(permutations(range(n)))
-    mine = set_up(floor_reports([truth])[0])
     truthful_score = best_score = score(mine, prepare_supports([mine], m))
     best_report = None
-    for report in reports:
-        mine = set_up(report)
+    for report in candidates:
+        mine = set_up(report, m)
         cap = value(mine.support())  # set-up checked it against the universe
         if realizations * cap <= best_score:
             continue  # cannot beat best_score: every bundle lies in the support

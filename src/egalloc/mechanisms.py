@@ -18,7 +18,7 @@ highest-priority demanders, the first winner dropping to lowest priority
 before the second item is placed.  So only each item's top two demanders
 matter (`_top_two`), and `run_mx` and the exact walks share one rule.
 
-Held-out randomized mechanism: report demand sets only; hold out a random
+Held-out randomized mechanism: demand-set reports only; hold out a random
 ordered list X of one or two items (every ordered outcome has probability
 exactly 1/m^2, as `tests/meps_reference.py` derives; the tests check
 `sample_meps` against it); run PE on the remaining items under a random
@@ -48,12 +48,17 @@ object shared by its atoms, which also share one weight object.
 (PE is the one-order case), through the same gate, and stops a
 candidate's walk after any order once it cannot win.
 
-Caller-supplied items pass the one id rule, `matroid._freeze` and
-`matroid.check_universe`, once each: in `sanitize_reports`, `run_mx` and
-each held-out demand report.  A demand's ids are frozen when its
-`AdditiveDichotomous` is built, or by `_check_meps_inputs` for the demand
-sets of `run_meps` and `sample_meps`; its `FreeOver` is then built by
-`FreeOver._of_frozen`, which does not freeze them again.
+Every mechanism takes one report shape, a `ValuationSpec` per agent
+(`floor_reports` of the valuations for truthful agents), and sets each
+report up with one function per mechanism: `_report_spec` for PE, which
+`sanitize_reports` maps, and `_demand_spec` for the held-out mechanism,
+which refuses a report that is not a demand set and which
+`_check_meps_inputs` maps after its n, m and ε checks.  Caller-supplied
+items pass the one id rule, `matroid._freeze` and
+`matroid.check_universe`, once each: a report's ids are frozen when it is
+built and checked against the universe at set-up, which builds a demand's
+`FreeOver` by `FreeOver._of_frozen` without freezing them again;
+`run_mx` checks its held-out list and reports itself.
 """
 
 from __future__ import annotations
@@ -83,7 +88,6 @@ from .valuation import (
     MatroidValuation,
     ValuationSpec,
     as_value,
-    support,
     value_functions,
 )
 
@@ -116,24 +120,25 @@ PE_FUZZ_MAX_SIZE = 300_000
 
 
 def sanitize_reports(reports: Sequence[ValuationSpec], m: int) -> list[MatroidSpec]:
-    """Map each report to a matroid rank function, one per report.
+    """Map each report to a matroid rank function, one per report, by `_report_spec`."""
+    return [_report_spec(rep, m) for rep in reports]
 
-    Additive demand sets become free matroids and valid matroid valuations
-    keep their matroid.  Every other report is illegal for PE (not a
-    matroid, or not a dichotomous-submodular class) and becomes
+
+def _report_spec(rep: ValuationSpec, m: int) -> MatroidSpec:
+    """PE's spec of one report, its items checked against the universe.
+
+    An additive demand set becomes its free matroid and a valid matroid
+    valuation keeps its matroid.  Every other report is illegal for PE (not
+    a matroid, or not a dichotomous-submodular class) and becomes
     `matroid.ZERO_MATROID`, the identically-zero valuation.
     """
-    matroids: list[MatroidSpec] = []
-    for rep in reports:
-        if isinstance(rep, AdditiveDichotomous):  # its ids passed `_freeze` when it was built
-            matroids.append(FreeOver._of_frozen(rep.demand))
-        elif isinstance(rep, MatroidValuation) and validate_matroid(rep.matroid) is None:
-            matroids.append(rep.matroid)
-        else:
-            matroids.append(ZERO_MATROID)
-    for spec in matroids:  # every spec's ids were checked when it was built
-        check_universe(spec.support(), m, "report")
-    return matroids
+    if isinstance(rep, AdditiveDichotomous):  # its ids passed `_freeze` when it was built
+        check_universe(rep.demand, m, "report")
+        return FreeOver._of_frozen(rep.demand)
+    if isinstance(rep, MatroidValuation) and validate_matroid(rep.matroid) is None:
+        check_universe(rep.matroid.support(), m, "report")
+        return rep.matroid
+    return ZERO_MATROID
 
 
 def run_pe(
@@ -249,30 +254,28 @@ def held_out_lists(m: int) -> list[tuple[int, ...]]:
     return lists
 
 
-def meps_demands(valuations: Sequence[ValuationSpec]) -> list[ItemSet]:
-    """Truthful demand-set reports for the held-out mechanism; other classes raise."""
-    for spec in valuations:
-        if not isinstance(spec, (AdditiveDichotomous, EpsLeveled)):
-            raise ValidationError(
-                "the held-out mechanism takes demand-set reports; matroid/xos "
-                "valuations are not supported"
-            )
-    return [support(v) for v in valuations]
-
-
-def _check_meps_inputs(demands, m, eps) -> list[FreeOver]:
-    """The demand reports as `FreeOver` specs, once eps, m and then each
-    demand's items (the one id rule) are checked."""
-    n, eps = len(demands), as_value(eps)
+def _check_meps_inputs(reports: Sequence[ValuationSpec], m: int, eps) -> list[FreeOver]:
+    """The reports as `FreeOver` specs by `_demand_spec`, once eps, n and m
+    are checked."""
+    n, eps = len(reports), as_value(eps)
     if n < 1 or m < 1:
         raise ValidationError("at least one agent and one item required")
     if eps >= Fraction(1, n * m**3):
         raise ValidationError(f"eps must be below 1/(n*m^3) = 1/{n * m**3}; got {eps}")
-    reports = []
-    for demand in map(_freeze, demands):
-        check_universe(demand, m, "demand report")
-        reports.append(FreeOver._of_frozen(demand))
-    return reports
+    return [_demand_spec(rep, m) for rep in reports]
+
+
+def _demand_spec(rep: ValuationSpec, m: int) -> FreeOver:
+    """The held-out mechanism's spec of one report, which must be a demand
+    set (an ε-leveled valuation is floored first, by `floor_reports`): its
+    `FreeOver`, its items checked against the universe."""
+    if not isinstance(rep, AdditiveDichotomous):
+        raise ValidationError(
+            "the held-out mechanism takes demand-set reports; matroid/xos "
+            "valuations are not supported"
+        )
+    check_universe(rep.demand, m, "demand report")  # its ids passed `_freeze` when it was built
+    return FreeOver._of_frozen(rep.demand)
 
 
 def _outcomes(
@@ -343,18 +346,18 @@ def _allocation(holders: tuple[int, ...], n: int) -> Allocation:
     return Allocation(bundles, len(holders))
 
 
-def run_meps(demands: Sequence[ItemSet], m: int, eps) -> OutcomeDistribution:
-    """Randomized held-out mechanism for ε-leveled demand-set reports, as an
-    exact distribution.
+def run_meps(reports: Sequence[ValuationSpec], m: int, eps) -> OutcomeDistribution:
+    """Randomized held-out mechanism on demand-set reports (ε-leveled
+    valuations' `floor_reports`), as an exact distribution.
 
     Enumerates all m^2 held-out outcomes times n! priority orders (atom
     weight 1/(m^2 n!)), and raises CapabilityError before enumerating when
     there are more than MEPS_EXACT_MAX_ATOMS of them, and before n! is
     computed past MEPS_EXACT_MAX_AGENTS agents.
     """
-    reports = _check_meps_inputs(demands, m, eps)
-    size = _exact_size("meps", len(reports), m)  # before the m^2 lists are built
-    return _distribution(reports, m, size, held_out_lists(m))
+    specs = _check_meps_inputs(reports, m, eps)
+    size = _exact_size("meps", len(specs), m)  # before the m^2 lists are built
+    return _distribution(specs, m, size, held_out_lists(m))
 
 
 def _distribution(reports, m: int, size: int, held_outs) -> OutcomeDistribution:
@@ -383,7 +386,7 @@ def _distribution(reports, m: int, size: int, held_outs) -> OutcomeDistribution:
 
 
 def sample_meps(
-    demands: Sequence[ItemSet], m: int, eps, seed: int
+    reports: Sequence[ValuationSpec], m: int, eps, seed: int
 ) -> tuple[Allocation, tuple[int, ...], PriorityOrder]:
     """One seeded draw of the held-out mechanism, with its (X, sigma) trace.
 
@@ -391,7 +394,7 @@ def sample_meps(
     item, then the priority shuffle; identical seeds give identical traces.
     The realization's holders come from `_outcomes`, as in `run_meps`.
     """
-    reports = _check_meps_inputs(demands, m, eps)
+    specs = _check_meps_inputs(reports, m, eps)
     rng = random.Random(seed)
     x = rng.randrange(m)
     if rng.randrange(m) > 0:  # probability (m-1)/m; never fires at m = 1
@@ -401,12 +404,12 @@ def sample_meps(
         held_out: tuple[int, ...] = (x, y)
     else:
         held_out = (x,)
-    order = list(range(len(reports)))
+    order = list(range(len(specs)))
     rng.shuffle(order)
     sigma = tuple(order)
-    supports = prepare_supports(reports, m)
-    ((_, _, holders),) = _outcomes(reports, supports, m, [held_out], [sigma])
-    return _allocation(holders, len(reports)), held_out, sigma
+    supports = prepare_supports(specs, m)
+    ((_, _, holders),) = _outcomes(specs, supports, m, [held_out], [sigma])
+    return _allocation(holders, len(specs)), held_out, sigma
 
 
 def expected_utilities(

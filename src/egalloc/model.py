@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .matroid import ItemSet, check_universe
+from .matroid import ItemSet, _freeze, check_universe
 from .valuation import ValuationSpec, as_value, evaluate, support
 
 PriorityOrder = tuple[int, ...]
@@ -53,8 +53,8 @@ class Allocation:
     bundles: tuple[ItemSet, ...]
     m: int
 
-    def __post_init__(self):
-        bundles = tuple(map(frozenset, self.bundles))
+    def __post_init__(self):  # each bundle's ids pass the one id rule, then the partition check
+        bundles = tuple(map(_freeze, self.bundles))
         object.__setattr__(self, "bundles", bundles)
         check_bundles(bundles, self.m)
 

@@ -156,6 +156,11 @@ def count_free_supports(monkeypatch, specs: list | None = None) -> Counter:
     return calls
 
 
+def demand_reports(demands) -> list[AdditiveDichotomous]:
+    """One additive demand-set report per demand."""
+    return [AdditiveDichotomous(d) for d in demands]
+
+
 def additive_instance(demands, priority=None, epsilon=Fraction(0)) -> Instance:
     n = len(demands)
     m = max((max(d) + 1 for d in demands if d), default=1)

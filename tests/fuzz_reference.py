@@ -25,13 +25,12 @@ from egalloc.mechanisms import (
     _check_meps_inputs,
     expected_utilities,
     floor_reports,
-    meps_demands,
     run_meps,
     run_pe,
     run_rpe,
 )
 from egalloc.model import Instance
-from egalloc.valuation import AdditiveDichotomous, ValuationSpec, evaluate
+from egalloc.valuation import ValuationSpec, evaluate
 
 
 def reference_fuzz_truthfulness(
@@ -52,24 +51,17 @@ def reference_fuzz_truthfulness(
             alloc = run_pe(reports, m, instance.priority_or_default())
             return evaluate(truth, alloc.bundles[deviator], m)
 
-    elif mechanism == "rpe":
+    elif mechanism in ("rpe", "meps"):
+        if mechanism == "meps":  # ε and the demands are checked before the size gate
+            _check_meps_inputs(floor_reports(instance.valuations), m, instance.epsilon)
 
         def utility(report: ValuationSpec) -> Fraction:
             reports = floor_reports(instance.valuations)
             reports[deviator] = report
-            dist = run_rpe(reports, m)
-            return expected_utilities(dist, instance.valuations)[deviator]
-
-    elif mechanism == "meps":
-        checked = _check_meps_inputs(meps_demands(instance.valuations), m, instance.epsilon)
-        base_demands = [spec.demand for spec in checked]
-
-        def utility(report: ValuationSpec) -> Fraction:
-            if not isinstance(report, AdditiveDichotomous):
-                raise ValidationError("held-out mechanism reports are demand sets")
-            demands = list(base_demands)
-            demands[deviator] = report.demand
-            dist = run_meps(demands, m, instance.epsilon)
+            if mechanism == "rpe":
+                dist = run_rpe(reports, m)
+            else:
+                dist = run_meps(reports, m, instance.epsilon)
             return expected_utilities(dist, instance.valuations)[deviator]
 
     else:

@@ -30,7 +30,7 @@ from egalloc.lorenz import compute_lorenz_dominating
 from egalloc.matroid import FreeOver, ItemSet
 from egalloc.mechanisms import run_meps
 from egalloc.model import Allocation, Atom, OutcomeDistribution
-from egalloc.valuation import ValuationSpec, evaluate
+from egalloc.valuation import AdditiveDichotomous, ValuationSpec, evaluate
 
 
 def held_out_outcomes(m: int) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -136,7 +136,7 @@ def truthfulness_threshold(n: int, m: int):
     for others in combinations_with_replacement(subsets, n - 1):
         chance = {}
         for report in subsets:
-            atoms = run_meps([report, *others], m, 0).atoms
+            atoms = run_meps([AdditiveDichotomous(d) for d in (report, *others)], m, 0).atoms
             chance[report] = [
                 sum(atom.weight for atom in atoms if a in atom.allocation.bundles[0])
                 for a in range(m)

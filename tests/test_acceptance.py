@@ -362,9 +362,8 @@ def test_criterion_6_meps_truthful_in_expectation(meps_tables):
             )
         ]
         demands = [tabs["demand_masks"][w0], tabs["demand_masks"][w1]]
-        dist = run_meps(
-            [F(i for i in range(M3) if d >> i & 1) for d in demands], M3, EPS
-        )
+        reports = [AdditiveDichotomous(F(i for i in range(M3) if d >> i & 1)) for d in demands]
+        dist = run_meps(reports, M3, EPS)
         exact = expected_utilities(dist, vals)
         pair = (demands[0], demands[1])
         assert exact[0] == Fraction(tabs["exp0"][(pair, w0)], ATOMS * SCALE)
@@ -447,8 +446,8 @@ def test_criterion_9_fixture_gallery():
 def test_criterion_10_probability_sanity():
     t0 = time.perf_counter()
     for n, m in [(2, 3), (2, 4), (3, 2)]:
-        demands = [F(range(m))] * n
-        dist = run_meps(demands, m, Fraction(1, n * m**3 + 1))
+        reports = [AdditiveDichotomous(F(range(m)))] * n
+        dist = run_meps(reports, m, Fraction(1, n * m**3 + 1))
         weight = Fraction(1, m * m * math.factorial(n))
         assert len(dist.atoms) == m * m * math.factorial(n)
         assert all(a.weight == weight for a in dist.atoms)

@@ -8,10 +8,10 @@ import json
 
 import pytest
 
-from conftest import additive_instance
+from conftest import additive_instance, matroid_instance
 from egalloc.audit import maximin_share
 from egalloc.errors import CapabilityError
-from egalloc.harness import fuzz_truthfulness
+from egalloc.harness import all_demand_subsets, fuzz_truthfulness, restricted_mrf_library
 from egalloc.io import parse_instance
 from egalloc.lorenz import enumerate_optimal
 from egalloc.matroid import Explicit, FreeOver, validate_matroid
@@ -48,7 +48,7 @@ CAPS = {
         lambda n: run_rpe([AdditiveDichotomous(F({0}))] * n, 1),
     ),
     # one item: m^2 * n! = 5,040 atoms for 7 agents; 8 are refused before n!
-    "exact-meps-agents": (7, lambda n: run_meps([F({0})] * n, 1, 0)),
+    "exact-meps-agents": (7, lambda n: run_meps([AdditiveDichotomous(F({0}))] * n, 1, 0)),
     "maximin-items": (10, lambda m: maximin_share(SMALL_SUPPORT, 2, m)),
     "maximin-agents": (4, lambda n: maximin_share(SMALL_SUPPORT, n, 2)),
     "explicit-validation-items": (12, lambda k: validate_matroid(Explicit(F({F(range(k))})))),
@@ -69,6 +69,13 @@ CAPS = {
     # k candidate reports and the truthful one, each a PE solve over
     # 60,000 agents and items: k = 4 makes 300,000
     "fuzz-pe-size": (4, lambda k: fuzz_truthfulness("pe", ONE_AGENT_60K, 0, empty_reports(k))),
+    # the deviation spaces: 2^12 = 4,096 demand sets over 12 items, and the
+    # restrictions of a truth whose support is 12 items
+    "subset-space-items": (12, lambda m: all_demand_subsets(additive_instance([F({m - 1})]), 0)),
+    "library-support-items": (
+        12,
+        lambda k: restricted_mrf_library(matroid_instance([FreeOver(F(range(k)))], k), 0),
+    ),
     # no candidate report: the truthful PE solve alone, over one agent and
     # m items, so m = 299,999 makes 300,000
     "fuzz-pe-items": (

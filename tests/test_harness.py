@@ -33,7 +33,6 @@ from egalloc.mechanisms import (
     expected_utilities,
     floor_reports,
     held_out_lists,
-    meps_demands,
     run_meps,
     run_rpe,
     sample_meps,
@@ -229,7 +228,7 @@ def test_meps_fuzzing_checks_each_candidate_demand():
     inst = additive_instance([F({0, 1}), F({1})], epsilon=Fraction(1, 100))
     with pytest.raises(ValidationError, match=r"outside the item universe: \[2\]"):
         fuzz_truthfulness("meps", inst, 0, lambda i, d: [AdditiveDichotomous(F({0, 2}))])
-    with pytest.raises(ValidationError, match="reports are demand sets"):
+    with pytest.raises(ValidationError, match="takes demand-set reports"):
         fuzz_truthfulness("meps", inst, 0, lambda i, d: [MatroidValuation(Uniform(F({0}), 1))])
 
 
@@ -346,20 +345,21 @@ def test_meps_tally_matches_the_full_distribution(monkeypatch):
         held_outs = held_out_lists(m)
         (space,) = spaces
         for report in space(inst, deviator):
-            demands = meps_demands(inst.valuations)
-            demands[deviator] = report.demand
+            reports = floor_reports(inst.valuations)
+            reports[deviator] = report
+            demands = [r.demand for r in reports]
             solves.clear()
-            reports = [FreeOver(d) for d in demands]
-            supports = prepare_supports(reports, m)
+            specs = [FreeOver(d) for d in demands]
+            supports = prepare_supports(specs, m)
             monkeypatch.setattr(mechanisms, "solve_prepared", counting)
-            walk = _outcomes(reports, supports, m, held_outs, permutations(range(n)))
+            walk = _outcomes(specs, supports, m, held_outs, permutations(range(n)))
             got = _walk_value(
                 (_items_of(holders, deviator) for _, _, holders in walk),
                 value,
                 m * m * math.factorial(n),
             )
             monkeypatch.setattr(mechanisms, "solve_prepared", original)
-            want = expected_utilities(run_meps(demands, m, inst.epsilon), inst.valuations)
+            want = expected_utilities(run_meps(reports, m, inst.epsilon), inst.valuations)
             assert type(got) is Fraction and got == want[deviator], (inst, deviator, report)
             # one PE solve per (sigma, X ∩ ∪demands), as in run_meps
             demanded = F().union(*demands)
@@ -410,8 +410,8 @@ def test_check_bundles_runs_once_per_engine_solve(monkeypatch):
     m = inst.m
     routes = {
         "run_rpe": lambda: run_rpe(inst.valuations, m),
-        "run_meps": lambda: run_meps(demands, m, 0),
-        "sample_meps": lambda: sample_meps(demands, m, 0, seed=3),
+        "run_meps": lambda: run_meps(inst.valuations, m, 0),
+        "sample_meps": lambda: sample_meps(inst.valuations, m, 0, seed=3),
         **{
             f"fuzz {mech}": lambda mech=mech: fuzz_truthfulness(mech, inst, 1, all_demand_subsets)
             for mech in ("pe", "rpe", "meps")
@@ -455,8 +455,8 @@ def test_every_route_checks_the_engines_bundles(monkeypatch, corrupt, message):
             [FreeOver(d) for d in demands], m
         ),
         "run_rpe": lambda: run_rpe(inst.valuations, m),
-        "run_meps": lambda: run_meps(demands, m, 0),
-        "sample_meps": lambda: sample_meps(demands, m, 0, seed=1),
+        "run_meps": lambda: run_meps(inst.valuations, m, 0),
+        "sample_meps": lambda: sample_meps(inst.valuations, m, 0, seed=1),
         **{
             f"fuzz {mech}": lambda mech=mech: fuzz_truthfulness(mech, inst, 0, all_demand_subsets)
             for mech in ("pe", "rpe", "meps")
@@ -473,7 +473,6 @@ def test_check_bundles_names_the_item_allocation_names():
         ((F({0, 1}), F({1, 5})), 3),  # twice before outside
         ((F({0, 5}), F({0})), 3),  # outside before twice
         ((F({2}), F(), F({2, 4, 9})), 4),
-        ((F({-1}), F({-1})), 2),
         ((F({1, 2}), F({3}), F({1, 3})), 4),
     ]:
         with pytest.raises(ValidationError) as direct:
@@ -482,6 +481,12 @@ def test_check_bundles_names_the_item_allocation_names():
             Allocation(bundles, m)
         assert str(direct.value) == str(wrapped.value), bundles
     check_bundles([{0}, set(), {1, 2}], 3)  # a partition of part of 0..2 passes
+    # a negative id: the engine's check names it outside the universe, and
+    # `Allocation` refuses it first by the one id rule
+    with pytest.raises(ValidationError, match=r"^item -1 outside universe 0\.\.1$"):
+        check_bundles((F({-1}), F({-1})), 2)
+    with pytest.raises(ValidationError, match="^item ids must be non-negative integers, got -1$"):
+        Allocation((F({-1}), F({-1})), 2)
 
 
 def refuse_refreezing(monkeypatch):
@@ -508,22 +513,22 @@ def test_fuzz_pe_sets_up_the_other_reports_once(monkeypatch):
         specs.clear()
         result = fuzz_truthfulness(mechanism, inst, 1, all_demand_subsets)
         assert result.truthful
-        # one spec per report, set up in list order: the other agents'
-        # reports, the truth, then each of the 2^m candidates
+        # one spec per report, in the order prepare_supports first asks
+        # them: the other agents' reports, the truth, then each of the 2^m
+        # candidates
         assert [spec.demand for spec in specs] == [F({0, 1}), F({0, 3}), F({2}), truth, *candidates]
-        # sanitize_reports' universe check asks each other report once and
-        # prepare_supports each walked report once: the others twice; the
-        # truth and the candidates are demand sets, whose universe check
-        # reads the demand, so the truth is asked once; a candidate is asked
-        # once for its bound, and once more when walked (|R ∩ T| >= 2, see
-        # the work-count test below), so 2 times, else 1
+        # every report is a demand set, whose universe check reads the
+        # demand, so prepare_supports asks the others and the truth once; a
+        # candidate is asked once for its bound, and once more when walked
+        # (|R ∩ T| >= 2, see the work-count test below), so 2 times, else 1
         asked = [1 + (len(c & truth) >= 2) for c in candidates]
-        assert list(calls.values()) == [2] * 3 + [1] + asked, mechanism
+        assert list(calls.values()) == [1] * 4 + asked, mechanism
 
 
 def test_fuzz_meps_sets_up_each_report_once(monkeypatch):
-    # meps shares pe's set-up: the other agents' `FreeOver` reports are built
-    # once per call, not once per candidate, and each is set up once
+    # meps sets its reports up as pe does, with its own per-report function:
+    # the other agents' `FreeOver` reports are built once per call, not once
+    # per candidate, and each is set up once
     inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
     truth = F({1, 2, 3})
     candidates = [c.demand for c in all_demand_subsets(inst, 1)]

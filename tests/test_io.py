@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import egalloc.io
 from conftest import nested_truncations, rand_matroid, rand_subset, rand_valuation
-from egalloc.errors import ParseError
+from egalloc.errors import ParseError, ValidationError
 from egalloc.io import (
     MAX_MATROID_NESTING,
     allocation_document,
@@ -19,7 +19,7 @@ from egalloc.io import (
     parse_allocation,
     parse_instance,
 )
-from egalloc.mechanisms import floor_reports, meps_demands, run_meps, run_rpe
+from egalloc.mechanisms import floor_reports, run_meps, run_rpe
 from egalloc.model import Allocation, Atom, Instance, OutcomeDistribution
 from egalloc.valuation import (
     AdditiveDichotomous,
@@ -389,6 +389,41 @@ _DOCUMENT_SHAPE_ERRORS = {
         _shape_doc(priority=[0]),
         "'priority' must be a list of agent names",
     ),
+    "priority-not-a-permutation": (
+        parse_instance,
+        _shape_doc(priority=["y"]),
+        "'priority' must be a permutation of the agent names",
+    ),
+    "duplicate-items": (
+        parse_instance,
+        json.dumps({"items": ["a", "a"], "agents": [{"name": "x", "valuation": {"demand": []}}]}),
+        "'items' contains duplicates",
+    ),
+    "duplicate-agent-names": (
+        parse_instance,
+        _shape_doc(agents=[{"name": "x", "valuation": {"demand": []}}] * 2),
+        "agents[1].name: duplicate agent name 'x'",
+    ),
+    "uniform-negative-cap": (
+        parse_instance,
+        _matroid_doc({"type": "uniform", "demand": ["a"], "cap": -1}),
+        "agents[0].valuation.matroid.cap: expected a non-negative integer",
+    ),
+    "block-bool-cap": (
+        parse_instance,
+        _matroid_doc({"type": "partition", "blocks": [{"items": ["a"], "cap": True}]}),
+        "agents[0].valuation.matroid.blocks[0].cap: expected a non-negative integer",
+    ),
+    "truncation-without-limit": (
+        parse_instance,
+        _matroid_doc({"type": "truncated", "inner": {"type": "free", "demand": ["a"]}}),
+        "agents[0].valuation.matroid.limit: expected a non-negative integer",
+    ),
+    "values-unknown-item": (
+        parse_instance,
+        _shape_doc({"values": {"z": "1"}}),
+        "agents[0].valuation.values: unknown item id 'z'",
+    ),
     "not-json": (parse_instance, "{items: []}", "not valid JSON: "),
     "allocation-not-object": (
         _parse_allocation,
@@ -407,6 +442,32 @@ def test_document_shape_errors_name_their_location(parse, text, prefix):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value).startswith(prefix)
+
+
+# Instance's own refusals, which only an instance built in code reaches:
+# parsing refuses a document's duplicate names, empty agent list and
+# negative epsilon first (rows above)
+_INSTANCE_ERRORS = {
+    "duplicate-item-names": (dict(item_names=("a", "a")), "item names must be unique"),
+    "duplicate-agent-names": (
+        dict(agent_names=("x", "x"), valuations=(AdditiveDichotomous(F({0})),) * 2),
+        "agent names must be unique",
+    ),
+    "valuation-count": (dict(valuations=()), "one valuation per agent required"),
+    "no-agents": (dict(agent_names=(), valuations=()), "at least one agent required"),
+    "negative-epsilon": (dict(epsilon=-1), "epsilon must be >= 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "fields, message", list(_INSTANCE_ERRORS.values()), ids=list(_INSTANCE_ERRORS)
+)
+def test_instance_refusals(fields, message):
+    one_agent = dict(
+        item_names=("a",), agent_names=("x",), valuations=(AdditiveDichotomous(F({0})),)
+    )
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Instance(**{**one_agent, **fields})
 
 
 def test_deep_nesting_rejected():
@@ -511,12 +572,12 @@ def _writer_cases(rng):
         kind = ("additive", "leveled")[k % 2]
         m = 1 + k % 4
         inst = _named_instance(rng, rng.randint(1, 3), m, kind)
-        yield "meps", run_meps(meps_demands(inst.valuations), m, 0), inst
+        yield "meps", run_meps(floor_reports(inst.valuations), m, 0), inst
     for _ in range(30):
         m = rng.randint(1, 3)
         inst = _named_instance(rng, rng.randint(1, 3), m, "additive")
         rpe = run_rpe(inst.valuations, m).atoms
-        meps = run_meps(meps_demands(inst.valuations), m, 0).atoms
+        meps = run_meps(floor_reports(inst.valuations), m, 0).atoms
         share = Fraction(1, rng.randint(2, 5))  # of the rpe atoms
         atoms = [Atom(a.weight * share, a.allocation, a.priority) for a in rpe]
         atoms += [Atom(a.weight * (1 - share), a.allocation, a.priority, a.held_out) for a in meps]
@@ -527,7 +588,7 @@ def _writer_cases(rng):
     inst = _named_instance(rng, 6, 12, "additive")
     yield "rpe", run_rpe(inst.valuations, 12), inst
     inst = _named_instance(rng, 4, 8, "additive")
-    yield "meps", run_meps(meps_demands(inst.valuations), 8, 0), inst
+    yield "meps", run_meps(floor_reports(inst.valuations), 8, 0), inst
     for _ in range(10):
         # one mixture with every equal weight, order, held-out list and
         # allocation a distinct object, beside the shared ones of its walks
@@ -535,7 +596,7 @@ def _writer_cases(rng):
         inst = _named_instance(rng, rng.randint(1, 3), m, "additive")
         rpe = run_rpe(inst.valuations, m).atoms
         atoms = [Atom(a.weight / 2, a.allocation, a.priority) for a in rpe]
-        for a in run_meps(meps_demands(inst.valuations), m, 0).atoms:
+        for a in run_meps(floor_reports(inst.valuations), m, 0).atoms:
             atoms.append(Atom(a.weight / 4, a.allocation, a.priority, a.held_out))
             atoms.append(
                 Atom(

@@ -27,7 +27,7 @@ from egalloc.matroid import (
 )
 from egalloc.lorenz import additive_balanced
 from egalloc.mechanisms import run_meps, run_mx, sanitize_reports
-from egalloc.model import Instance
+from egalloc.model import Allocation, Instance
 from egalloc.valuation import AdditiveDichotomous, EpsLeveled, evaluate
 from matroid_reference import (
     brute_force_rank,
@@ -159,12 +159,16 @@ _BAD_ITEM_SETS = {
         "bundle outside the item universe: [3]",
     ),
     "meps-str": (
-        lambda: run_meps([F({"a"})], 1, 0),
+        lambda: run_meps([AdditiveDichotomous(F({"a"}))], 1, 0),
         "item ids must be non-negative integers, got 'a'",
     ),
     "meps-negative": (
-        lambda: run_meps([F({-1})], 1, 0),
+        lambda: run_meps([AdditiveDichotomous(F({-1}))], 1, 0),
         "item ids must be non-negative integers, got -1",
+    ),
+    "meps-past-m": (
+        lambda: run_meps([AdditiveDichotomous(F({0, 3}))], 2, 0),
+        "demand report outside the item universe: [3]",
     ),
     "mx-past-m": (
         lambda: run_mx((5,), (0,), [set()], 1),
@@ -181,6 +185,18 @@ _BAD_ITEM_SETS = {
     "instance-past-m": (
         lambda: Instance(("a", "b"), ("x",), (AdditiveDichotomous({5, 7}),)),
         "valuation outside the item universe: [5, 7]",
+    ),
+    "allocation-bool": (
+        lambda: Allocation((F({True}),), 2),
+        "item ids must be non-negative integers, got True",
+    ),
+    "allocation-str": (
+        lambda: Allocation((F({"a"}),), 2),
+        "item ids must be non-negative integers, got 'a'",
+    ),
+    "allocation-float": (
+        lambda: Allocation((F({1.0}),), 2),
+        "item ids must be non-negative integers, got 1.0",
     ),
     "additive-balanced-past-m": (
         lambda: additive_balanced([F({0, 4})], 2),

@@ -11,6 +11,7 @@ from conftest import (
     MATROID_TAGS,
     VALUATION_KINDS,
     count_free_supports,
+    demand_reports,
     rand_matroid_of_tag,
     rand_subset,
     rand_valuation,
@@ -248,7 +249,7 @@ def test_sample_meps_draws_each_held_out_list_with_probability_one_over_m_square
             script = scripts.pop()
             rng = ScriptedRandom(script)
             monkeypatch.setattr(mechanisms, "random", SimpleNamespace(Random=lambda seed: rng))
-            _, held_out, sigma = sample_meps([F(range(m))] * 2, m, 0, seed=0)
+            _, held_out, sigma = sample_meps(demand_reports([F(range(m))] * 2), m, 0, seed=0)
             assert sigma == (0, 1)
             answers = [answer for answer, _ in rng.draws]
             weight = Fraction(1, math.prod(k for _, k in rng.draws))
@@ -261,19 +262,19 @@ def test_sample_meps_draws_each_held_out_list_with_probability_one_over_m_square
 
 def test_meps_eps_validation():
     with pytest.raises(ValidationError):
-        run_meps([F({0, 1, 2})] * 2, 3, Fraction(1, 54))  # needs < 1/54
-    run_meps([F({0, 1, 2})] * 2, 3, Fraction(1, 60))  # fine
+        run_meps(demand_reports([F({0, 1, 2})] * 2), 3, Fraction(1, 54))  # needs < 1/54
+    run_meps(demand_reports([F({0, 1, 2})] * 2), 3, Fraction(1, 60))  # fine
 
 
 def test_meps_report_outside_universe():
     with pytest.raises(ValidationError):
-        run_meps([F({7})], 3, 0)
+        run_meps(demand_reports([F({7})]), 3, 0)
     with pytest.raises(ValidationError):  # no agents: the eps bound 1/(n*m^3) is undefined
         run_meps([], 3, 0)
 
 
 def test_meps_exact_atom_structure():
-    dist = run_meps([F({0, 1, 2})] * 2, 3, Fraction(1, 60))
+    dist = run_meps(demand_reports([F({0, 1, 2})] * 2), 3, Fraction(1, 60))
     assert len(dist.atoms) == 18
     assert all(a.weight == Fraction(1, 18) for a in dist.atoms)
     singles = sum((a.weight for a in dist.atoms if len(a.held_out) == 1), Fraction(0))
@@ -293,14 +294,14 @@ def test_meps_exact_atom_structure():
 
 
 def test_meps_single_item_universe():
-    dist = run_meps([F({0}), F({0})], 1, 0)
+    dist = run_meps(demand_reports([F({0}), F({0})]), 1, 0)
     assert len(dist.atoms) == 2
     assert all(a.held_out == (0,) for a in dist.atoms)
 
 
 def test_meps_reasonable_on_every_atom():
     demands = [F({0, 1}), F({1, 2})]
-    dist = run_meps(demands, 3, Fraction(1, 100))
+    dist = run_meps(demand_reports(demands), 3, Fraction(1, 100))
     reported = demands[0] | demands[1]
     for atom in dist.atoms:
         allocated = F().union(*atom.allocation.bundles)
@@ -311,8 +312,8 @@ def test_meps_reasonable_on_every_atom():
 
 def test_meps_sampled_reproducible():
     demands = [F({0, 1, 2}), F({0, 2})]
-    a = sample_meps(demands, 3, Fraction(1, 60), seed=11)
-    b = sample_meps(demands, 3, Fraction(1, 60), seed=11)
+    a = sample_meps(demand_reports(demands), 3, Fraction(1, 60), seed=11)
+    b = sample_meps(demand_reports(demands), 3, Fraction(1, 60), seed=11)
     assert a == b
 
 
@@ -331,7 +332,7 @@ def test_expected_utilities():
 def test_meps_proportional_in_expectation_smoke():
     demands = [F({0, 1, 2}), F({0, 1})]
     vals = [AdditiveDichotomous(d) for d in demands]
-    dist = run_meps(demands, 3, Fraction(1, 60))
+    dist = run_meps(vals, 3, Fraction(1, 60))
     for v, exp in enumerate(expected_utilities(dist, vals)):
         assert exp >= Fraction(len(demands[v]), 2)
 
@@ -407,7 +408,7 @@ def test_samplers_match_sampled_modes_and_expose_traces():
 
     demands = [F({0, 1, 2}), F({0, 2})]
     for seed in range(8):
-        alloc, held_out, sigma = sample_meps(demands, 3, Fraction(1, 60), seed=seed)
+        alloc, held_out, sigma = sample_meps(demand_reports(demands), 3, Fraction(1, 60), seed=seed)
         assert len(held_out) in (1, 2)
         assert sorted(sigma) == [0, 1]
 
@@ -446,7 +447,7 @@ def test_meps_exact_matches_per_atom_reference(monkeypatch):
         undemanded += len(demanded) < m
         solves.clear()
         monkeypatch.setattr(mechanisms, "solve_prepared", counting)
-        dist = run_meps(demands, m, 0)
+        dist = run_meps(demand_reports(demands), m, 0)
         monkeypatch.setattr(mechanisms, "solve_prepared", original)
         want = reference_run_meps(demands, m)
         assert dist.atoms == want.atoms, (demands, m)
@@ -456,7 +457,7 @@ def test_meps_exact_matches_per_atom_reference(monkeypatch):
         # a sampled realization is the exact atom with the same (X, sigma)
         by_trace = {(a.held_out, a.priority): a.allocation for a in want.atoms}
         for seed in range(3):
-            alloc, held_out, sigma = sample_meps(demands, m, 0, seed=seed)
+            alloc, held_out, sigma = sample_meps(demand_reports(demands), m, 0, seed=seed)
             assert alloc == by_trace[(held_out, sigma)]
     assert undemanded >= 10
 
@@ -512,7 +513,7 @@ def test_held_out_witness_family_at_two_agents():
 
         def chance(report):
             if report not in chances:
-                atoms = run_meps([report, everything], m, 0).atoms
+                atoms = run_meps(demand_reports([report, everything]), m, 0).atoms
                 chances[report] = [
                     sum(atom.weight for atom in atoms if a in atom.allocation.bundles[0])
                     for a in range(m)
@@ -544,11 +545,11 @@ def test_exact_meps_cap_counts_atoms(monkeypatch):
     # 5 agents: 9 items make 9,720 atoms, 10 items 12,000
     assert 9 * 9 * 120 <= MEPS_EXACT_MAX_ATOMS < 10 * 10 * 120
     with pytest.raises(CapabilityError):
-        run_meps([F(range(10))] * 5, 10, 0)
+        run_meps(demand_reports([F(range(10))] * 5), 10, 0)
     with pytest.raises(CapabilityError):
-        run_meps([F({0})] * 7, 2, 0)
+        run_meps(demand_reports([F({0})] * 7), 2, 0)
     monkeypatch.undo()
-    dist = run_meps([F({0})] * 7, 1, 0)  # 5,040 atoms
+    dist = run_meps(demand_reports([F({0})] * 7), 1, 0)  # 5,040 atoms
     assert len(dist.atoms) == 5040
     assert {type(a.weight) for a in dist.atoms} == {Fraction}
     assert {a.weight for a in dist.atoms} == {Fraction(1, 5040)}
@@ -592,7 +593,7 @@ def test_each_report_is_set_up_once_per_exact_distribution(monkeypatch):
     demands = [F({0, 1, 2}), F({1, 2}), F(), F({0, 3, 4})]
     n, m = len(demands), 5
     calls = count_free_supports(monkeypatch)
-    run_meps(demands, m, 0)
+    run_meps(demand_reports(demands), m, 0)
     assert sorted(calls.values()) == [1] * n  # the reports' own FreeOver(d), once each
     calls.clear()
     reports = [FreeOver(d) for d in demands]
@@ -601,9 +602,9 @@ def test_each_report_is_set_up_once_per_exact_distribution(monkeypatch):
         solve_prepared(reports, supports, sigma)
     assert [calls[id(r)] for r in reports] == [1] * n and len(calls) == n
     calls.clear()
-    run_rpe([AdditiveDichotomous(d) for d in demands], m)
-    # sanitize_reports' universe check asks once more
-    assert sorted(calls.values()) == [2] * n
+    run_rpe(demand_reports(demands), m)
+    # as under meps: sanitize_reports' universe check reads the demand, not the spec
+    assert sorted(calls.values()) == [1] * n
 
 
 def test_equal_allocations_of_one_distribution_are_one_object():
@@ -611,7 +612,8 @@ def test_equal_allocations_of_one_distribution_are_one_object():
     rng = random.Random(2525)
     shared = 0
     for demands, m in _meps_cases(rng):
-        for dist in (run_rpe([AdditiveDichotomous(d) for d in demands], m), run_meps(demands, m, 0)):
+        reports = demand_reports(demands)
+        for dist in (run_rpe(reports, m), run_meps(reports, m, 0)):
             objects: dict[Allocation, set[int]] = {}
             for atom in dist.atoms:
                 objects.setdefault(atom.allocation, set()).add(id(atom.allocation))

@@ -41,11 +41,11 @@ def test_deleted_oracles_are_gone():
         egalloc.matroid: ("brute_force_rank",),
         egalloc.audit: ("nsw_key", "check_stochastic_ef", "check_lorenz_dominating", "TailWitness"),
         # every exact mechanism realizes through the one walk, `_outcomes`, as
-        # holders tuples that `_granted` merges with the grants; and
-        # `_check_meps_inputs` sets up each held-out demand report
+        # holders tuples that `_granted` merges with the grants; and every
+        # mechanism takes reports, each held-out one set up by `_demand_spec`
         egalloc.mechanisms: (
             "_checked_solve", "_shared_solve", "_meps_outcomes", "_frozen",
-            "_merged", "_merged_bundle", "_checked_demand",
+            "_merged", "_merged_bundle", "_checked_demand", "meps_demands",
         ),
     }
     for module, names in gone.items():

@@ -129,8 +129,8 @@ def test_every_rational_boundary_rejects_floats():
     alloc = run_pe(vals, 2)
     # 0.001 lies below the eps bound 1/(n*m^3) = 1/16 and 0.5 inside (0, 1]
     calls = [
-        lambda: run_meps(demands, 2, 0.001),
-        lambda: sample_meps(demands, 2, 0.001, seed=1),
+        lambda: run_meps(vals, 2, 0.001),
+        lambda: sample_meps(vals, 2, 0.001, seed=1),
         lambda: check_envy(alloc, vals, "EF1", alpha=0.5),
         lambda: check_maximin_fair(alloc, vals, alpha=0.5),
     ]
