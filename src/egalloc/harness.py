@@ -57,14 +57,15 @@ SUBSET_SPACE_MAX_ITEMS = 12
 
 
 def all_demand_subsets(instance: Instance, deviator: int) -> list[ValuationSpec]:
-    """Every demand-set report: all 2^m subsets of the item universe."""
+    """Every demand-set report: all 2^m subsets of the item universe, whose
+    ids come from `range(m)` and so are built by `_of_frozen`."""
     m = instance.m
     if m > SUBSET_SPACE_MAX_ITEMS:
         raise CapabilityError(
             f"subset space has 2^{m} reports; cap is m <= {SUBSET_SPACE_MAX_ITEMS}"
         )
     return [
-        AdditiveDichotomous(frozenset(sub))
+        AdditiveDichotomous._of_frozen(frozenset(sub))
         for k in range(m + 1)
         for sub in combinations(range(m), k)
     ]

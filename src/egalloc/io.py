@@ -416,20 +416,20 @@ def distribution_document(dist: OutcomeDistribution, inst: Instance, mechanism: 
         return f'"allocation": {body},{field}"unallocated": {unallocated}{atom_end}}}'
 
     head = f'{{\n  "mechanism": {_quote(mechanism)},\n  "atoms": '
-    atoms = dist.atoms
+    count = len(dist.weights)
     # five parts per atom: the atom's opening and its four fields, the last
     # closing it; one join writes the whole document
-    parts = [f",{atom_end}{{{field}"] * (5 * len(atoms))
+    parts = [f",{atom_end}{{{field}"] * (5 * count)
     parts[0] = f"{head}[{atom_end}{{{field}"
-    parts[1::5] = _by_identity([a.weight for a in atoms], weight)
-    parts[2::5] = _by_identity([a.priority for a in atoms], priority)
-    parts[3::5] = _by_identity([a.held_out for a in atoms], held_out)
-    parts[4::5] = _by_identity([a.allocation for a in atoms], allocation)
-    parts.append(f'\n  ],\n  "atom_count": {len(atoms)}\n}}')
+    parts[1::5] = _by_identity(dist.weights, weight)
+    parts[2::5] = _by_identity(dist.priorities, priority)
+    parts[3::5] = _by_identity(dist.held_outs, held_out)
+    parts[4::5] = _by_identity(dist.allocations, allocation)
+    parts.append(f'\n  ],\n  "atom_count": {count}\n}}')
     return "".join(parts)
 
 
-def _by_identity(values: list, render) -> list[str]:
+def _by_identity(values: Sequence, render) -> list[str]:
     """`render(v)` for each of `values`, called once per distinct object.
     Every value is alive for the whole call, so no id is reused."""
     ids = list(map(id, values))

@@ -40,10 +40,13 @@ list X, and then PE under sigma (on M∖X).  A realization is one holders
 tuple, each item's agent: its one solve is the engine,
 `lorenz.solve_prepared`, and then `model.check_bundles`, which returns
 the PE half's tuple, and `_granted` writes the M^X grants into it.
-`run_rpe` and `run_meps` turn the walk into atoms with one builder,
-`_distribution`, which keeps one dict from holders to `Allocation`
-(checked when built by `_allocation`), so each distinct allocation is one
-object shared by its atoms, which also share one weight object.
+`run_rpe` and `run_meps` turn the walk into a distribution with one
+builder, `_distribution`, which fills the distribution's columns
+(`model.OutcomeDistribution`) and builds no `Atom`: it keeps one dict from
+holders to `Allocation` (checked when built by `_allocation`), so each
+distinct allocation is one object shared by its atoms, which also share
+one weight object; the priority and held-out columns repeat the walk's
+orders and lists.
 `harness.fuzz_truthfulness` tallies one agent's items in the same tuples
 (PE is the one-order case), through the same gate, and stops a
 candidate's walk after any order once it cannot win.
@@ -66,7 +69,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, permutations, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapabilityError, ValidationError
@@ -76,7 +79,6 @@ from .matroid import (
 )
 from .model import (
     Allocation,
-    Atom,
     OutcomeDistribution,
     PriorityOrder,
     check_bundles,
@@ -95,16 +97,17 @@ RPE_EXACT_MAX_AGENTS = 6
 
 #: Largest exact held-out distribution, in atoms (m^2 * n!).  Measured with
 #: `distribution --mech meps` in-process on additive instances of density
-#: 0.3 near the cap, 5/9, 4/20 and 3/40 (Python 3.11, one core of a shared
-#: x86-64 VM, three seeds each, best of 3 fresh processes): 0.005-0.010 ms,
-#: 0.5-0.95 kB of output and 1.0-2.2 kB of peak-RSS growth per atom, so the
-#: cap bounds a run near 0.1 s, 9 MB of output and 22 MB.  Before the cap,
-#: 6 agents over 12 items (103,680 atoms) took 22 s and 63 MB of output.
-#: It admits up to 20 items for 4 agents, 9 for 5 and 3 for 6.  Sizes that
-#: must stay under it: acceptance criterion 10 up to 3/2 (24 atoms) and 2/4
-#: (32); scripts/meps_margin_scan.py, up to 3/3 (54); the benchmark's exact
-#: pools, 4/8 (1,536) and 3/5 (150 per fuzz candidate); the per-atom
-#: reference test, n <= 4 and m <= 6 (864).
+#: 0.3 at 9,600-9,720 atoms, 5/9, 4/20 and 3/40 (Python 3.11, one core of a
+#: shared x86-64 VM, three seeds each, least growth of 3 fresh processes):
+#: 0.004-0.011 ms, 0.51-0.95 kB of output and 1.05-1.96 kB of peak-RSS
+#: growth per atom, so the cap bounds a run near 0.1 s, 9 MB of output and
+#: 19 MB.  Before the cap, 6 agents over 12 items (103,680 atoms) took 22 s
+#: and 63 MB of output.  It admits up to 20 items for 4 agents, 9 for 5 and
+#: 3 for 6.  Sizes that must stay under it: acceptance criterion 10 up to
+#: 3/2 (24 atoms) and 2/4 (32); scripts/meps_margin_scan.py, up to 3/3
+#: (54); the benchmark's exact pools, 4/8 (1,536) and 3/5 (150 per fuzz
+#: candidate); the per-atom reference test, n <= 4 and m <= 6 (864), and
+#: the column round-trip test, n <= 5 and m <= 6 (4,320).
 MEPS_EXACT_MAX_ATOMS = 10_000
 
 #: 8! = 40,320 orders alone pass MEPS_EXACT_MAX_ATOMS, so exact
@@ -362,27 +365,33 @@ def run_meps(reports: Sequence[ValuationSpec], m: int, eps) -> OutcomeDistributi
 
 def _distribution(reports, m: int, size: int, held_outs) -> OutcomeDistribution:
     """The `size` atoms of weight 1/size of the walk `_outcomes` over the
-    set-up `reports`, every order of their agents and `held_outs`.
+    set-up `reports`, every order of their agents and `held_outs`, as
+    columns: no `Atom` is built.
 
     Builds one validated `Allocation` per distinct holders tuple, shared by
-    its atoms; atom h·n! + k is realization h under order k (one
-    realization per order without a held-out stage), so atoms keep
-    outcome-major order.
+    its atoms, and one weight shared by all.  The walk yields the orders
+    outside and the held-out lists inside, and each column is laid out
+    outcome-major: atom h·n! + k is realization h under order k (one
+    realization per order without a held-out stage).
     """
-    n, weight = len(reports), Fraction(1, size)
+    n = len(reports)
     allocations: dict[tuple[int, ...], Allocation] = {}  # by holders
     supports = prepare_supports(reports, m)
-    atoms = []  # in walk order: realization h of order k at k·per_order + h
-    for sigma, held_out, holders in _outcomes(
-        reports, supports, m, held_outs, permutations(range(n))
-    ):
+    orders = tuple(permutations(range(n)))
+    walk = []  # in walk order: realization h of order k at k·per_order + h
+    for _, _, holders in _outcomes(reports, supports, m, held_outs, orders):
         outcome = allocations.get(holders)
         if outcome is None:
             outcome = allocations[holders] = _allocation(holders, n)
-        atoms.append(Atom(weight, outcome, sigma, held_out))
-    per_order = 1 if held_outs is None else len(held_outs)
-    by_realization = (atoms[h::per_order] for h in range(per_order))
-    return OutcomeDistribution(tuple(chain.from_iterable(by_realization)))
+        walk.append(outcome)
+    lists = [None] if held_outs is None else held_outs
+    per_order = len(lists)
+    return OutcomeDistribution._of_columns(
+        (Fraction(1, size),) * size,
+        tuple(chain.from_iterable(walk[h::per_order] for h in range(per_order))),
+        orders * per_order,
+        tuple(chain.from_iterable(repeat(x, len(orders)) for x in lists)),
+    )
 
 
 def sample_meps(
@@ -420,8 +429,9 @@ def expected_utilities(
     (`valuation.value_functions`)."""
     # every bundle was checked against its universe by Allocation
     values = [value_functions(spec)[0] for spec in valuations]
+    atoms = list(zip(dist.weights, dist.allocations))
     return tuple(
-        sum((atom.weight * value(atom.allocation.bundles[v]) for atom in dist.atoms), Fraction(0))
+        sum((w * value(alloc.bundles[v]) for w, alloc in atoms), Fraction(0))
         for v, value in enumerate(values)
     )
 

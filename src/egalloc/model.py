@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -90,19 +90,68 @@ class Atom:
             object.__setattr__(self, "weight", as_value(self.weight))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OutcomeDistribution:
-    atoms: tuple[Atom, ...]
+    """A finite distribution over realizations, held as four parallel
+    columns: atom k has weight `weights[k]`, allocation `allocations[k]`,
+    priority `priorities[k]` and held-out list `held_outs[k]`.
 
-    def __post_init__(self):
-        # Σ weight·count over the distinct weights, keyed by (numerator,
+    `OutcomeDistribution(atoms)` takes the columns apart from `Atom`s;
+    `_of_columns` takes them as they are, so an exact walk builds no atom.
+    Either way the weights must be positive and sum to 1 exactly.  `atoms`
+    is built from the columns on first access and kept; equality and
+    hashing compare the columns alone."""
+
+    weights: tuple[Fraction, ...]
+    allocations: tuple[Allocation, ...]
+    priorities: tuple[PriorityOrder, ...]
+    held_outs: tuple[tuple[int, ...] | None, ...]
+    _atoms: tuple[Atom, ...] | None = field(compare=False, repr=False)
+
+    def __init__(self, atoms: Iterable[Atom]):
+        atoms = tuple(atoms)
+        self._fill(
+            tuple(a.weight for a in atoms),
+            tuple(a.allocation for a in atoms),
+            tuple(a.priority for a in atoms),
+            tuple(a.held_out for a in atoms),
+            atoms,
+        )
+
+    @classmethod
+    def _of_columns(cls, weights, allocations, priorities, held_outs) -> OutcomeDistribution:
+        """The distribution of these equal-length columns, whose weights are
+        `Fraction`s, built without an `Atom`."""
+        dist = object.__new__(cls)
+        dist._fill(weights, allocations, priorities, held_outs, None)
+        return dist
+
+    def _fill(self, weights, allocations, priorities, held_outs, atoms) -> None:
+        for name, column in zip(
+            ("weights", "allocations", "priorities", "held_outs", "_atoms"),
+            (weights, allocations, priorities, held_outs, atoms),
+        ):
+            object.__setattr__(self, name, column)
+        # Σ weight·count over the distinct weights: counted by object first,
+        # as a walk's atoms share one, then keyed by (numerator,
         # denominator), which hash faster than a Fraction
-        counts = Counter((a.weight.numerator, a.weight.denominator) for a in self.atoms)
+        objects = dict(zip(map(id, weights), weights))
+        counts: Counter[tuple[int, int]] = Counter()
+        for key, c in Counter(map(id, weights)).items():
+            w = objects[key]
+            counts[w.numerator, w.denominator] += c
         total = sum((Fraction(p, q) * c for (p, q), c in counts.items()), Fraction(0))
         if total != 1:
             raise ValidationError(f"atom weights must sum to 1 exactly, got {total}")
         if any(p <= 0 for p, _ in counts):
             raise ValidationError("atom weights must be positive")
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        if self._atoms is None:
+            atoms = tuple(map(Atom, self.weights, self.allocations, self.priorities, self.held_outs))
+            object.__setattr__(self, "_atoms", atoms)
+        return self._atoms
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,14 @@ class AdditiveDichotomous(ValuationSpec):
     def __post_init__(self):
         object.__setattr__(self, "demand", _freeze(self.demand))
 
+    @classmethod
+    def _of_frozen(cls, demand: ItemSet) -> AdditiveDichotomous:
+        """The report of a frozenset whose ids already passed `_freeze`, built
+        without checking them again; equal to `AdditiveDichotomous(demand)`."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "demand", demand)
+        return spec
+
 
 @dataclass(frozen=True)
 class MatroidValuation(ValuationSpec):

@@ -49,6 +49,8 @@ CAPS = {
     ),
     # one item: m^2 * n! = 5,040 atoms for 7 agents; 8 are refused before n!
     "exact-meps-agents": (7, lambda n: run_meps([AdditiveDichotomous(F({0}))] * n, 1, 0)),
+    # four agents: 20^2 * 4! = 9,600 atoms, 21 items 10,584
+    "exact-meps-items": (20, lambda m: run_meps([AdditiveDichotomous(F({0}))] * 4, m, 0)),
     "maximin-items": (10, lambda m: maximin_share(SMALL_SUPPORT, 2, m)),
     "maximin-agents": (4, lambda n: maximin_share(SMALL_SUPPORT, n, 2)),
     "explicit-validation-items": (12, lambda k: validate_matroid(Explicit(F({F(range(k))})))),

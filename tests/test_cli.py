@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -236,20 +237,40 @@ def _fuzz_stdout(mech, deviator, truthful_utility, witness=""):
     ids=["rpe", "meps", "rpe-witness"],
 )
 def test_fuzz_in_expectation_builds_no_atoms(
-    mech, deviator, code, expected, write_doc, capsys, monkeypatch
+    mech, deviator, code, expected, write_doc, capsys, refuse_atoms
 ):
-    import egalloc.mechanisms as mechanisms
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("fuzz built an atom")
-
-    monkeypatch.setattr(mechanisms, "Atom", refuse)
     got = run_cli(
         capsys,
         "fuzz", "--mech", mech, "--in", write_doc(SCARCE),
         "--deviator", deviator, "--expectation",
     )
     assert got == (code, expected, "")
+
+
+@pytest.fixture
+def refuse_atoms(monkeypatch):
+    import egalloc.model as model
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an atom")
+
+    monkeypatch.setattr(model, "Atom", refuse)
+
+
+# sha256 of the stdout that the build which wrote each distribution from
+# its atoms printed: 6 atoms under rpe, 24 under meps
+@pytest.mark.parametrize(
+    "mech, count, sha256",
+    [
+        ("rpe", 6, "3eb2e45f60a2f2fd6b26254c8765d74212f1218c48236b48672a0c45f4c2c2cf"),
+        ("meps", 24, "e80dbe413f3ca6c65f47acb583d05d37ebd423157dbb027a0687060970c822f5"),
+    ],
+)
+def test_distribution_builds_no_atoms(mech, count, sha256, write_doc, capsys, refuse_atoms):
+    code, out, err = run_cli(capsys, "distribution", "--mech", mech, "--in", write_doc(SCARCE))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["atom_count"] == count
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_fixture_command(capsys):

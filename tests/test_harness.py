@@ -489,65 +489,55 @@ def test_check_bundles_names_the_item_allocation_names():
         Allocation((F({-1}), F({-1})), 2)
 
 
-def refuse_refreezing(monkeypatch):
-    """Make building a `FreeOver` by its constructor, which runs `_freeze`
-    on the demand's ids, fail: a set-up whose demands were frozen when
-    their `AdditiveDichotomous` was built must not check them again."""
+def refuse_refreezing(monkeypatch, cls=FreeOver):
+    """Make building a `cls` (`FreeOver` or `AdditiveDichotomous`) by its
+    constructor, which runs `_freeze` on the demand's ids, fail: a set-up
+    whose demands were frozen when their `AdditiveDichotomous` was built
+    must not check them again."""
 
     def refreeze(self):
         raise AssertionError(f"the ids of {set(self.demand)} were frozen again")
 
-    monkeypatch.setattr(FreeOver, "__post_init__", refreeze)
+    monkeypatch.setattr(cls, "__post_init__", refreeze)
 
 
-def test_fuzz_pe_sets_up_the_other_reports_once(monkeypatch):
-    # pe and rpe share one set-up: for rpe it is not repeated per candidate
+def test_subset_space_freezes_no_id_again(monkeypatch):
+    # the 2^m candidates' ids come from range(m): each report is built
+    # without running the id rule again, and equals the checked one
+    inst = additive_instance([F({0, 1}), F({1, 2, 3})])
+    refuse_refreezing(monkeypatch, AdditiveDichotomous)
+    got = all_demand_subsets(inst, 0)
+    monkeypatch.undo()
+    want = [AdditiveDichotomous(F(s)) for k in range(5) for s in combinations(range(4), k)]
+    assert got == want and [hash(r) for r in got] == [hash(r) for r in want]
+
+
+@pytest.mark.parametrize("mechanism", ["pe", "rpe", "meps"])
+def test_fuzz_sets_up_each_report_once(mechanism, monkeypatch):
+    # every mechanism sets each report up once per call, by its own
+    # per-report function: the other agents' reports are not set up again
+    # per candidate, and no demand's ids are frozen again
     inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
     truth = F({1, 2, 3})
     candidates = [c.demand for c in all_demand_subsets(inst, 1)]
     specs = []
     calls = count_free_supports(monkeypatch, specs)
     refuse_refreezing(monkeypatch)
-    for mechanism in ("pe", "rpe"):
-        calls.clear()
-        specs.clear()
-        result = fuzz_truthfulness(mechanism, inst, 1, all_demand_subsets)
-        assert result.truthful
-        # one spec per report, in the order prepare_supports first asks
-        # them: the other agents' reports, the truth, then each of the 2^m
-        # candidates
-        assert [spec.demand for spec in specs] == [F({0, 1}), F({0, 3}), F({2}), truth, *candidates]
-        # every report is a demand set, whose universe check reads the
-        # demand, so prepare_supports asks the others and the truth once; a
-        # candidate is asked once for its bound, and once more when walked
-        # (|R ∩ T| >= 2, see the work-count test below), so 2 times, else 1
-        asked = [1 + (len(c & truth) >= 2) for c in candidates]
-        assert list(calls.values()) == [1] * 4 + asked, mechanism
-
-
-def test_fuzz_meps_sets_up_each_report_once(monkeypatch):
-    # meps sets its reports up as pe does, with its own per-report function:
-    # the other agents' `FreeOver` reports are built once per call, not once
-    # per candidate, and each is set up once
-    inst = additive_instance([F({0, 1}), F({1, 2, 3}), F({0, 3}), F({2})])
-    truth = F({1, 2, 3})
-    candidates = [c.demand for c in all_demand_subsets(inst, 1)]
-    specs = []
-    calls = count_free_supports(monkeypatch, specs)
-    refuse_refreezing(monkeypatch)
-    result = fuzz_truthfulness("meps", inst, 1, all_demand_subsets)
+    result = fuzz_truthfulness(mechanism, inst, 1, all_demand_subsets)
     assert result.truthful
-    # the other agents' reports, the truth and each of the 2^m candidates, in list order
+    # one spec per report, in the order prepare_supports first asks them:
+    # the other agents' reports, the truth, then each of the 2^m candidates
     assert [spec.demand for spec in specs] == [F({0, 1}), F({0, 3}), F({2}), truth, *candidates]
-    # the demand checks read the demands, not the specs, so prepare_supports
-    # asks the others and the truth once; a candidate is asked for its bound,
-    # and once more when walked (|R ∩ T| >= 2)
+    # every report is a demand set, whose universe check reads the demand,
+    # so prepare_supports asks the others and the truth once; a candidate
+    # is asked once for its bound, and once more when walked (|R ∩ T| >= 2,
+    # see the work-count test below), so 2 times, else 1
     asked = [1 + (len(c & truth) >= 2) for c in candidates]
     assert list(calls.values()) == [1] * 4 + asked
 
 
 def test_fuzz_walks_only_the_candidates_whose_bound_beats_the_best(monkeypatch):
-    # the instance of the two set-up tests above; the truth is T = {1, 2, 3}
+    # the instance of the set-up test above; the truth is T = {1, 2, 3}
     import egalloc.harness as harness
     import egalloc.mechanisms as mechanisms
 

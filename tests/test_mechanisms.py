@@ -341,8 +341,45 @@ def test_distribution_weights_must_sum_to_one():
     vals = [AdditiveDichotomous(F({0}))] * 2
     dist = run_rpe(vals, 1)
     atom = dist.atoms[0]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="must sum to 1 exactly, got 1/2"):
         OutcomeDistribution((atom,))
+    with pytest.raises(ValidationError, match="must sum to 1 exactly, got 1/2"):
+        OutcomeDistribution._of_columns(*(column[:1] for column in _columns(dist)))
+    with pytest.raises(ValidationError, match="positive"):
+        OutcomeDistribution._of_columns((Fraction(2), Fraction(-1)), *_columns(dist)[1:])
+
+
+def _columns(dist):
+    return dist.weights, dist.allocations, dist.priorities, dist.held_outs
+
+
+def test_distribution_columns_round_trip_through_atoms():
+    # the walks fill columns and build no Atom; the atoms read off them are
+    # the per-realization reference's, in order, and rebuilding the
+    # distribution from them gives an equal one with an equal hash
+    rng = random.Random(3535)
+    for _ in range(16):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        demands = [rand_subset(rng, m, rng.choice([0.3, 0.6])) for _ in range(n)]
+        orders = list(permutations(range(n)))
+        weight = Fraction(1, len(orders))
+        rpe = [Atom(weight, run_pe(demand_reports(demands), m, s), s) for s in orders]
+        for dist, want in (
+            (run_rpe(demand_reports(demands), m), rpe),
+            (run_meps(demand_reports(demands), m, 0), reference_run_meps(demands, m).atoms),
+        ):
+            assert dist.atoms == tuple(want), (demands, m)
+            assert dist.atoms is dist.atoms
+            again = OutcomeDistribution(dist.atoms)
+            assert again == dist and hash(again) == hash(dist)
+            assert _columns(again) == _columns(dist)
+            # every column counts: one rotated held-out column differs
+            turned = dist.held_outs[1:] + dist.held_outs[:1]
+            other = OutcomeDistribution._of_columns(*_columns(dist)[:3], turned)
+            assert (other == dist) == (turned == dist.held_outs)
+            for name in ("weights", "allocations", "priorities", "held_outs", "atoms"):
+                with pytest.raises(AttributeError):
+                    setattr(dist, name, ())
 
 
 def test_distribution_weights_must_be_exact():
